@@ -16,7 +16,7 @@ output rows, so left- and right-padding agree on the unmasked rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class GruParams:
         return self.w_z.data.shape[1]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
-        fields = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-        return {f"{prefix}.{name}": getattr(self, name) for name in fields}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -15,7 +15,7 @@ and preserve the position-level ranking of s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ Array = np.ndarray
 MERGE_MODES = ("sum", "avg", "max")
 AS_BASELINE = "as-baseline"
 EVAL_MODES = MERGE_MODES + (AS_BASELINE,)
+GRU_DIRECTIONS = ("doc_fwd", "doc_bwd", "query_fwd", "query_bwd")
 
 
 @dataclass
@@ -66,20 +67,32 @@ class ModelParams:
     def named(self) -> dict[str, Tensor]:
         """All trainable tensors in a fixed, checkpoint-stable order."""
         out = {"embedding": self.embedding}
-        out.update(self.doc_fwd.named("doc_fwd"))
-        out.update(self.doc_bwd.named("doc_bwd"))
-        out.update(self.query_fwd.named("query_fwd"))
-        out.update(self.query_bwd.named("query_bwd"))
+        for direction in GRU_DIRECTIONS:
+            out.update(getattr(self, direction).named(direction))
         return out
+
+    @classmethod
+    def from_named(cls, named: dict[str, Tensor], config: ReaderConfig) -> ModelParams:
+        """Inverse of `named`: a view over the given tensors, which are not copied.
+
+        Raises KeyError naming the first parameter missing from `named`.
+        """
+
+        def gru(direction: str) -> GruParams:
+            return GruParams(**{f.name: named[f"{direction}.{f.name}"] for f in fields(GruParams)})
+
+        return cls(
+            embedding=named["embedding"],
+            config=config,
+            **{direction: gru(direction) for direction in GRU_DIRECTIONS},
+        )
 
 
 def init_model_params(config: ReaderConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
     embedding = Tensor(nn.uniform_init(vocab_size, config.embed_dim, 0.1, rng), requires_grad=True)
     make = lambda: nn.init_gru_params(config.embed_dim, config.hidden_dim, rng)
     return ModelParams(
-        embedding=embedding,
-        doc_fwd=make(), doc_bwd=make(), query_fwd=make(), query_bwd=make(),
-        config=config,
+        embedding=embedding, config=config, **{direction: make() for direction in GRU_DIRECTIONS}
     )
 
 

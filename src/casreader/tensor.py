@@ -8,7 +8,7 @@ reverse topological order. `grad_check` is the independent oracle: central
 finite differences against the analytic gradients.
 
 All math is 64-bit; masked softmax subtracts the running max for stability;
-the pointwise/reduction max routes tie subgradients to the first operand.
+the reduction max routes tie subgradients to the first maximal entry.
 """
 
 from __future__ import annotations
@@ -208,40 +208,6 @@ def log(a: Tensor) -> Tensor:
         _accumulate(a, g / a.data)
 
     return _record(out, (a,), "log", backward)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise max; on exact ties the subgradient goes to `a`."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"maximum operand shapes differ: {a.data.shape} vs {b.data.shape}")
-    first = a.data >= b.data
-    out = Tensor(np.where(first, a.data, b.data))
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, g * first)
-        if b.requires_grad:
-            _accumulate(b, g * ~first)
-
-    return _record(out, (a, b), "maximum", backward)
-
-
-def elementwise(kind: str, *operands) -> Tensor:
-    """Dispatch table over the pointwise kernels: add, mul, sigmoid, tanh, max."""
-    table = {"add": add, "mul": mul, "sigmoid": sigmoid, "tanh": tanh, "max": maximum}
-    if kind not in table:
-        raise UsageError(f"unknown elementwise kind {kind!r}")
-    binary = kind in ("add", "mul", "max")
-    expected = 2 if binary else 1
-    if len(operands) != expected:
-        raise UsageError(f"elementwise {kind!r} takes {expected} operand(s), got {len(operands)}")
-    if binary:
-        a, b = (_as_tensor(o) for o in operands)
-        if a.data.shape != b.data.shape:
-            raise DimensionError(f"elementwise {kind!r} shapes differ: {a.data.shape} vs {b.data.shape}")
-        return table[kind](a, b)
-    return table[kind](_as_tensor(operands[0]))
 
 
 # ---------------------------------------------------------------------------

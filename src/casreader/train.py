@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .nn import GruParams
 from .reader import MERGE_MODES, ModelParams, ReaderConfig
 from .tensor import Tensor
 from .vocab import EncodedSample, Vocabulary, load_vocab, save_vocab
@@ -81,10 +80,6 @@ PRESETS = {
 
 @dataclass
 class Batch:
-    doc_ids: Array  # [batch x max_doc_len]
-    doc_mask: Array
-    query_ids: Array
-    query_mask: Array
     answer_ids: Array
     samples: list[EncodedSample]
 
@@ -92,8 +87,8 @@ class Batch:
 def make_batches(
     samples: list[EncodedSample], batch_size: int, rng: np.random.Generator
 ) -> list[Batch]:
-    """Shuffle, group, and right-pad. Samples whose answer id is missing
-    from their document are rejected outright."""
+    """Shuffle and group; `reader.forward` pads each batch. Samples whose
+    answer id is missing from their document are rejected outright."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     for i, s in enumerate(samples):
@@ -103,29 +98,9 @@ def make_batches(
     batches = []
     for start in range(0, len(samples), batch_size):
         group = [samples[i] for i in order[start : start + batch_size]]
-        doc_ids, doc_mask = _pad([s.doc_ids for s in group])
-        query_ids, query_mask = _pad([s.query_ids for s in group])
-        batches.append(
-            Batch(
-                doc_ids=doc_ids,
-                doc_mask=doc_mask,
-                query_ids=query_ids,
-                query_mask=query_mask,
-                answer_ids=np.array([s.answer_id for s in group], dtype=np.int64),
-                samples=group,
-            )
-        )
+        answer_ids = np.array([s.answer_id for s in group], dtype=np.int64)
+        batches.append(Batch(answer_ids=answer_ids, samples=group))
     return batches
-
-
-def _pad(rows: list[Array]) -> tuple[Array, Array]:
-    width = max(len(r) for r in rows)
-    ids = np.zeros((len(rows), width), dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = True
-    return ids, mask
 
 
 def nll_loss(outputs: list[reader.SampleForward], answer_ids) -> Tensor:
@@ -238,18 +213,7 @@ def _validation_accuracy(params: ModelParams, samples: list[EncodedSample]) -> f
 
 def _snapshot(params: ModelParams) -> ModelParams:
     named = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.named().items()}
-
-    def gru(prefix: str) -> GruParams:
-        return GruParams(**{k[len(prefix) + 1 :]: named[k] for k in named if k.startswith(prefix + ".")})
-
-    return ModelParams(
-        embedding=named["embedding"],
-        doc_fwd=gru("doc_fwd"),
-        doc_bwd=gru("doc_bwd"),
-        query_fwd=gru("query_fwd"),
-        query_bwd=gru("query_bwd"),
-        config=params.config,
-    )
+    return ModelParams.from_named(named, params.config)
 
 
 def train(
@@ -364,24 +328,9 @@ def save_checkpoint(
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     named = params.named()
-    lines = [
-        _MANIFEST_FORMAT,
-        f"vocab_size\t{params.vocab_size}",
-        f"embed_dim\t{config.embed_dim}",
-        f"hidden_dim\t{config.hidden_dim}",
-        f"dropout_rate\t{config.dropout_rate!r}",
-        f"merge_mode\t{config.merge_mode}",
-        f"lr\t{config.lr!r}",
-        f"batch_size\t{config.batch_size}",
-        f"clip_threshold\t{config.clip_threshold!r}",
-        f"epochs\t{config.epochs}",
-        f"seed\t{config.seed}",
-        f"shortlist_size\t{'none' if config.shortlist_size is None else config.shortlist_size}",
-        f"beta1\t{adam_state.beta1!r}",
-        f"beta2\t{adam_state.beta2!r}",
-        f"epsilon\t{adam_state.epsilon!r}",
-        f"adam_t\t{adam_state.t}",
-    ]
+    lines = [_MANIFEST_FORMAT, f"vocab_size\t{params.vocab_size}"]
+    lines += [f"{f.name}\t{_format_value(getattr(config, f.name))}" for f in fields(TrainConfig)]
+    lines.append(f"adam_t\t{adam_state.t}")
     for name, p in named.items():
         shape = ",".join(str(d) for d in p.data.shape)
         lines.append(f"param\t{name}\t{shape}")
@@ -395,6 +344,23 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(adam_state.v[name], dtype="<f8").tobytes())
     if vocab is not None:
         save_vocab(vocab, out / "vocab.txt")
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return "none"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool = False):
+    """Inverse of `_format_value`; `none` parses only where `nullable`."""
+    text = values[name]
+    if nullable and text == "none":
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        raise CorruptionError(f"manifest field {name!r} has malformed value {text!r}") from None
 
 
 def _read_arrays(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> dict[str, list[Array]]:
@@ -425,60 +391,42 @@ def load_checkpoint(path) -> Checkpoint:
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _MANIFEST_FORMAT:
         raise CorruptionError(f"unsupported checkpoint format: {lines[:1]}")
-    fields: dict[str, str] = {}
+    values: dict[str, str] = {}
     specs: list[tuple[str, tuple[int, ...]]] = []
     for line in lines[1:]:
         if not line:
             continue
         cols = line.split("\t")
         if cols[0] == "param":
-            if len(cols) != 3:
-                raise CorruptionError(f"malformed param line: {line!r}")
-            specs.append((cols[1], tuple(int(d) for d in cols[2].split(","))))
+            try:
+                _, name, shape = cols
+                specs.append((name, tuple(int(d) for d in shape.split(","))))
+            except ValueError:
+                raise CorruptionError(f"malformed param line: {line!r}") from None
         elif len(cols) == 2:
-            fields[cols[0]] = cols[1]
+            values[cols[0]] = cols[1]
         else:
             raise CorruptionError(f"malformed manifest line: {line!r}")
     try:
-        shortlist = fields["shortlist_size"]
-        config = TrainConfig(
-            embed_dim=int(fields["embed_dim"]),
-            hidden_dim=int(fields["hidden_dim"]),
-            dropout_rate=float(fields["dropout_rate"]),
-            merge_mode=fields["merge_mode"],
-            lr=float(fields["lr"]),
-            batch_size=int(fields["batch_size"]),
-            clip_threshold=float(fields["clip_threshold"]),
-            epochs=int(fields["epochs"]),
-            seed=int(fields["seed"]),
-            shortlist_size=None if shortlist == "none" else int(shortlist),
-            beta1=float(fields["beta1"]),
-            beta2=float(fields["beta2"]),
-            epsilon=float(fields["epsilon"]),
-        )
-        vocab_size = int(fields["vocab_size"])
-        adam_t = int(fields["adam_t"])
+        config = TrainConfig(**{
+            f.name: _parse_value(values, f.name, type(f.default), nullable="None" in str(f.type))
+            for f in fields(TrainConfig)
+        })
+        vocab_size = _parse_value(values, "vocab_size", int)
+        adam_t = _parse_value(values, "adam_t", int)
     except KeyError as missing:
         raise CorruptionError(f"manifest missing field {missing}") from None
     param_arrays = _read_arrays(src / "params.bin", specs, per_param=1)
     named = {name: Tensor(arrays[0], requires_grad=True) for name, arrays in param_arrays.items()}
-    expected = _expected_param_names()
-    if list(named) != expected:
-        raise CorruptionError("manifest parameter list does not match the model layout")
+    layout_error = CorruptionError("manifest parameter list does not match the model layout")
+    try:
+        params = ModelParams.from_named(named, config.reader_config())
+    except KeyError:
+        raise layout_error from None
+    if list(params.named()) != [name for name, _ in specs]:
+        raise layout_error
     if named["embedding"].data.shape != (vocab_size, config.embed_dim):
         raise CorruptionError("embedding shape disagrees with manifest vocab_size/embed_dim")
-
-    def gru(prefix: str) -> GruParams:
-        return GruParams(**{k[len(prefix) + 1 :]: named[k] for k in named if k.startswith(prefix + ".")})
-
-    params = ModelParams(
-        embedding=named["embedding"],
-        doc_fwd=gru("doc_fwd"),
-        doc_bwd=gru("doc_bwd"),
-        query_fwd=gru("query_fwd"),
-        query_bwd=gru("query_bwd"),
-        config=config.reader_config(),
-    )
     moment_arrays = _read_arrays(src / "adam.bin", specs, per_param=2)
     state = AdamState(
         m={name: arrays[0] for name, arrays in moment_arrays.items()},
@@ -499,11 +447,3 @@ def load_checkpoint(path) -> Checkpoint:
                 f"found {vocab.total_size} in {vocab_path.name}"
             )
     return Checkpoint(params=params, adam_state=state, config=config, vocab=vocab)
-
-
-def _expected_param_names() -> list[str]:
-    names = ["embedding"]
-    for prefix in ("doc_fwd", "doc_bwd", "query_fwd", "query_bwd"):
-        for leaf in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-            names.append(f"{prefix}.{leaf}")
-    return names

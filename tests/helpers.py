@@ -45,16 +45,3 @@ def generic_params(vocab_size, embed_dim, hidden_dim, rng, mode="avg"):
         config=reader.ReaderConfig(embed_dim, hidden_dim, merge_mode=mode),
     )
 
-
-def model_from_named(named, config):
-    """Rebuild a ModelParams view over the tensors in a named-parameter dict."""
-
-    def gru(prefix):
-        return nn.GruParams(**{k[len(prefix) + 1:]: named[k] for k in named if k.startswith(prefix + ".")})
-
-    return reader.ModelParams(
-        embedding=named["embedding"],
-        doc_fwd=gru("doc_fwd"), doc_bwd=gru("doc_bwd"),
-        query_fwd=gru("query_fwd"), query_bwd=gru("query_bwd"),
-        config=config,
-    )

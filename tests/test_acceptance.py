@@ -30,7 +30,7 @@ from casreader.synthetic import SyntheticConfig, baseline_accuracy, generate_syn
 from casreader.tensor import Tensor
 from casreader.vocab import build_vocab, encode_sample, load_vocab, save_vocab
 
-from helpers import Sample, generic_params, model_from_named
+from helpers import Sample, generic_params
 
 
 @contextlib.contextmanager
@@ -54,7 +54,7 @@ def test_criterion_1_gradient_fidelity():
             named = params.named()
 
             def loss(p):
-                model = model_from_named(p, params.config)
+                model = reader.ModelParams.from_named(p, params.config)
                 (out,) = reader.forward([sample], model, mode=mode)
                 return T.mul(T.log(T.take(out.words.probs, out.words.slot(answer))), -1.0)
 

