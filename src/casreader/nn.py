@@ -1,5 +1,5 @@
-"""Neural building blocks: shared embedding lookup, GRU cells, a masked
-bi-directional encoder, inverted dropout, and the parameter initializers.
+"""Neural building blocks: shared embedding lookup, the fused bi-GRU scan,
+inverted dropout, and the parameter initializers.
 
 The GRU uses the standard update/reset gate formulation:
 
@@ -8,15 +8,18 @@ The GRU uses the standard update/reset gate formulation:
     h~ = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * h~
 
-Input-to-hidden weights start uniform in [-0.1, 0.1], recurrent matrices
-start orthogonal, biases start at zero. Padding is handled by carrying the
-hidden state through masked positions unchanged while emitting all-zero
-output rows, so left- and right-padding agree on the unmasked rows.
+Each direction of the encoder is one autodiff node (`gru_scan`) with
+backpropagation through time inside it, so the recorded graph does not grow
+with sequence length. Input-to-hidden weights start uniform in [-0.1, 0.1],
+recurrent matrices start orthogonal, biases start at zero. Padding is
+handled by carrying the hidden state through masked positions unchanged
+while emitting all-zero output rows, so left- and right-padding agree on the
+unmasked rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -105,102 +108,104 @@ def embed_lookup(ids, embedding: Tensor) -> Tensor:
     return T.gather_rows(embedding, idx)
 
 
-@dataclass
-class _GruStep:
-    """A GRU direction with the recurrent/input transposes cached for reuse."""
+def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
+    """Scan one GRU direction over a padded batch as a single autodiff node.
 
-    p: GruParams
-    wt_z: Tensor = field(init=False)
-    wt_r: Tensor = field(init=False)
-    wt_h: Tensor = field(init=False)
-    ut_z: Tensor = field(init=False)
-    ut_r: Tensor = field(init=False)
-    ut_h: Tensor = field(init=False)
+    `x` holds the inputs in time-major row order (row t*batch + b is step t
+    of sequence b) and `mask` is bool [batch x len]. The output has the
+    same row order with `hidden` columns. Masked steps carry the state
+    through untouched and emit all-zero rows.
 
-    def __post_init__(self):
-        self.wt_z = T.transpose(self.p.w_z)
-        self.wt_r = T.transpose(self.p.w_r)
-        self.wt_h = T.transpose(self.p.w_h)
-        self.ut_z = T.transpose(self.p.u_z)
-        self.ut_r = T.transpose(self.p.u_r)
-        self.ut_h = T.transpose(self.p.u_h)
-
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        z = T.sigmoid(T.add(T.add(T.matmul(x, self.wt_z), T.matmul(h, self.ut_z)), self.p.b_z))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, self.wt_r), T.matmul(h, self.ut_r)), self.p.b_r))
-        cand = T.tanh(
-            T.add(T.add(T.matmul(x, self.wt_h), T.matmul(T.mul(r, h), self.ut_h)), self.p.b_h)
-        )
-        one_minus_z = T.sub(1.0, z)
-        return T.add(T.mul(one_minus_z, h), T.mul(z, cand))
-
-
-def gru_cell(x_t: Tensor, h_prev: Tensor, params: GruParams) -> Tensor:
-    """One GRU step. Accepts vectors or [batch x dim] matrices."""
-    vector_in = x_t.data.ndim == 1
-    x = T.reshape(x_t, (1, -1)) if vector_in else x_t
-    h = T.reshape(h_prev, (1, -1)) if h_prev.data.ndim == 1 else h_prev
-    if x.data.shape[1] != params.input_dim or h.data.shape[1] != params.hidden_dim:
-        raise DimensionError(
-            f"gru_cell got input {x_t.data.shape} and state {h_prev.data.shape} "
-            f"for params expecting input {params.input_dim}, hidden {params.hidden_dim}"
-        )
-    out = _GruStep(params)(x, h)
-    return T.reshape(out, (params.hidden_dim,)) if vector_in else out
-
-
-def _run_direction(
-    x_steps: list[Tensor],
-    mask: Array,
-    params: GruParams,
-    reverse: bool,
-) -> list[Tensor]:
-    """Scan one direction over per-step [batch x input] slices.
-
-    Masked steps carry the state through untouched and yield all-zero rows.
+    The input projections of every step are one matmul with the z/r/h maps
+    stacked; the loop over t only does the recurrent products. The backward
+    pass runs BPTT in a numpy loop that fills one gate-gradient array, from
+    which each weight gradient is then a single matmul over all steps.
     """
-    batch = x_steps[0].data.shape[0]
-    step = _GruStep(params)
-    h = Tensor(np.zeros((batch, params.hidden_dim)))
-    zeros = Tensor(np.zeros((batch, params.hidden_dim)))
-    n = len(x_steps)
-    outputs: list[Tensor | None] = [None] * n
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    mask = np.asarray(mask, dtype=bool)
+    batch, steps = mask.shape
+    hidden = params.hidden_dim
+    if x.data.shape != (steps * batch, params.input_dim):
+        raise DimensionError(
+            f"gru_scan got input {x.data.shape} for a {batch}x{steps} mask and params "
+            f"expecting input {params.input_dim}"
+        )
+    weights = [getattr(params, f.name) for f in fields(GruParams)]
+    w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = (t.data for t in weights)
+    w = np.concatenate([w_z, w_r, w_h])  # [3H x E]
+    u_zr = np.concatenate([u_z, u_r])  # [2H x H]
+    proj = (x.data @ w.T + np.concatenate([b_z, b_r, b_h])).reshape(steps, batch, 3 * hidden)
+    keep = mask.T[:, :, None]  # [len x batch x 1]
+    h_prev = np.zeros((steps, batch, hidden))
+    zr = np.zeros((steps, batch, 2 * hidden))
+    cand = np.zeros((steps, batch, hidden))
+    out = np.zeros((steps, batch, hidden))
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    h = np.zeros((batch, hidden))
     for t in order:
-        keep = mask[:, t]
-        h_new = step(x_steps[t], h)
-        if keep.all():
-            h = h_new
-            outputs[t] = h
-        else:
-            h = T.where_rows(keep, h_new, h)
-            outputs[t] = T.where_rows(keep, h, zeros)
-    return outputs  # type: ignore[return-value]
+        h_prev[t] = h
+        zr[t] = T.sigmoid_values(proj[t, :, : 2 * hidden] + h @ u_zr.T)
+        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
+        cand[t] = np.tanh(proj[t, :, 2 * hidden :] + (r * h) @ u_h.T)
+        h = np.where(keep[t], (1.0 - z) * h + z * cand[t], h)
+        out[t] = np.where(keep[t], h, 0.0)
+    result = Tensor(out.reshape(steps * batch, hidden))
+
+    def backward(g: Array) -> None:
+        g = g.reshape(steps, batch, hidden)
+        gates = np.zeros((steps, batch, 3 * hidden))  # pre-activation grads [z, r, h~]
+        dh = np.zeros((batch, hidden))
+        for t in reversed(order):
+            z, r, c, hp = zr[t, :, :hidden], zr[t, :, hidden:], cand[t], h_prev[t]
+            d_new = np.where(keep[t], dh + g[t], 0.0)
+            dh = np.where(keep[t], 0.0, dh)
+            da_h = d_new * z * (1.0 - c * c)
+            d_rh = da_h @ u_h
+            gates[t, :, :hidden] = d_new * (c - hp) * z * (1.0 - z)
+            gates[t, :, hidden : 2 * hidden] = d_rh * hp * r * (1.0 - r)
+            gates[t, :, 2 * hidden :] = da_h
+            dh += d_new * (1.0 - z) + d_rh * r + gates[t, :, : 2 * hidden] @ u_zr
+        flat = gates.reshape(steps * batch, 3 * hidden)
+        prev = h_prev.reshape(steps * batch, hidden)
+        r_prev = zr[:, :, hidden:].reshape(steps * batch, hidden) * prev
+        dw = np.split(flat.T @ x.data, 3)
+        du = np.split(flat[:, : 2 * hidden].T @ prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
+        db = np.split(flat.sum(axis=0), 3)
+        for param, grad in zip(weights, (*dw, *du, *db)):
+            if param.requires_grad:
+                T._accumulate(param, grad)
+        if x.requires_grad:
+            T._accumulate(x, flat @ w)
+
+    return T._record(result, (x, *weights), "gru_scan", backward)
 
 
 @dataclass
 class BatchEncoding:
-    """Bi-GRU outputs for a padded batch, kept per time step for cheap row slicing."""
+    """Bi-GRU outputs for a padded batch in time-major rows (row t*batch + b)."""
 
-    concat_steps: list[Tensor]  # per t: [batch x 2*hidden]
-    fwd_steps: list[Tensor]  # per t: [batch x hidden]
-    bwd_steps: list[Tensor]
+    states: Tensor  # [len*batch x 2*hidden], [fwd; bwd] per row, dropout applied
+    fwd: Tensor  # [len*batch x hidden]
+    bwd: Tensor  # [len*batch x hidden]
     mask: Array  # bool [batch x len]
     lengths: Array  # int [batch]
+
+    def _rows(self, row: int, steps) -> Array:
+        """Indices of batch row `row` at the given steps in the time-major tensors."""
+        return np.asarray(steps, dtype=np.int64) * self.mask.shape[0] + row
 
     def sequence(self, row: int) -> EncodedSequence:
         """The unpadded encoded sequence for one batch row."""
         n = int(self.lengths[row])
-        states = T.stack_rows(self.concat_steps[:n], row)
+        states = T.gather_rows(self.states, self._rows(row, np.arange(n)))
         return EncodedSequence(states=states, mask=np.ones(n, dtype=bool))
 
     def final_forward(self, row: int) -> Tensor:
         """Forward state at the last unmasked position, as a [1 x hidden] matrix."""
-        return T.gather_rows(self.fwd_steps[int(self.lengths[row]) - 1], [row])
+        return T.gather_rows(self.fwd, self._rows(row, [int(self.lengths[row]) - 1]))
 
     def first_backward(self, row: int) -> Tensor:
         """Backward state at position 0, as a [1 x hidden] matrix."""
-        return T.gather_rows(self.bwd_steps[0], [row])
+        return T.gather_rows(self.bwd, self._rows(row, [0]))
 
 
 def encode_batch(
@@ -216,42 +221,22 @@ def encode_batch(
     """Embed and bi-GRU encode a right-padded id batch.
 
     `mask` must be True exactly at real positions. Dropout, when active,
-    applies to the concatenated per-step outputs.
+    applies to the concatenated states; it draws its mask in time-major
+    order, i.e. one [batch x 2*hidden] block per step.
     """
     id_matrix = np.asarray(id_matrix, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    batch, n = id_matrix.shape
+    n = id_matrix.shape[1]
     if n < 1 or not mask.any(axis=1).all():
         raise UsageError("every sequence in the batch must have at least one unmasked position")
-    flat = embed_lookup(id_matrix.reshape(-1), embedding)
-    x_steps = [T.gather_rows(flat, np.arange(batch) * n + t) for t in range(n)]
-    fwd_steps = _run_direction(x_steps, mask, fwd, reverse=False)
-    bwd_steps = _run_direction(x_steps, mask, bwd, reverse=True)
-    concat = [T.concat_cols(f, b) for f, b in zip(fwd_steps, bwd_steps)]
+    x = embed_lookup(id_matrix.T.reshape(-1), embedding)
+    fwd_out = gru_scan(x, mask, fwd, reverse=False)
+    bwd_out = gru_scan(x, mask, bwd, reverse=True)
+    states = T.concat_cols(fwd_out, bwd_out)
     if training and dropout_rate > 0.0:
-        concat = [dropout(c, dropout_rate, training=True, rng=rng) for c in concat]
+        states = dropout(states, dropout_rate, training=True, rng=rng)
     lengths = mask.sum(axis=1).astype(np.int64)
-    return BatchEncoding(
-        concat_steps=concat, fwd_steps=fwd_steps, bwd_steps=bwd_steps, mask=mask, lengths=lengths
-    )
-
-
-def bigru_encode(embedded: Tensor, fwd: GruParams, bwd: GruParams, mask) -> EncodedSequence:
-    """Encode one embedded sequence; row t is [fwd state; bwd state] at t."""
-    if embedded.data.ndim != 2 or embedded.data.shape[0] < 1:
-        raise UsageError(f"bigru_encode expects a non-empty [len x dim] matrix, got {embedded.data.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    n = embedded.data.shape[0]
-    if mask.shape != (n,):
-        raise DimensionError(f"mask shape {mask.shape} does not match sequence length {n}")
-    if not mask.any():
-        raise UsageError("bigru_encode needs at least one unmasked position")
-    x_steps = [T.gather_rows(embedded, [t]) for t in range(n)]
-    row_mask = mask[None, :]
-    fwd_steps = _run_direction(x_steps, row_mask, fwd, reverse=False)
-    bwd_steps = _run_direction(x_steps, row_mask, bwd, reverse=True)
-    concat = [T.concat_cols(f, b) for f, b in zip(fwd_steps, bwd_steps)]
-    return EncodedSequence(states=T.stack_rows(concat, 0), mask=mask)
+    return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask, lengths=lengths)
 
 
 def dropout(

@@ -3,9 +3,12 @@
 Every operation that sees a gradient-requiring input records itself on the
 output (parents + a backward closure), so each forward pass rebuilds the
 graph from scratch — sequences here are variable-length and a static graph
-would buy nothing. `Tensor.backward` walks the recorded graph once in
-reverse topological order. `grad_check` is the independent oracle: central
-finite differences against the analytic gradients.
+would buy nothing. A layer whose graph would grow with sequence length
+records itself as one node with a hand-written backward instead (the GRU
+scan in `nn`, built on `_record`, `_accumulate` and `sigmoid_values`).
+`Tensor.backward` walks the recorded graph once in reverse topological
+order. `grad_check` is the independent oracle: central finite differences
+against the analytic gradients.
 
 All math is 64-bit; masked softmax subtracts the running max for stability;
 the reduction max routes tie subgradients to the first maximal entry.
@@ -179,10 +182,14 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), "mul", backward)
 
 
+def sigmoid_values(x: Array) -> Array:
+    """Logistic function of a plain array, split by sign so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign so exp never overflows.
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    y = sigmoid_values(a.data)
     out = Tensor(y)
 
     def backward(g: Array) -> None:
@@ -287,41 +294,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         np.add.at(a.grad, idx, g)
 
     return _record(out, (a,), "gather_rows", backward)
-
-
-def stack_rows(tensors: Sequence[Tensor], row: int) -> Tensor:
-    """Stack row `row` of each input matrix into a new [len(tensors) x width] matrix."""
-    if not tensors:
-        raise UsageError("stack_rows needs at least one input")
-    out = Tensor(np.stack([t.data[row] for t in tensors]))
-
-    def backward(g: Array) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad[row] += g[i]
-
-    return _record(out, tuple(tensors), "stack_rows", backward)
-
-
-def where_rows(keep: Array, a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise select: rows of `a` where `keep`, rows of `b` elsewhere."""
-    keep = np.asarray(keep, dtype=bool)
-    if a.data.shape != b.data.shape or keep.shape != (a.data.shape[0],):
-        raise DimensionError(
-            f"where_rows shapes disagree: keep {keep.shape}, a {a.data.shape}, b {b.data.shape}"
-        )
-    col = keep[:, None]
-    out = Tensor(np.where(col, a.data, b.data))
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.where(col, g, 0.0))
-        if b.requires_grad:
-            _accumulate(b, np.where(col, 0.0, g))
-
-    return _record(out, (a, b), "where_rows", backward)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:

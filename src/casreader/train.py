@@ -5,7 +5,9 @@ selection, and a manifest-plus-flat-arrays checkpoint format.
 The answer distribution comes out of two stacked softmaxes, so every
 document word has strictly positive probability and the log-likelihood is
 always finite on finite inputs; divergence can still happen through the
-parameters themselves and aborts the run with the best checkpoint so far.
+parameters themselves. A non-finite loss or gradient aborts the run with the
+best checkpoint so far (`TrainResult.aborted`), or raises `NumericError`
+when no epoch has completed yet.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def nll_loss(outputs: list[reader.SampleForward], answer_ids) -> Tensor:
 def clip_gradients(grads: dict[str, Array], threshold: float) -> tuple[dict[str, Array], float]:
     """Scale all gradients jointly so the global L2 norm is at most `threshold`.
 
-    Returns the (possibly rescaled) gradients and the pre-clip global norm.
+    Returns the gradients and the pre-clip global norm. Under the threshold
+    the input dict itself comes back; above it, rescaled copies.
     """
     if threshold <= 0:
         raise UsageError(f"clip threshold must be positive, got {threshold}")
@@ -131,7 +134,7 @@ def clip_gradients(grads: dict[str, Array], threshold: float) -> tuple[dict[str,
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if norm <= threshold:
-        return {name: g.copy() for name, g in grads.items()}, norm
+        return grads, norm
     scale = threshold / norm
     return {name: g * scale for name, g in grads.items()}, norm
 
@@ -161,21 +164,55 @@ class AdamState:
         )
 
 
+# Elements per Adam block: the block's slices of the parameter, gradient and
+# moments, and the two scratch blocks, stay in cache through all fourteen
+# operations, so each large array crosses memory once per step.
+_ADAM_BLOCK = 1 << 14
+
+
 def adam_step(params: dict[str, Tensor], grads: dict[str, Array], state: AdamState) -> None:
-    """Bias-corrected Adam update, in place on the parameter tensors."""
+    """Bias-corrected Adam update, in place on the parameter tensors.
+
+    Each parameter is updated in blocks of leading-axis rows. Every
+    operation writes into the moments, the parameter or one of two small
+    scratch arrays, in the order of the textbook formula
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + epsilon)
+
+    so the result is bit-identical to evaluating it with temporaries.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise ConfigurationError(
                 f"gradient shape {g.shape} does not match parameter {name!r} shape {p.data.shape}"
             )
-        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = m / (1 - b1 ** state.t)
-        v_hat = v / (1 - b2 ** state.t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        rows = max(1, _ADAM_BLOCK // p.data[0].size)
+        step_buf = np.empty((min(rows, len(p.data)),) + p.data.shape[1:])
+        denom_buf = np.empty_like(step_buf)
+        for lo in range(0, len(p.data), rows):
+            block = slice(lo, lo + rows)
+            w, gb, m, v = p.data[block], g[block], state.m[name][block], state.v[name][block]
+            step, denom = step_buf[: len(w)], denom_buf[: len(w)]
+            np.multiply(m, b1, out=m)
+            np.multiply(gb, 1 - b1, out=step)
+            np.add(m, step, out=m)
+            np.multiply(gb, gb, out=step)
+            np.multiply(step, 1 - b2, out=step)
+            np.multiply(v, b2, out=v)
+            np.add(v, step, out=v)
+            np.divide(m, c1, out=step)
+            np.multiply(step, state.lr, out=step)
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, state.epsilon, out=denom)
+            np.divide(step, denom, out=step)
+            np.subtract(w, step, out=w)
 
 
 @dataclass
@@ -255,7 +292,11 @@ def train(
                     name: (p.grad if p.grad is not None else np.zeros_like(p.data))
                     for name, p in named.items()
                 }
-                clipped, _ = clip_gradients(grads, config.clip_threshold)
+                try:
+                    clipped, _ = clip_gradients(grads, config.clip_threshold)
+                except NumericError:
+                    diverged = True
+                    break
                 adam_step(named, clipped, state)
                 losses.append(float(loss.data))
             if diverged or not losses:

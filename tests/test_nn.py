@@ -1,7 +1,9 @@
-"""Neural-layer tests: GRU math against a scalar-loop oracle, masking and
-initializer contracts, dropout statistics, finite-difference gradients."""
+"""Neural-layer tests: the fused bi-GRU scan against a scalar-loop oracle,
+masking and initializer contracts, dropout statistics and its rng stream,
+finite-difference gradients."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,6 +38,22 @@ def make_params(input_dim, hidden_dim, seed):
     return nn.init_gru_params(input_dim, hidden_dim, np.random.default_rng(seed))
 
 
+def random_params(input_dim, hidden_dim, rng):
+    """GRU params at a generic point (entries ~1), for finite-difference checks."""
+    def u(*shape):
+        return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+    return nn.GruParams(
+        w_z=u(hidden_dim, input_dim), w_r=u(hidden_dim, input_dim), w_h=u(hidden_dim, input_dim),
+        u_z=u(hidden_dim, hidden_dim), u_r=u(hidden_dim, hidden_dim), u_h=u(hidden_dim, hidden_dim),
+        b_z=u(hidden_dim), b_r=u(hidden_dim), b_h=u(hidden_dim),
+    )
+
+
+def gru_from(named, prefix):
+    return nn.GruParams(**{f.name: named[f"{prefix}.{f.name}"] for f in fields(nn.GruParams)})
+
+
 def zero_params(input_dim, hidden_dim):
     def t(shape):
         return Tensor(np.zeros(shape))
@@ -45,6 +63,30 @@ def zero_params(input_dim, hidden_dim):
         u_z=t((hidden_dim, hidden_dim)), u_r=t((hidden_dim, hidden_dim)), u_h=t((hidden_dim, hidden_dim)),
         b_z=t(hidden_dim), b_r=t(hidden_dim), b_h=t(hidden_dim),
     )
+
+
+def encode_rows(x, mask, fwd, bwd, **kw):
+    """Encode per-sequence inputs x [batch x len x dim] by using them as their own embedding table.
+
+    Returns the encoding and its states as [batch x len x 2*hidden].
+    """
+    batch, steps, dim = x.shape
+    emb = Tensor(x.reshape(-1, dim))
+    ids = np.arange(batch * steps).reshape(batch, steps)
+    enc = nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw)
+    return enc, enc.states.data.reshape(steps, batch, -1).transpose(1, 0, 2)
+
+
+def scan_oracle(x, mask, p, reverse):
+    """Scalar-loop scan of one direction: masked steps carry the state and emit zeros."""
+    steps = x.shape[0]
+    h = np.zeros(p.hidden_dim)
+    out = np.zeros((steps, p.hidden_dim))
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        if mask[t]:
+            h = gru_oracle(x[t], h, p)
+            out[t] = h
+    return out
 
 
 class TestEmbedLookup:
@@ -71,117 +113,140 @@ class TestEmbedLookup:
 
 
 class TestGruCell:
+    """The scan's per-step GRU math, checked on whole sequences."""
+
     def test_zero_weights_halve_previous_state(self):
+        # z = r = 1/2 and h~ = tanh(c), so the gap to tanh(c) halves every step.
         p = zero_params(3, 4)
-        v = np.array([0.4, -0.2, 0.8, 0.1])
-        out = nn.gru_cell(Tensor(np.ones(3)), Tensor(v), p)
-        np.testing.assert_allclose(out.data, 0.5 * v, atol=1e-15)
+        p.b_h.data[:] = [0.3, -0.7, 1.1, 0.0]
+        x = np.random.default_rng(1).uniform(-1, 1, (1, 5, 3))
+        _, states = encode_rows(x, np.ones((1, 5), dtype=bool), p, zero_params(3, 4))
+        target = np.tanh(p.b_h.data)
+        for t in range(5):
+            np.testing.assert_allclose(states[0, t, :4], target * (1.0 - 0.5 ** (t + 1)), atol=1e-15)
 
     def test_zero_weights_zero_state_fixed_point(self):
-        p = zero_params(3, 4)
-        out = nn.gru_cell(Tensor(np.ones(3)), Tensor(np.zeros(4)), p)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        x = np.random.default_rng(5).uniform(-1, 1, (2, 4, 3))
+        _, states = encode_rows(x, np.ones((2, 4), dtype=bool), zero_params(3, 4), zero_params(3, 4))
+        np.testing.assert_array_equal(states, np.zeros((2, 4, 8)))
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
-        p = make_params(4, 4, seed=3)
-        x, h = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
-        out = nn.gru_cell(Tensor(x), Tensor(h), p)
-        np.testing.assert_allclose(out.data, gru_oracle(x, h, p), atol=1e-12, rtol=0)
+        fwd, bwd = make_params(3, 4, seed=3), make_params(3, 4, seed=4)
+        x = rng.uniform(-1, 1, (3, 6, 3))
+        mask = np.ones((3, 6), dtype=bool)
+        mask[1, 4:] = False  # right padding
+        mask[2, 2] = False  # interior hole
+        _, states = encode_rows(x, mask, fwd, bwd)
+        for b in range(3):
+            expected = np.hstack([
+                scan_oracle(x[b], mask[b], fwd, reverse=False),
+                scan_oracle(x[b], mask[b], bwd, reverse=True),
+            ])
+            np.testing.assert_allclose(states[b], expected, atol=1e-12, rtol=0)
 
     def test_state_stays_in_open_unit_interval(self):
-        rng = np.random.default_rng(4)
-        p = make_params(3, 5, seed=5)
-        for _ in range(20):
-            h = rng.uniform(-1, 1, 5)
-            out = nn.gru_cell(Tensor(rng.uniform(-1, 1, 3)), Tensor(h), p)
-            assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
+        x = np.random.default_rng(6).uniform(-3, 3, (4, 20, 3))
+        _, states = encode_rows(x, np.ones((4, 20), dtype=bool), make_params(3, 5, 7), make_params(3, 5, 8))
+        assert np.all(states > -1.0) and np.all(states < 1.0)
 
     def test_batched_rows_match_single_calls(self):
         rng = np.random.default_rng(6)
         p = make_params(3, 4, seed=7)
-        xs, hs = rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 4))
-        batched = nn.gru_cell(Tensor(xs), Tensor(hs), p)
-        for i in range(2):
-            single = nn.gru_cell(Tensor(xs[i]), Tensor(hs[i]), p)
-            np.testing.assert_allclose(batched.data[i], single.data, atol=1e-13, rtol=0)
+        x = rng.uniform(-1, 1, (5, 2, 3))  # [len x batch x dim]
+        mask = np.array([[True] * 5, [True, True, False, True, False]])
+        batched = nn.gru_scan(Tensor(x.reshape(10, 3)), mask, p, reverse=True).data.reshape(5, 2, 4)
+        for b in range(2):
+            single = nn.gru_scan(Tensor(x[:, b]), mask[b : b + 1], p, reverse=True)
+            np.testing.assert_allclose(batched[:, b], single.data, atol=1e-13, rtol=0)
 
     def test_dimension_mismatch(self):
         p = make_params(3, 4, seed=8)
         with pytest.raises(DimensionError):
-            nn.gru_cell(Tensor(np.zeros(5)), Tensor(np.zeros(4)), p)
+            nn.gru_scan(Tensor(np.zeros((4, 5))), np.ones((2, 2), dtype=bool), p, reverse=False)
 
 
 class TestBigruEncode:
+    """Bi-GRU encoding properties, through `encode_batch`."""
+
     def test_single_step_reduces_to_gru_cell(self):
         rng = np.random.default_rng(9)
         fwd, bwd = make_params(3, 4, seed=10), make_params(3, 4, seed=11)
-        x = rng.uniform(-1, 1, (1, 3))
-        enc = nn.bigru_encode(Tensor(x), fwd, bwd, [True])
-        f = nn.gru_cell(Tensor(x[0]), Tensor(np.zeros(4)), fwd)
-        b = nn.gru_cell(Tensor(x[0]), Tensor(np.zeros(4)), bwd)
-        np.testing.assert_allclose(enc.states.data[0], np.concatenate([f.data, b.data]), atol=1e-15)
+        x = rng.uniform(-1, 1, (2, 1, 3))
+        _, states = encode_rows(x, np.ones((2, 1), dtype=bool), fwd, bwd)
+        for b in range(2):
+            f, bk = gru_oracle(x[b, 0], np.zeros(4), fwd), gru_oracle(x[b, 0], np.zeros(4), bwd)
+            np.testing.assert_allclose(states[b, 0], np.concatenate([f, bk]), atol=1e-15)
 
     def test_palindrome_with_shared_params_is_symmetric(self):
         rng = np.random.default_rng(12)
         p = make_params(3, 4, seed=13)
-        half = rng.uniform(-1, 1, (3, 3))
-        x = np.concatenate([half, half[::-1]])
-        enc = nn.bigru_encode(Tensor(x), p, p, np.ones(6, dtype=bool))
-        n, h = 6, 4
-        for i in range(n):
-            fwd_i = enc.states.data[i, :h]
-            bwd_mirror = enc.states.data[n - 1 - i, h:]
-            np.testing.assert_allclose(fwd_i, bwd_mirror, atol=1e-12)
+        half = rng.uniform(-1, 1, (2, 3, 3))
+        x = np.concatenate([half, half[:, ::-1]], axis=1)
+        _, states = encode_rows(x, np.ones((2, 6), dtype=bool), p, p)
+        np.testing.assert_allclose(states[:, :, :4], states[:, ::-1, 4:], atol=1e-12)
 
     def test_appending_masked_position_keeps_rows_bit_identical(self):
         rng = np.random.default_rng(14)
         fwd, bwd = make_params(3, 4, seed=15), make_params(3, 4, seed=16)
-        x = rng.uniform(-1, 1, (4, 3))
-        plain = nn.bigru_encode(Tensor(x), fwd, bwd, np.ones(4, dtype=bool))
-        padded_x = np.vstack([x, rng.uniform(-1, 1, (1, 3))])
-        padded = nn.bigru_encode(Tensor(padded_x), fwd, bwd, np.array([True] * 4 + [False]))
-        np.testing.assert_array_equal(plain.states.data, padded.states.data[:4])
-        assert np.all(padded.states.data[4] == 0.0)
+        x = rng.uniform(-1, 1, (2, 4, 3))
+        mask = np.array([[True] * 4, [True, True, True, False]])
+        _, plain = encode_rows(x, mask, fwd, bwd)
+        padded_x = np.concatenate([x, rng.uniform(-1, 1, (2, 1, 3))], axis=1)
+        _, padded = encode_rows(padded_x, np.hstack([mask, [[False], [False]]]), fwd, bwd)
+        np.testing.assert_array_equal(plain, padded[:, :4])
+        assert np.all(padded[:, 4] == 0.0)
 
     def test_left_padding_matches_right_padding(self):
         rng = np.random.default_rng(17)
         fwd, bwd = make_params(2, 3, seed=18), make_params(2, 3, seed=19)
-        x = rng.uniform(-1, 1, (3, 2))
-        pad = rng.uniform(-1, 1, (2, 2))
-        left = nn.bigru_encode(
-            Tensor(np.vstack([pad, x])), fwd, bwd, np.array([False, False, True, True, True])
-        )
-        right = nn.bigru_encode(
-            Tensor(np.vstack([x, pad])), fwd, bwd, np.array([True, True, True, False, False])
-        )
-        np.testing.assert_array_equal(left.states.data[2:], right.states.data[:3])
+        x = rng.uniform(-1, 1, (2, 3, 2))
+        pad = rng.uniform(-1, 1, (2, 2, 2))
+        _, left = encode_rows(np.concatenate([pad, x], axis=1), [[False, False, True, True, True]] * 2, fwd, bwd)
+        _, right = encode_rows(np.concatenate([x, pad], axis=1), [[True, True, True, False, False]] * 2, fwd, bwd)
+        np.testing.assert_array_equal(left[:, 2:], right[:, :3])
 
     def test_width_is_twice_hidden_and_masked_rows_zero(self):
-        fwd, bwd = make_params(3, 5, seed=20), make_params(3, 5, seed=21)
-        x = np.random.default_rng(22).uniform(-1, 1, (4, 3))
-        mask = np.array([True, False, True, True])
-        enc = nn.bigru_encode(Tensor(x), fwd, bwd, mask)
-        assert enc.states.data.shape == (4, 10)
-        assert np.all(enc.states.data[1] == 0.0)
+        x = np.random.default_rng(22).uniform(-1, 1, (2, 4, 3))
+        mask = np.array([[True, False, True, True], [True, True, True, False]])
+        _, states = encode_rows(x, mask, make_params(3, 5, seed=20), make_params(3, 5, seed=21))
+        assert states.shape == (2, 4, 10)
+        assert np.all(states[~mask] == 0.0)
+        assert np.all(states[mask] != 0.0)
 
     def test_empty_sequence_rejected(self):
         fwd, bwd = make_params(3, 4, seed=23), make_params(3, 4, seed=24)
+        emb = Tensor(np.zeros((2, 3)))
         with pytest.raises(UsageError):
-            nn.bigru_encode(Tensor(np.zeros((0, 3))), fwd, bwd, np.zeros(0, dtype=bool))
+            nn.encode_batch(np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=bool), emb, fwd, bwd)
 
     def test_three_step_gradients_match_finite_differences(self):
         rng = np.random.default_rng(25)
-        fwd, bwd = make_params(2, 3, seed=26), make_params(2, 3, seed=27)
-        x = rng.uniform(-1, 1, (3, 2))
-        weights = rng.uniform(0.5, 1.5, (3, 6))
-        params = {**fwd.named("fwd"), **bwd.named("bwd")}
+        fwd, bwd = random_params(2, 3, rng), random_params(2, 3, rng)
+        mask = np.array([[True] * 3, [True, True, False], [True, False, True]])
+        ids = np.array([[0, 1, 2], [3, 4, 0], [5, 6, 7]])
+        weights = rng.uniform(0.5, 1.5, (9, 6))
+        params = {"emb": Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True), **fwd.named("fwd"), **bwd.named("bwd")}
 
         def loss(p):
-            f = nn.GruParams(**{k.split(".")[1]: p[f"fwd.{k.split('.')[1]}"] for k in fwd.named("fwd")})
-            b = nn.GruParams(**{k.split(".")[1]: p[f"bwd.{k.split('.')[1]}"] for k in bwd.named("bwd")})
-            enc = nn.bigru_encode(Tensor(x), f, b, np.ones(3, dtype=bool))
+            enc = nn.encode_batch(ids, mask, p["emb"], gru_from(p, "fwd"), gru_from(p, "bwd"))
             return T.reduce_sum(T.mul(enc.states, Tensor(weights)))
+
+        assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
+
+
+class TestGruScan:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, reverse):
+        rng = np.random.default_rng(26)
+        mask = np.array([[True] * 4, [True, True, True, False], [True, False, True, False]])
+        weights = rng.uniform(0.5, 1.5, (12, 3))
+        x = Tensor(rng.uniform(-1, 1, (12, 2)), requires_grad=True)
+        params = {"x": x, **random_params(2, 3, rng).named("g")}
+
+        def loss(p):
+            out = nn.gru_scan(p["x"], mask, gru_from(p, "g"), reverse=reverse)
+            return T.reduce_sum(T.mul(out, Tensor(weights)))
 
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
 
@@ -191,26 +256,42 @@ class TestBatchEncoding:
         rng = np.random.default_rng(28)
         emb = Tensor(nn.uniform_init(10, 3, 0.1, rng), requires_grad=True)
         fwd, bwd = make_params(3, 4, seed=29), make_params(3, 4, seed=30)
-        ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0]])
-        mask = np.array([[True, True, True, False], [True, True, False, False]])
+        ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [6, 7, 8, 9]])
+        mask = np.array([[True, True, True, False], [True, True, False, False], [True] * 4])
         batch = nn.encode_batch(ids, mask, emb, fwd, bwd)
-        for row, length in ((0, 3), (1, 2)):
-            seq = batch.sequence(row)
-            alone = nn.bigru_encode(
-                nn.embed_lookup(ids[row, :length], emb), fwd, bwd, np.ones(length, dtype=bool)
+        for row, length in enumerate(mask.sum(axis=1)):
+            alone = nn.encode_batch(ids[row : row + 1, :length], np.ones((1, length), dtype=bool), emb, fwd, bwd)
+            np.testing.assert_allclose(
+                batch.sequence(row).states.data, alone.sequence(0).states.data, atol=1e-13, rtol=0
             )
-            np.testing.assert_allclose(seq.states.data, alone.states.data, atol=1e-13, rtol=0)
 
     def test_final_forward_and_first_backward(self):
         rng = np.random.default_rng(31)
         emb = Tensor(nn.uniform_init(10, 3, 0.1, rng))
         fwd, bwd = make_params(3, 4, seed=32), make_params(3, 4, seed=33)
-        ids = np.array([[1, 2, 3]])
-        mask = np.ones((1, 3), dtype=bool)
+        ids = np.array([[1, 2, 3], [4, 5, 0]])
+        mask = np.array([[True] * 3, [True, True, False]])
         batch = nn.encode_batch(ids, mask, emb, fwd, bwd)
-        seq = batch.sequence(0)
-        np.testing.assert_array_equal(batch.final_forward(0).data[0], seq.states.data[2, :4])
-        np.testing.assert_array_equal(batch.first_backward(0).data[0], seq.states.data[0, 4:])
+        for row, last in ((0, 2), (1, 1)):
+            seq = batch.sequence(row)
+            np.testing.assert_array_equal(batch.final_forward(row).data[0], seq.states.data[last, :4])
+            np.testing.assert_array_equal(batch.first_backward(row).data[0], seq.states.data[0, 4:])
+
+    def test_training_dropout_draws_one_block_per_step(self):
+        """Whole-state dropout consumes the rng like one [batch x 2*hidden] draw per step, in step order."""
+        rng = np.random.default_rng(46)
+        batch, steps, hidden, rate = 3, 5, 4, 0.4
+        x = rng.uniform(-1, 1, (batch, steps, 2))
+        mask = np.ones((batch, steps), dtype=bool)
+        mask[2, 3:] = False
+        fwd, bwd = make_params(2, hidden, seed=47), make_params(2, hidden, seed=48)
+        _, plain = encode_rows(x, mask, fwd, bwd)
+        got_rng, want_rng = np.random.default_rng(49), np.random.default_rng(49)
+        _, dropped = encode_rows(x, mask, fwd, bwd, dropout_rate=rate, training=True, rng=got_rng)
+        for t in range(steps):
+            keep = (want_rng.random((batch, 2 * hidden)) >= rate) / (1.0 - rate)
+            np.testing.assert_array_equal(dropped[:, t], plain[:, t] * keep)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestInitializers:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from casreader import reader, train
+from casreader import tensor as T
 from casreader.errors import (
     ConfigurationError,
     CorruptionError,
@@ -157,6 +158,49 @@ class TestAdamStep:
             train.adam_step(params, {"w": np.zeros(4)}, state)
 
 
+def reference_clip_and_adam(params, grads, m, v, t, threshold, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The optimizer as first written, with temporaries: the oracle for the in-place one."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    scale = threshold / norm if norm > threshold else None
+    for name, p in params.items():
+        g = grads[name] * scale if scale is not None else grads[name].copy()
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * (g * g)
+        m_hat = m[name] / (1 - b1 ** t)
+        v_hat = v[name] / (1 - b2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestInPlaceOptimizer:
+    def test_bit_identical_to_reference_over_mixed_clipped_steps(self):
+        rng = np.random.default_rng(8)
+        shapes = {"emb": (3001, 7), "w": (6, 6), "b": (6,)}  # emb spans two Adam blocks
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+        state = train.AdamState.init(params, lr=3e-3)
+        ref = {k: a.copy() for k, a in start.items()}
+        ref_m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        ref_v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        clipped_steps = 0
+        for step in range(1, 21):
+            scale = 20.0 if step % 3 == 0 else 0.05
+            grads = {k: rng.normal(size=shape) * scale for k, shape in shapes.items()}
+            clipped, norm = train.clip_gradients(grads, 10.0)
+            clipped_steps += norm > 10.0
+            train.adam_step(params, clipped, state)
+            reference_clip_and_adam(ref, grads, ref_m, ref_v, step, 10.0, 3e-3)
+            for k in shapes:
+                np.testing.assert_array_equal(params[k].data, ref[k])
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
+                np.testing.assert_array_equal(state.v[k], ref_v[k])
+        assert 0 < clipped_steps < 20
+
+    def test_under_threshold_returns_the_same_arrays(self):
+        grads = {"a": np.array([3.0]), "b": np.array([0.5, 0.5])}
+        clipped, _ = train.clip_gradients(grads, 10.0)
+        assert all(clipped[k] is grads[k] for k in grads)
+
+
 def one_training_step(params, samples, lr):
     named = params.named()
     for p in named.values():
@@ -229,6 +273,64 @@ class TestTrainLoop:
     def test_empty_sets_rejected(self):
         with pytest.raises(UsageError):
             train.train(self.config(), [], toy_corpus(2), vocab_size=20)
+
+    @pytest.mark.parametrize("fault", ["loss", "gradient"])
+    def test_non_finite_step_aborts_with_best_snapshot(self, monkeypatch, fault):
+        corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
+        clean = train.train(self.config(epochs=1), corpus, valid, vocab_size=20)
+        poison_step = 3 + 2  # batch 8 over 24 samples: the second step of epoch 2
+        real_loss = train.nll_loss
+        calls = []
+
+        def poisoned_loss(outputs, answer_ids):
+            loss = real_loss(outputs, answer_ids)
+            calls.append(1)
+            if len(calls) != poison_step:
+                return loss
+            if fault == "loss":
+                return T.mul(loss, np.nan)
+            out = Tensor(loss.data.copy())
+            return T._record(out, (loss,), "poison", lambda g: T._accumulate(loss, g * np.nan))
+
+        monkeypatch.setattr(train, "nll_loss", poisoned_loss)
+        result = train.train(self.config(epochs=3), corpus, valid, vocab_size=20)
+        assert len(calls) == poison_step
+        assert result.aborted
+        assert [r.epoch for r in result.history] == [1]
+        assert result.best_epoch == 1
+        assert result.history[0].deterministic_fields() == clean.history[0].deterministic_fields()
+        for k, p in result.params.named().items():
+            np.testing.assert_array_equal(p.data, clean.params.named()[k].data)
+
+    def test_non_finite_gradient_in_first_epoch_raises(self, monkeypatch):
+        real_loss = train.nll_loss
+
+        def poisoned_loss(outputs, answer_ids):
+            loss = real_loss(outputs, answer_ids)
+            out = Tensor(loss.data.copy())
+            return T._record(out, (loss,), "poison", lambda g: T._accumulate(loss, g * np.nan))
+
+        monkeypatch.setattr(train, "nll_loss", poisoned_loss)
+        with pytest.raises(NumericError, match="first epoch"):
+            train.train(self.config(), toy_corpus(8), toy_corpus(4, rng_seed=1), vocab_size=20)
+
+
+def training_graph_size(doc_len):
+    """Autodiff nodes reachable from one training loss, documents of `doc_len` tokens."""
+    rng = np.random.default_rng(doc_len)
+    samples = [
+        encoded_sample(np.concatenate([[15], rng.integers(12, 20, doc_len - 1)]), [13, 1, 14], 15)
+        for _ in range(4)
+    ]
+    config = reader.ReaderConfig(6, 5, dropout_rate=0.1, merge_mode="avg")
+    params = reader.init_model_params(config, 20, np.random.default_rng(0))
+    outputs = reader.forward(samples, params, training=True, rng=rng)
+    return len(T._topo_order(train.nll_loss(outputs, [s.answer_id for s in samples])))
+
+
+def test_training_graph_size_does_not_grow_with_document_length():
+    sizes = [training_graph_size(n) for n in (10, 20, 40)]
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 class TestCheckpoint:
