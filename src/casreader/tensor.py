@@ -10,12 +10,18 @@ scan in `nn`, built on `_record`, `_accumulate` and `sigmoid_values`).
 order. `grad_check` is the independent oracle: central finite differences
 against the analytic gradients.
 
+A leaf table read through `gather_rows` (the embedding) gets a `RowGrad`:
+the sorted rows the batch touched and their summed gradients, so backward,
+clipping and the optimizer's gradient work scale with the batch rather than
+with the vocabulary. A leaf that also receives a dense gradient densifies.
+
 All math is 64-bit; masked softmax subtracts the running max for stability;
 the reduction max routes tie subgradients to the first maximal entry.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,14 +31,30 @@ from .errors import DimensionError, EmptySupportError, NumericError, UsageError
 Array = np.ndarray
 
 
+@dataclass
+class RowGrad:
+    """Row-sparse gradient of a table: `values[i]` is the gradient of row
+    `rows[i]`; `rows` is sorted and unique, every other row's gradient is 0."""
+
+    rows: Array
+    values: Array
+    shape: tuple[int, ...]
+
+    def dense(self) -> Array:
+        out = np.zeros(self.shape)
+        out[self.rows] = self.values
+        return out
+
+
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+    """A dense float64 array plus an optional gradient buffer (an array, or
+    a `RowGrad` on a leaf read only through `gather_rows`)."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Array | None = None
+        self.grad: Array | RowGrad | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[Array], None] | None = None
@@ -109,10 +131,18 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
+def _dense_grad(t: Tensor) -> Array:
+    """`t.grad` as an array, created as zeros or densified from a `RowGrad`."""
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    elif isinstance(t.grad, RowGrad):
+        t.grad = t.grad.dense()
+    return t.grad
+
+
+def _accumulate(t: Tensor, g: Array) -> None:
+    grad = _dense_grad(t)
+    grad += g
 
 
 def _record(out: Tensor, parents: Sequence[Tensor], op: str, backward_fn) -> Tensor:
@@ -279,7 +309,13 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of `a`; the backward rule scatter-adds into those rows only."""
+    """Select rows of `a`; the backward rule scatter-adds into those rows only.
+
+    A leaf `a` accumulates a `RowGrad` over the rows gathered so far (each
+    row sums its contributions in call and index order, as a dense
+    `np.add.at` would); a computed `a`, or a leaf already holding a dense
+    gradient, gets the dense scatter.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise DimensionError("gather_rows expects a flat index sequence")
@@ -289,9 +325,16 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = Tensor(a.data[idx])
 
     def backward(g: Array) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
+        if a._parents or isinstance(a.grad, np.ndarray):
+            np.add.at(_dense_grad(a), idx, g)
+            return
+        all_idx, all_g = idx, g
+        if a.grad is not None:  # a RowGrad from an earlier gather of the same leaf
+            all_idx, all_g = np.concatenate([a.grad.rows, idx]), np.concatenate([a.grad.values, g])
+        rows, inverse = np.unique(all_idx, return_inverse=True)
+        values = np.zeros((len(rows),) + a.data.shape[1:])
+        np.add.at(values, inverse, all_g)
+        a.grad = RowGrad(rows, values, a.data.shape)
 
     return _record(out, (a,), "gather_rows", backward)
 
@@ -314,12 +357,10 @@ def reduce_max(a: Tensor, axis: int = 0) -> Tensor:
     argmax = a.data.argmax(axis=axis)  # first occurrence on ties
 
     def backward(g: Array) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
         if axis == 0:
-            a.grad[argmax, np.arange(a.data.shape[1])] += g
+            _dense_grad(a)[argmax, np.arange(a.data.shape[1])] += g
         else:
-            a.grad[np.arange(a.data.shape[0]), argmax] += g
+            _dense_grad(a)[np.arange(a.data.shape[0]), argmax] += g
 
     return _record(out, (a,), "reduce_max", backward)
 
@@ -331,9 +372,7 @@ def take(a: Tensor, index: int) -> Tensor:
     out = Tensor(a.data[index])
 
     def backward(g: Array) -> None:
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
+        _dense_grad(a)[index] += g
 
     return _record(out, (a,), "take", backward)
 
@@ -447,10 +486,7 @@ def grad_check(
     if not np.isfinite(loss.data):
         raise NumericError("loss is non-finite at the evaluation point")
     loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
+    analytic = {name: _dense_grad(p) for name, p in params.items()}
 
     frozen = {name: Tensor(p.data.copy()) for name, p in params.items()}
     worst = 0.0

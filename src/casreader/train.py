@@ -2,6 +2,11 @@
 global-norm gradient clipping, Adam updates, epoch-level validation
 selection, and a manifest-plus-flat-arrays checkpoint format.
 
+The embedding's gradient arrives as a `tensor.RowGrad` over the rows the
+batch touched; clipping reads and scales only those rows, and Adam applies
+the full update to them plus a dense zero-gradient pass that decays every
+row's moments, so the result is the dense Adam update.
+
 The answer distribution comes out of two stacked softmaxes, so every
 document word has strictly positive probability and the log-likelihood is
 always finite on finite inputs; divergence can still happen through the
@@ -13,8 +18,9 @@ when no epoch has completed yet.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -119,24 +125,34 @@ def nll_loss(outputs: list[reader.SampleForward], answer_ids) -> Tensor:
     return T.mul(T.add_n(terms), -1.0 / len(terms))
 
 
-def clip_gradients(grads: dict[str, Array], threshold: float) -> tuple[dict[str, Array], float]:
+Grad = Array | T.RowGrad
+
+
+def clip_gradients(grads: dict[str, Grad], threshold: float) -> tuple[dict[str, Grad], float]:
     """Scale all gradients jointly so the global L2 norm is at most `threshold`.
 
     Returns the gradients and the pre-clip global norm. Under the threshold
-    the input dict itself comes back; above it, rescaled copies.
+    the input dict itself comes back; above it, rescaled copies. A `RowGrad`
+    contributes its stored rows only; its squares are summed in another
+    order than over the dense array, so the norm agrees with the dense one
+    to rounding (1e-12 relative), not bit for bit.
     """
     if threshold <= 0:
         raise UsageError(f"clip threshold must be positive, got {threshold}")
     total = 0.0
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        values = g.values if isinstance(g, T.RowGrad) else g
+        if not np.all(np.isfinite(values)):
             raise NumericError(f"non-finite gradient in parameter {name!r}")
-        total += float((g * g).sum())
+        total += float((values * values).sum())
     norm = float(np.sqrt(total))
     if norm <= threshold:
         return grads, norm
     scale = threshold / norm
-    return {name: g * scale for name, g in grads.items()}, norm
+    return {
+        name: T.RowGrad(g.rows, g.values * scale, g.shape) if isinstance(g, T.RowGrad) else g * scale
+        for name, g in grads.items()
+    }, norm
 
 
 @dataclass
@@ -170,7 +186,7 @@ class AdamState:
 _ADAM_BLOCK = 1 << 14
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, Array], state: AdamState) -> None:
+def adam_step(params: dict[str, Tensor], grads: dict[str, Grad], state: AdamState) -> None:
     """Bias-corrected Adam update, in place on the parameter tensors.
 
     Each parameter is updated in blocks of leading-axis rows. Every
@@ -182,37 +198,57 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Array], state: AdamSta
         p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + epsilon)
 
     so the result is bit-identical to evaluating it with temporaries.
+
+    A `RowGrad` still gets the dense update: the touched rows of p, m and v
+    are set aside, every row takes the update with g = 0 (the formula's
+    operations minus the five that would only add zeros), and the set-aside
+    rows then take the full update and are written back.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1, c2 = 1 - b1 ** state.t, 1 - b2 ** state.t
+    c1, c2 = 1 - state.beta1 ** state.t, 1 - state.beta2 ** state.t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise ConfigurationError(
                 f"gradient shape {g.shape} does not match parameter {name!r} shape {p.data.shape}"
             )
-        rows = max(1, _ADAM_BLOCK // p.data[0].size)
-        step_buf = np.empty((min(rows, len(p.data)),) + p.data.shape[1:])
-        denom_buf = np.empty_like(step_buf)
-        for lo in range(0, len(p.data), rows):
-            block = slice(lo, lo + rows)
-            w, gb, m, v = p.data[block], g[block], state.m[name][block], state.v[name][block]
-            step, denom = step_buf[: len(w)], denom_buf[: len(w)]
-            np.multiply(m, b1, out=m)
+        m, v = state.m[name], state.v[name]
+        if isinstance(g, T.RowGrad):
+            w_rows, m_rows, v_rows = p.data[g.rows], m[g.rows], v[g.rows]
+            _adam_blocks(p.data, None, m, v, state, c1, c2)
+            _adam_blocks(w_rows, g.values, m_rows, v_rows, state, c1, c2)
+            p.data[g.rows], m[g.rows], v[g.rows] = w_rows, m_rows, v_rows
+        else:
+            _adam_blocks(p.data, g, m, v, state, c1, c2)
+
+
+def _adam_blocks(p: Array, g: Array | None, m: Array, v: Array, state: AdamState, c1: float, c2: float) -> None:
+    """`adam_step`'s formula over blocks of rows, in place; `g=None` means a zero gradient."""
+    b1, b2 = state.beta1, state.beta2
+    rows = max(1, _ADAM_BLOCK // math.prod(p.shape[1:]))
+    step_buf = np.empty((min(rows, len(p)),) + p.shape[1:])
+    denom_buf = np.empty_like(step_buf)
+    for lo in range(0, len(p), rows):
+        block = slice(lo, lo + rows)
+        w, mb, vb = p[block], m[block], v[block]
+        step, denom = step_buf[: len(w)], denom_buf[: len(w)]
+        np.multiply(mb, b1, out=mb)
+        if g is not None:
+            gb = g[block]
             np.multiply(gb, 1 - b1, out=step)
-            np.add(m, step, out=m)
+            np.add(mb, step, out=mb)
             np.multiply(gb, gb, out=step)
             np.multiply(step, 1 - b2, out=step)
-            np.multiply(v, b2, out=v)
-            np.add(v, step, out=v)
-            np.divide(m, c1, out=step)
-            np.multiply(step, state.lr, out=step)
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, state.epsilon, out=denom)
-            np.divide(step, denom, out=step)
-            np.subtract(w, step, out=w)
+        np.multiply(vb, b2, out=vb)
+        if g is not None:
+            np.add(vb, step, out=vb)
+        np.divide(mb, c1, out=step)
+        np.multiply(step, state.lr, out=step)
+        np.divide(vb, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, state.epsilon, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(w, step, out=w)
 
 
 @dataclass
@@ -221,6 +257,8 @@ class EpochRecord:
     mean_loss: float
     valid_accuracy: float
     wall_time_s: float
+    grad_norm_max: float  # largest pre-clip global gradient norm of the epoch
+    clip_rate: float  # share of the epoch's steps whose norm exceeded the clip threshold
 
     def deterministic_fields(self) -> tuple:
         return (self.epoch, self.mean_loss, self.valid_accuracy)
@@ -277,7 +315,7 @@ def train(
     try:
         for epoch in range(1, config.epochs + 1):
             started = time.perf_counter()
-            losses = []
+            losses, norms = [], []
             diverged = False
             for batch in make_batches(train_samples, config.batch_size, rng):
                 for p in named.values():
@@ -293,12 +331,13 @@ def train(
                     for name, p in named.items()
                 }
                 try:
-                    clipped, _ = clip_gradients(grads, config.clip_threshold)
+                    clipped, norm = clip_gradients(grads, config.clip_threshold)
                 except NumericError:
                     diverged = True
                     break
                 adam_step(named, clipped, state)
                 losses.append(float(loss.data))
+                norms.append(norm)
             if diverged or not losses:
                 aborted = True
                 break
@@ -308,18 +347,12 @@ def train(
                 mean_loss=float(np.mean(losses)),
                 valid_accuracy=accuracy,
                 wall_time_s=time.perf_counter() - started,
+                grad_norm_max=max(norms),
+                clip_rate=sum(n > config.clip_threshold for n in norms) / len(norms),
             )
             history.append(record)
             if log_fh:
-                json.dump(
-                    {
-                        "epoch": record.epoch,
-                        "mean_loss": record.mean_loss,
-                        "valid_accuracy": record.valid_accuracy,
-                        "wall_time_s": record.wall_time_s,
-                    },
-                    log_fh,
-                )
+                json.dump(asdict(record), log_fh)
                 log_fh.write("\n")
                 log_fh.flush()
             if accuracy > best_accuracy:
@@ -410,14 +443,13 @@ def _read_arrays(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param
     with open(path, "rb") as fh:
         for name, shape in specs:
             arrays = []
-            count = int(np.prod(shape))
             for _ in range(per_param):
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
+                array = np.empty(shape, dtype="<f8")
+                if fh.readinto(array) != array.nbytes:
                     raise CorruptionError(
                         f"{path.name}: truncated while reading parameter {name!r}"
                     )
-                arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+                arrays.append(array)
             out[name] = arrays
         if fh.read(1):
             raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents")
@@ -441,7 +473,10 @@ def load_checkpoint(path) -> Checkpoint:
         if cols[0] == "param":
             try:
                 _, name, shape = cols
-                specs.append((name, tuple(int(d) for d in shape.split(","))))
+                dims = tuple(int(d) for d in shape.split(","))
+                if min(dims) < 0:
+                    raise ValueError(shape)
+                specs.append((name, dims))
             except ValueError:
                 raise CorruptionError(f"malformed param line: {line!r}") from None
         elif len(cols) == 2:

@@ -2,6 +2,7 @@
 pipeline, the tagged-corpus path, stats golden, and the error surface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import casreader
 from casreader.cli import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_seed0_stats.json"
@@ -173,10 +175,14 @@ class TestErrorSurface:
     """
 
     def run_cli(self, *args):
+        # The child imports the same casreader as this process, installed or not.
+        src = str(Path(casreader.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "casreader.cli", *args],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def trained_checkpoint(self, tmp_path):

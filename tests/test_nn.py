@@ -99,13 +99,13 @@ class TestEmbedLookup:
         w = Tensor(np.zeros((4, 2)), requires_grad=True)
         out = nn.embed_lookup([3, 3], w)
         out.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_array_equal(w.grad[3], [4.0, 6.0])
+        np.testing.assert_array_equal(w.grad.dense()[3], [4.0, 6.0])
 
     def test_unselected_row_gets_zero_gradient(self):
         w = Tensor(np.ones((4, 2)), requires_grad=True)
         T.reduce_sum(nn.embed_lookup([1, 2], w)).backward()
-        np.testing.assert_array_equal(w.grad[0], [0.0, 0.0])
-        np.testing.assert_array_equal(w.grad[3], [0.0, 0.0])
+        np.testing.assert_array_equal(w.grad.dense()[0], [0.0, 0.0])
+        np.testing.assert_array_equal(w.grad.dense()[3], [0.0, 0.0])
 
     def test_out_of_range_id(self):
         with pytest.raises(IndexError):

@@ -181,12 +181,55 @@ class TestGatherScatter:
         w = T.Tensor(np.zeros((4, 3)), requires_grad=True)
         out = T.gather_rows(w, [2, 2])
         out.backward(np.ones((2, 3)))
-        assert np.all(w.grad[2] == 2.0)
-        assert np.all(w.grad[[0, 1, 3]] == 0.0)
+        assert np.all(w.grad.dense()[2] == 2.0)
+        assert np.all(w.grad.dense()[[0, 1, 3]] == 0.0)
 
     def test_gather_rows_out_of_range(self):
         with pytest.raises(IndexError):
             T.gather_rows(T.Tensor(np.zeros((2, 2))), [5])
+
+    def test_gathered_leaf_gets_row_grad_bit_identical_to_dense_scatter(self):
+        rng = np.random.default_rng(21)
+        table = T.Tensor(rng.normal(size=(50, 4)), requires_grad=True)
+        doc_ids = rng.integers(0, 50, 120)
+        query_ids = np.concatenate([doc_ids[:5], rng.integers(0, 50, 10)])
+        doc_g, query_g = rng.normal(size=(120, 4)), rng.normal(size=(15, 4))
+        T.gather_rows(table, doc_ids)._backward_fn(doc_g)
+        T.gather_rows(table, query_ids)._backward_fn(query_g)
+        expected = np.zeros((50, 4))
+        np.add.at(expected, doc_ids, doc_g)
+        np.add.at(expected, query_ids, query_g)
+        assert isinstance(table.grad, T.RowGrad)
+        np.testing.assert_array_equal(table.grad.rows, np.unique(np.concatenate([doc_ids, query_ids])))
+        np.testing.assert_array_equal(table.grad.values, expected[table.grad.rows])
+        np.testing.assert_array_equal(table.grad.dense(), expected)
+
+    @pytest.mark.parametrize("gather_first", [True, False])
+    def test_leaf_used_both_ways_densifies(self, gather_first):
+        rng = np.random.default_rng(22)
+        table = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        ids, g, dense_g = [4, 1, 4], rng.normal(size=(3, 3)), rng.normal(size=(6, 3))
+        gathered = T.gather_rows(table, ids)
+        expected = np.zeros((6, 3))
+        if gather_first:
+            gathered._backward_fn(g)
+            T._accumulate(table, dense_g)
+            np.add.at(expected, ids, g)
+            expected += dense_g
+        else:
+            T._accumulate(table, dense_g)
+            gathered._backward_fn(g)
+            expected += dense_g
+            np.add.at(expected, ids, g)
+        assert isinstance(table.grad, np.ndarray)
+        np.testing.assert_array_equal(table.grad, expected)
+
+    def test_computed_source_gets_dense_scatter(self):
+        table = T.Tensor(np.ones((4, 2)), requires_grad=True)
+        doubled = T.mul(table, 2.0)
+        T.reduce_sum(T.gather_rows(doubled, [3, 3])).backward()
+        assert isinstance(doubled.grad, np.ndarray)
+        np.testing.assert_array_equal(table.grad, [[0.0, 0.0]] * 3 + [[4.0, 4.0]])
 
     def test_group_sum_left_to_right(self):
         v = T.Tensor([0.2, 0.3, 0.5], requires_grad=True)

@@ -2,6 +2,7 @@
 hand-computed values, clipping and Adam against worked arithmetic, loss
 descent, determinism, and bit-exact checkpoint persistence."""
 
+import json
 import math
 from pathlib import Path
 
@@ -201,6 +202,75 @@ class TestInPlaceOptimizer:
         assert all(clipped[k] is grads[k] for k in grads)
 
 
+class TestRowSparseOptimizer:
+    def test_matches_dense_formula_over_changing_rows(self):
+        rng = np.random.default_rng(9)
+        shapes = {"emb": (3001, 7), "w": (6, 6), "b": (6,)}  # emb spans two Adam blocks
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
+        state = train.AdamState.init(params, lr=3e-3)
+        ref = {k: a.copy() for k, a in start.items()}
+        ref_m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        ref_v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        clipped_steps = 0
+        for step in range(1, 21):
+            scale = 4.0 if step % 3 == 0 else 1 / 64
+
+            def dyadic(shape):
+                # Multiples of a power of two: every sum of squares is exact, so the
+                # row-sparse and dense norms, and hence the clip scale, agree bit for bit.
+                return rng.integers(-64, 65, size=shape) / 64 * scale
+
+            rows = np.unique(rng.integers(0, 3001, size=int(rng.integers(1, 400))))
+            grads = {"emb": T.RowGrad(rows, dyadic((len(rows), 7)), shapes["emb"])}
+            grads.update({k: dyadic(shapes[k]) for k in ("w", "b")})
+            dense = {k: g.dense() if isinstance(g, T.RowGrad) else g for k, g in grads.items()}
+            clipped, norm = train.clip_gradients(grads, 10.0)
+            clipped_steps += norm > 10.0
+            assert isinstance(clipped["emb"], T.RowGrad)
+            train.adam_step(params, clipped, state)
+            reference_clip_and_adam(ref, dense, ref_m, ref_v, step, 10.0, 3e-3)
+            for k in shapes:
+                np.testing.assert_array_equal(params[k].data, ref[k])
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
+                np.testing.assert_array_equal(state.v[k], ref_v[k])
+        assert 0 < clipped_steps < 20
+
+    def test_clip_norm_within_rounding_of_dense(self):
+        rng = np.random.default_rng(10)
+        rows = np.unique(rng.integers(0, 20_000, size=3000))
+        emb = T.RowGrad(rows, rng.normal(size=(len(rows), 16)), (20_000, 16))
+        w = rng.normal(size=(16, 16))
+        clipped, norm = train.clip_gradients({"emb": emb, "w": w}, 1.0)
+        dense = emb.dense()
+        expected = math.sqrt(float((dense * dense).sum()) + float((w * w).sum()))
+        assert abs(norm - expected) <= 1e-12 * expected
+        np.testing.assert_array_equal(clipped["emb"].rows, rows)
+        np.testing.assert_array_equal(clipped["emb"].dense(), dense * (1.0 / norm))
+
+    def test_non_finite_row_grad_names_parameter(self):
+        emb = T.RowGrad(np.array([2]), np.array([[np.inf, 0.0]]), (5, 2))
+        with pytest.raises(NumericError, match="embedding"):
+            train.clip_gradients({"embedding": emb}, 10.0)
+
+    def test_reader_backward_gives_embedding_the_batch_rows(self):
+        rng = np.random.default_rng(12)
+        samples = []
+        for _ in range(4):  # equal lengths: no padding position gathers row 0
+            doc = rng.integers(1, 5000, size=30)
+            samples.append(encoded_sample(doc, rng.integers(1, 5000, size=5), doc[3]))
+        params = reader.init_model_params(
+            reader.ReaderConfig(6, 5, merge_mode="avg"), 5000, np.random.default_rng(0)
+        )
+        outputs = reader.forward(samples, params, training=False)
+        train.nll_loss(outputs, [s.answer_id for s in samples]).backward()
+        grad = params.embedding.grad
+        assert isinstance(grad, T.RowGrad)
+        ids = np.concatenate([np.concatenate([s.doc_ids, s.query_ids]) for s in samples])
+        np.testing.assert_array_equal(grad.rows, np.unique(ids))
+        assert grad.values.shape == (len(grad.rows), 6)
+
+
 def one_training_step(params, samples, lr):
     named = params.named()
     for p in named.values():
@@ -208,7 +278,7 @@ def one_training_step(params, samples, lr):
     outputs = reader.forward(samples, params, training=False)
     loss = train.nll_loss(outputs, [s.answer_id for s in samples])
     loss.backward()
-    grads = {k: p.grad.copy() for k, p in named.items()}
+    grads = {k: T._dense_grad(p).copy() for k, p in named.items()}
     clipped, _ = train.clip_gradients(grads, 10.0)
     state = train.AdamState.init(named, lr=lr)
     train.adam_step(named, clipped, state)
@@ -301,6 +371,37 @@ class TestTrainLoop:
         assert result.history[0].deterministic_fields() == clean.history[0].deterministic_fields()
         for k, p in result.params.named().items():
             np.testing.assert_array_equal(p.data, clean.params.named()[k].data)
+
+    def test_gradient_telemetry_matches_step_norms_and_changes_nothing(self, monkeypatch, tmp_path):
+        corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
+        config = self.config(epochs=3, clip_threshold=4e-4)
+        silent = train.train(config, corpus, valid, vocab_size=20)
+        real_clip = train.clip_gradients
+        norms = []
+
+        def recording_clip(grads, threshold):
+            clipped, norm = real_clip(grads, threshold)
+            norms.append(norm)
+            return clipped, norm
+
+        monkeypatch.setattr(train, "clip_gradients", recording_clip)
+        log_path = tmp_path / "training_log.jsonl"
+        logged = train.train(config, corpus, valid, vocab_size=20, log_path=log_path)
+        assert [r.deterministic_fields() for r in logged.history] == [
+            r.deterministic_fields() for r in silent.history
+        ]
+        for k, p in logged.params.named().items():
+            np.testing.assert_array_equal(p.data, silent.params.named()[k].data)
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        steps = len(norms) // len(records)  # batch 8 over 24 samples
+        assert steps == 3 and len(records) == 3
+        for i, record in enumerate(records):
+            epoch_norms = norms[i * steps : (i + 1) * steps]
+            assert record["grad_norm_max"] == max(epoch_norms)
+            assert record["clip_rate"] == sum(n > 4e-4 for n in epoch_norms) / steps
+            assert record["grad_norm_max"] == logged.history[i].grad_norm_max
+            assert record["clip_rate"] == logged.history[i].clip_rate
+        assert 0 < sum(r["clip_rate"] for r in records) < len(records)
 
     def test_non_finite_gradient_in_first_epoch_raises(self, monkeypatch):
         real_loss = train.nll_loss
@@ -403,11 +504,12 @@ class TestCheckpoint:
             ("embed_dim\t4", "embed_dim\tfour", "'embed_dim' has malformed value"),
             ("embed_dim\t4", "embed_dim\tnone", "'embed_dim' has malformed value"),
             ("param\tembedding\t14,4", "param\tembedding\t14,x", "malformed param line"),
+            ("param\tembedding\t14,4", "param\tembedding\t-14,4", "malformed param line"),
             ("param\tdoc_fwd.w_z\t", "param\tdoc_fwd.w_q\t", "layout"),
             ("param\tdoc_fwd.w_z\t4,4\nparam\tdoc_fwd.w_r\t4,4",
              "param\tdoc_fwd.w_r\t4,4\nparam\tdoc_fwd.w_z\t4,4", "layout"),
         ],
-        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "renamed-param", "reordered-params"],
+        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):
         self.roundtrip(tmp_path)
