@@ -9,13 +9,12 @@ vocabulary), `train` (optimization and checkpoints), `data` (JSONL I/O),
 
 from .datagen import ClozeSample, TaggedDocument
 from .errors import CasReaderError
-from .reader import AttentionMap, ModelParams, ReaderConfig
+from .reader import ModelParams, ReaderConfig
 from .tensor import Tensor, grad_check
 from .train import TrainConfig
 from .vocab import Vocabulary
 
 __all__ = [
-    "AttentionMap",
     "CasReaderError",
     "ClozeSample",
     "ModelParams",

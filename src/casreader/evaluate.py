@@ -1,5 +1,9 @@
 """Accuracy evaluation over id-encoded samples, with optional per-sample
-records and attention dumps for offline inspection."""
+records and attention dumps for offline inspection.
+
+Scoring goes through `reader.score`, the batched head on a parameter view
+that records no autodiff graph.
+"""
 
 from __future__ import annotations
 
@@ -88,17 +92,14 @@ def evaluate(
     correct = 0
     records: list[SampleRecordResult] = []
     try:
-        for start in range(0, len(encoded), batch_size):
-            group = encoded[start : start + batch_size]
-            outputs = reader.forward(group, params, training=False, mode=mode)
-            for enc, out in zip(group, outputs):
+        for group, output, predicted in reader.score(encoded, params, mode, restrict_candidates, batch_size):
+            correct += int((predicted == [enc.answer_id for enc in group]).sum())
+            if not (keep_records or dump_fh):
+                continue
+            for enc, pred, out in zip(group, predicted, output):
                 word_probs = out.words.as_dict()
-                candidates = enc.candidate_ids if restrict_candidates else None
-                predicted = reader.argmax_word(word_probs, candidates)
-                if predicted == enc.answer_id:
-                    correct += 1
                 if keep_records:
-                    records.append(_record(vocab, word_probs, predicted, enc.answer_id))
+                    records.append(_record(vocab, word_probs, int(pred), enc.answer_id))
                 if dump_fh:
                     json.dump(
                         {

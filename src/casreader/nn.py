@@ -56,14 +56,6 @@ class GruParams:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class EncodedSequence:
-    """Per-position forward/backward states, concatenated; zero rows where masked."""
-
-    states: Tensor  # [len x 2*hidden]
-    mask: Array  # bool [len]
-
-
 def uniform_init(rows: int, cols: int, bound: float, rng: np.random.Generator) -> Array:
     """Entries drawn uniformly from [-bound, bound]."""
     if bound <= 0:
@@ -187,25 +179,6 @@ class BatchEncoding:
     fwd: Tensor  # [len*batch x hidden]
     bwd: Tensor  # [len*batch x hidden]
     mask: Array  # bool [batch x len]
-    lengths: Array  # int [batch]
-
-    def _rows(self, row: int, steps) -> Array:
-        """Indices of batch row `row` at the given steps in the time-major tensors."""
-        return np.asarray(steps, dtype=np.int64) * self.mask.shape[0] + row
-
-    def sequence(self, row: int) -> EncodedSequence:
-        """The unpadded encoded sequence for one batch row."""
-        n = int(self.lengths[row])
-        states = T.gather_rows(self.states, self._rows(row, np.arange(n)))
-        return EncodedSequence(states=states, mask=np.ones(n, dtype=bool))
-
-    def final_forward(self, row: int) -> Tensor:
-        """Forward state at the last unmasked position, as a [1 x hidden] matrix."""
-        return T.gather_rows(self.fwd, self._rows(row, [int(self.lengths[row]) - 1]))
-
-    def first_backward(self, row: int) -> Tensor:
-        """Backward state at position 0, as a [1 x hidden] matrix."""
-        return T.gather_rows(self.bwd, self._rows(row, [0]))
 
 
 def encode_batch(
@@ -235,8 +208,7 @@ def encode_batch(
     states = T.concat_cols(fwd_out, bwd_out)
     if training and dropout_rate > 0.0:
         states = dropout(states, dropout_rate, training=True, rng=rng)
-    lengths = mask.sum(axis=1).astype(np.int64)
-    return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask, lengths=lengths)
+    return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask)
 
 
 def dropout(

@@ -1,4 +1,4 @@
-"""The consensus-attention reading head.
+"""The consensus-attention reading head, run over a whole padded batch.
 
 For each query position t, a dot-product attention over document positions
 yields a distribution alpha(t). A merge heuristic (sum, avg, or max over t,
@@ -8,21 +8,32 @@ answer distribution. The single-attention baseline head skips the merge and
 attends once with the query summary [last forward state; first backward
 state].
 
+Each stage works over the trailing axes with explicit masks, `[B x L_d]`
+for documents and `[B x L_q]` for queries; without the batch axis the same
+functions read one sample. Padded document positions get exactly zero
+attention and padded query steps add nothing to the merge, so a sample's
+result does not depend on the batch around it (to rounding, 1e-12
+relative).
+
 The merge softmax is applied literally even though its inputs are already
 non-negative; sum and avg therefore rescale logits by a positive constant
 and preserve the position-level ranking of s.
+
+`score` is the one evaluation path: it runs the batched forward on a view of
+the parameters that records no graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import DimensionError, UsageError
-from .nn import EncodedSequence, GruParams
+from .errors import DimensionError, UsageError, ValidationError
+from .nn import BatchEncoding, GruParams
 from .tensor import Tensor
 
 Array = np.ndarray
@@ -98,139 +109,166 @@ def init_model_params(config: ReaderConfig, vocab_size: int, rng: np.random.Gene
 
 @dataclass
 class WordDistribution:
-    """Word-level probabilities: one slot per distinct document token."""
+    """Word-level probabilities of a batch: sample b owns the slots
+    `offsets[b]:offsets[b + 1]`, one per distinct document token, in
+    ascending token id order."""
 
-    probs: Tensor  # [k]
-    token_ids: list[int]  # slot -> token id, in first-occurrence order
-    _slot_of: dict[int, int] = field(init=False, repr=False)
+    probs: Tensor  # [slots]
+    token_ids: Array  # [slots]
+    offsets: Array  # [batch + 1]
 
-    def __post_init__(self):
-        self._slot_of = {tid: i for i, tid in enumerate(self.token_ids)}
-
-    def slot(self, token_id: int) -> int | None:
-        return self._slot_of.get(int(token_id))
+    def sample(self, b: int) -> WordDistribution:
+        """Sample b's distribution on its own, as plain values (no graph)."""
+        lo, hi = self.offsets[b], self.offsets[b + 1]
+        return WordDistribution(Tensor(self.probs.data[lo:hi]), self.token_ids[lo:hi], np.array([0, hi - lo]))
 
     def as_dict(self) -> dict[int, float]:
-        return {tid: float(self.probs.data[i]) for i, tid in enumerate(self.token_ids)}
+        """Token id -> probability, for a one-sample distribution."""
+        return {int(tid): float(p) for tid, p in zip(self.token_ids, self.probs.data)}
+
+    def slots(self, token_ids) -> Array:
+        """The slot of each sample's given token id (one id per sample)."""
+        out = np.empty(len(token_ids), dtype=np.int64)
+        for b, tid in enumerate(token_ids):
+            lo, hi = self.offsets[b], self.offsets[b + 1]
+            out[b] = lo + np.searchsorted(self.token_ids[lo:hi], tid)
+            if out[b] == hi or self.token_ids[out[b]] != tid:
+                raise ValidationError(f"answer id {tid} has no probability mass in its document")
+        return out
+
+    def argmax(self, candidates=None) -> Array:
+        """Each sample's most probable token id; exact ties go to the smallest id.
+
+        `candidates[b]`, when given and not None, restricts sample b to those
+        ids, unless none of them occurs in its document.
+        """
+        out = np.empty(len(self.offsets) - 1, dtype=np.int64)
+        for b in range(len(out)):
+            lo, hi = self.offsets[b], self.offsets[b + 1]
+            ids, probs = self.token_ids[lo:hi], self.probs.data[lo:hi]
+            if candidates is not None and candidates[b] is not None:
+                allowed = np.isin(ids, candidates[b])
+                if allowed.any():
+                    ids, probs = ids[allowed], probs[allowed]
+            out[b] = ids[np.argmax(probs)]  # ids ascend, and argmax takes the first maximum
+        return out
 
 
 @dataclass
-class AttentionMap:
-    """Frozen (numpy) view of one sample's attention pipeline."""
+class ReaderOutput:
+    """The head's outputs for a padded batch. Iterating gives each sample's
+    unpadded outputs without the batch axis, as plain values (no graph)."""
 
-    alpha: Array  # [m x n], row t = attention over document positions at query step t
-    merged: Array  # [n]
-    word_probs: dict[int, float]
-
-
-@dataclass
-class SampleForward:
-    """Graph-bearing per-sample outputs, used by training and evaluation."""
-
-    alpha: Tensor | None  # None for the single-attention baseline
-    merged: Tensor
+    alpha: Tensor | None  # [B x L_q x L_d]; None for the single-attention baseline
+    merged: Tensor  # [B x L_d]
     words: WordDistribution
-    doc_ids: Array
+    doc_mask: Array  # bool [B x L_d]
+    query_mask: Array  # bool [B x L_q]
 
-    def attention_map(self) -> AttentionMap:
-        alpha = self.alpha.data.copy() if self.alpha is not None else np.zeros((0, self.merged.data.shape[0]))
-        return AttentionMap(alpha=alpha, merged=self.merged.data.copy(), word_probs=self.words.as_dict())
+    def __len__(self) -> int:
+        return len(self.words.offsets) - 1
 
+    def __iter__(self) -> Iterator[ReaderOutput]:
+        return (self.sample(b) for b in range(len(self)))
 
-def _states_of(h) -> Tensor:
-    return h.states if isinstance(h, EncodedSequence) else h
-
-
-def _default_mask(h, explicit) -> Array:
-    if explicit is not None:
-        return np.asarray(explicit, dtype=bool)
-    if isinstance(h, EncodedSequence):
-        return h.mask
-    return np.ones(_states_of(h).data.shape[0], dtype=bool)
-
-
-def attention_per_step(h_doc, h_query, doc_mask=None) -> Tensor:
-    """Row t = masked softmax over document positions of <h_doc[j], h_query[t]>."""
-    doc_states, query_states = _states_of(h_doc), _states_of(h_query)
-    if doc_states.data.shape[1] != query_states.data.shape[1]:
-        raise DimensionError(
-            f"document width {doc_states.data.shape[1]} != query width {query_states.data.shape[1]}"
+    def sample(self, b: int) -> ReaderOutput:
+        n, m = int(self.doc_mask[b].sum()), int(self.query_mask[b].sum())
+        return ReaderOutput(
+            alpha=None if self.alpha is None else Tensor(self.alpha.data[b, :m, :n]),
+            merged=Tensor(self.merged.data[b, :n]),
+            words=self.words.sample(b),
+            doc_mask=self.doc_mask[b, :n],
+            query_mask=self.query_mask[b, :m],
         )
-    mask = _default_mask(h_doc, doc_mask)
-    logits = T.matmul(query_states, T.transpose(doc_states))
-    return T.masked_softmax(logits, mask)
 
 
-def merge_attention(alpha: Tensor, mode: str, doc_mask=None) -> Tensor:
-    """Condense per-step attentions into one distribution over document positions."""
+def attention_per_step(doc_states: Tensor, query_states: Tensor, doc_mask) -> Tensor:
+    """alpha[.., t, j]: masked softmax over document positions j of <h_doc[j], h_query[t]>.
+
+    `doc_states` is `[.. x L_d x W]`, `query_states` `[.. x L_q x W]` and
+    `doc_mask` `[.. x L_d]`; the result is `[.. x L_q x L_d]`.
+    """
+    nd = doc_states.data.ndim
+    logits = T.matmul(query_states, T.transpose(doc_states, (*range(nd - 2), nd - 1, nd - 2)))
+    return T.masked_softmax(logits, np.expand_dims(np.asarray(doc_mask, dtype=bool), -2))
+
+
+def merge_attention(alpha: Tensor, mode: str, query_mask, doc_mask) -> Tensor:
+    """Condense per-step attentions `[.. x L_q x L_d]` into one distribution
+    over document positions.
+
+    Padded query steps (False in `query_mask`, `[.. x L_q]`) add nothing,
+    and avg divides by each sample's true query length.
+    """
     if mode not in MERGE_MODES:
         raise UsageError(f"merge mode must be one of {MERGE_MODES}, got {mode!r}")
-    if alpha.data.ndim != 2 or alpha.data.shape[0] == 0:
-        raise UsageError(f"merge_attention needs a non-empty [m x n] matrix, got {alpha.data.shape}")
-    mask = (
-        np.asarray(doc_mask, dtype=bool)
-        if doc_mask is not None
-        else np.ones(alpha.data.shape[1], dtype=bool)
-    )
-    if mode == "sum":
-        logits = T.reduce_sum(alpha, axis=0)
-    elif mode == "avg":
-        logits = T.mul(T.reduce_sum(alpha, axis=0), 1.0 / alpha.data.shape[0])
+    query_mask = np.asarray(query_mask, dtype=bool)
+    if alpha.data.ndim < 2 or not query_mask.any(axis=-1).all():
+        raise UsageError(f"merge_attention needs at least one query step, got alpha of shape {alpha.data.shape}")
+    kept = T.mul(alpha, query_mask[..., None])
+    if mode == "max":
+        logits = T.reduce_max(kept, axis=-2)
     else:
-        logits = T.reduce_max(alpha, axis=0)
-    return T.masked_softmax(logits, mask)
+        logits = T.reduce_sum(kept, axis=-2)
+        if mode == "avg":
+            logits = T.mul(logits, 1.0 / query_mask.sum(axis=-1, keepdims=True))
+    return T.masked_softmax(logits, doc_mask)
 
 
-def attention_sum(merged: Tensor, doc_ids, doc_mask=None) -> WordDistribution:
-    """Sum position attention into word probabilities over distinct document tokens.
+def attention_sum(merged: Tensor, doc_ids, doc_mask) -> WordDistribution:
+    """Sum position attention `[.. x L_d]` into word probabilities over each
+    sample's distinct document tokens.
 
-    Slots follow first occurrence order; accumulation is left to right, so
-    the result is bit-identical to a straightforward dictionary accumulate.
+    One `group_sum` over all positions in order, so each word accumulates
+    left to right, bit-identical to a straightforward dictionary accumulate.
     """
     ids = np.asarray(doc_ids, dtype=np.int64)
-    if merged.data.shape != ids.shape:
-        raise DimensionError(f"merged shape {merged.data.shape} does not match ids shape {ids.shape}")
-    mask = _default_mask(merged, doc_mask)
-    token_ids: list[int] = []
-    slot_of: dict[int, int] = {}
-    groups = np.zeros(ids.shape[0], dtype=np.int64)
-    for i, tid in enumerate(ids):
-        if not mask[i]:
-            continue
-        tid = int(tid)
-        if tid not in slot_of:
-            slot_of[tid] = len(token_ids)
-            token_ids.append(tid)
-        groups[i] = slot_of[tid]
-    if not token_ids:
+    mask = np.asarray(doc_mask, dtype=bool)
+    if merged.data.shape != ids.shape or mask.shape != ids.shape:
+        raise DimensionError(f"merged {merged.data.shape}, ids {ids.shape} and mask {mask.shape} differ in shape")
+    rows, row_mask = ids.reshape(-1, ids.shape[-1]), mask.reshape(-1, ids.shape[-1])
+    if not row_mask.any(axis=1).all():
         raise UsageError("attention_sum over a fully masked document")
-    # Masked positions hold exactly zero attention, so folding them into
-    # slot 0 adds nothing; keeping a single group_sum keeps the graph small.
-    probs = T.group_sum(merged, groups, len(token_ids))
-    return WordDistribution(probs=probs, token_ids=token_ids)
+    width = int(ids.max()) + 1
+    keys = np.arange(len(rows))[:, None] * width + rows  # (sample, token id), sample-major
+    slot_keys, slot_of = np.unique(keys[row_mask], return_inverse=True)
+    offsets = np.searchsorted(slot_keys, np.arange(len(rows) + 1) * width)
+    # Masked positions hold exactly zero attention: they add nothing to their sample's first slot.
+    groups = np.repeat(offsets[:-1], rows.shape[1])
+    groups[row_mask.reshape(-1)] = slot_of
+    probs = T.group_sum(T.reshape(merged, (-1,)), groups, len(slot_keys))
+    return WordDistribution(probs=probs, token_ids=slot_keys % width, offsets=offsets)
 
 
-def as_reader_attention(h_doc, query_final: Tensor, doc_mask=None) -> Tensor:
-    """Single-attention baseline: one masked softmax of <h_doc[j], query_final>."""
-    doc_states = _states_of(h_doc)
-    q = T.reshape(query_final, (1, -1)) if query_final.data.ndim == 1 else query_final
-    if doc_states.data.shape[1] != q.data.shape[1]:
-        raise DimensionError(
-            f"document width {doc_states.data.shape[1]} != query width {q.data.shape[1]}"
-        )
-    mask = _default_mask(h_doc, doc_mask)
-    logits = T.reshape(T.matmul(doc_states, T.transpose(q)), (doc_states.data.shape[0],))
-    return T.masked_softmax(logits, mask)
+def as_reader_attention(doc_states: Tensor, query_final: Tensor, doc_mask) -> Tensor:
+    """Single-attention baseline: one masked softmax over document positions
+    of <h_doc[j], query_final>, for `[.. x L_d x W]` states and a `[.. x W]` query."""
+    logits = T.matmul(doc_states, T.reshape(query_final, query_final.data.shape + (1,)))
+    return T.masked_softmax(T.reshape(logits, logits.data.shape[:-1]), doc_mask)
 
 
 def _pad_batch(rows: list[Array]) -> tuple[Array, Array]:
-    width = max(len(r) for r in rows)
-    ids = np.zeros((len(rows), width), dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = True
+    """Right-pad to a matrix, repeating each row's first id: masked steps send
+    it exactly zero gradient, so the embedding gradient touches only ids the
+    batch holds."""
+    lengths = np.array([len(r) for r in rows])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.repeat([r[0] for r in rows], mask.shape[1]).reshape(mask.shape)
+    ids[mask] = np.concatenate(rows)
     return ids, mask
+
+
+def _batch_major(enc: BatchEncoding) -> Tensor:
+    """The time-major `[L*B x 2H]` states as `[B x L x 2H]`."""
+    batch, steps = enc.mask.shape
+    return T.transpose(T.reshape(enc.states, (steps, batch, -1)), (1, 0, 2))
+
+
+def _query_summary(enc: BatchEncoding) -> Tensor:
+    """[last forward state; first backward state] of each sequence, `[B x 2H]`."""
+    rows = np.arange(enc.mask.shape[0])
+    last_forward = T.gather_rows(enc.fwd, (enc.mask.sum(axis=1) - 1) * len(rows) + rows)
+    return T.concat_cols(last_forward, T.gather_rows(enc.bwd, rows))
 
 
 def forward(
@@ -239,12 +277,12 @@ def forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
     mode: str | None = None,
-) -> list[SampleForward]:
+) -> ReaderOutput:
     """Run the full pipeline for a batch of encoded samples.
 
-    Each sample needs integer `doc_ids` and `query_ids`. Batch padding is
-    internal: heads only ever see each sample's real positions, so results
-    match single-sample runs regardless of batch composition.
+    Each sample needs integer `doc_ids` and `query_ids`. The batch is
+    right-padded and masked internally; each sample's outputs match a run of
+    that sample alone to rounding.
     """
     if not samples:
         raise UsageError("forward needs at least one sample")
@@ -266,42 +304,31 @@ def forward(
         query_ids, query_mask, params.embedding, params.query_fwd, params.query_bwd,
         dropout_rate=dropout_rate, training=training, rng=rng,
     )
-    outputs = []
-    for b, sample in enumerate(samples):
-        h_doc = doc_enc.sequence(b)
-        if mode == AS_BASELINE:
-            query_final = T.concat_cols(query_enc.final_forward(b), query_enc.first_backward(b))
-            alpha = None
-            merged = as_reader_attention(h_doc, query_final)
-        else:
-            h_query = query_enc.sequence(b)
-            alpha = attention_per_step(h_doc, h_query)
-            merged = merge_attention(alpha, mode)
-        words = attention_sum(merged, doc_rows[b])
-        outputs.append(SampleForward(alpha=alpha, merged=merged, words=words, doc_ids=doc_rows[b]))
-    return outputs
+    doc_states = _batch_major(doc_enc)
+    if mode == AS_BASELINE:
+        alpha = None
+        merged = as_reader_attention(doc_states, _query_summary(query_enc), doc_mask)
+    else:
+        alpha = attention_per_step(doc_states, _batch_major(query_enc), doc_mask)
+        merged = merge_attention(alpha, mode, query_mask, doc_mask)
+    words = attention_sum(merged, doc_ids, doc_mask)
+    return ReaderOutput(alpha=alpha, merged=merged, words=words, doc_mask=doc_mask, query_mask=query_mask)
 
 
-def attention_maps(samples, params: ModelParams, mode: str | None = None) -> list[AttentionMap]:
-    """Evaluation-mode forward, frozen to plain arrays."""
-    return [sf.attention_map() for sf in forward(samples, params, training=False, mode=mode)]
+def score(
+    samples, params: ModelParams, mode: str | None = None, restrict_candidates: bool = False, batch_size: int = 64
+) -> Iterator[tuple[list, ReaderOutput, Array]]:
+    """Evaluation-mode forward in batches: yields each batch's samples, its
+    output and its predicted token ids.
 
-
-def predict(sample, params: ModelParams, mode: str | None = None, candidates=None) -> int:
-    """Most probable word id; exact ties break toward the smallest token id.
-
-    `candidates`, when given, restricts the argmax to those token ids
-    (falling back to the full document if none of them occur in it).
+    The forward runs on a view of `params` that shares their arrays but
+    records no graph, so nothing is kept for a backward pass.
+    `restrict_candidates` limits each prediction to the sample's
+    `candidate_ids`.
     """
-    words = forward([sample], params, training=False, mode=mode)[0].words
-    return argmax_word(words.as_dict(), candidates)
-
-
-def argmax_word(word_probs: dict[int, float], candidates=None) -> int:
-    if candidates is not None:
-        allowed = {int(c) for c in candidates}
-        restricted = {tid: p for tid, p in word_probs.items() if tid in allowed}
-        if restricted:
-            word_probs = restricted
-    best = max(word_probs.values())
-    return min(tid for tid, p in word_probs.items() if p == best)
+    frozen = ModelParams.from_named({name: Tensor(p.data) for name, p in params.named().items()}, params.config)
+    for start in range(0, len(samples), batch_size):
+        group = samples[start : start + batch_size]
+        out = forward(group, frozen, training=False, mode=mode)
+        candidates = [s.candidate_ids for s in group] if restrict_candidates else None
+        yield group, out, out.words.argmax(candidates)

@@ -97,19 +97,6 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
-    # Small conveniences; the primary API is the module-level functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Iterative post-order over the recorded graph; parents precede consumers."""
@@ -252,32 +239,27 @@ def log(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-d operands, got shapes {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
-        )
-    out = Tensor(a.data @ b.data)
+    """Matrix product over the last two axes; leading (batch) axes must match."""
+    x, y = a.data, b.data
+    if x.ndim < 2 or x.ndim != y.ndim or x.shape[:-2] != y.shape[:-2] or x.shape[-1] != y.shape[-2]:
+        raise DimensionError(f"matmul operands do not line up: {x.shape} x {y.shape}")
+    out = Tensor(x @ y)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ np.swapaxes(y, -1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, np.swapaxes(x, -1, -2) @ g)
 
     return _record(out, (a, b), "matmul", backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute axes as `np.transpose` does (reversed when `axes` is None)."""
+    out = Tensor(np.transpose(a.data, axes))
 
     def backward(g: Array) -> None:
-        _accumulate(a, g.T)
+        _accumulate(a, np.transpose(g, None if axes is None else np.argsort(axes)))
 
     return _record(out, (a,), "transpose", backward)
 
@@ -354,50 +336,21 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 def reduce_max(a: Tensor, axis: int = 0) -> Tensor:
     """Max over one axis; ties route the subgradient to the first maximal entry."""
     out = Tensor(a.data.max(axis=axis))
-    argmax = a.data.argmax(axis=axis)  # first occurrence on ties
+    argmax = np.expand_dims(a.data.argmax(axis=axis), axis)  # first occurrence on ties
 
     def backward(g: Array) -> None:
-        if axis == 0:
-            _dense_grad(a)[argmax, np.arange(a.data.shape[1])] += g
-        else:
-            _dense_grad(a)[np.arange(a.data.shape[0]), argmax] += g
+        routed = np.zeros_like(a.data)
+        np.put_along_axis(routed, argmax, np.expand_dims(g, axis), axis)
+        _accumulate(a, routed)
 
     return _record(out, (a,), "reduce_max", backward)
-
-
-def take(a: Tensor, index: int) -> Tensor:
-    """Pick one entry of a vector as a scalar tensor."""
-    if a.data.ndim != 1:
-        raise DimensionError(f"take expects a vector, got shape {a.data.shape}")
-    out = Tensor(a.data[index])
-
-    def backward(g: Array) -> None:
-        _dense_grad(a)[index] += g
-
-    return _record(out, (a,), "take", backward)
-
-
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    if not tensors:
-        raise UsageError("add_n needs at least one input")
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-    out = Tensor(total)
-
-    def backward(g: Array) -> None:
-        for t in tensors:
-            if t.requires_grad:
-                _accumulate(t, g)
-
-    return _record(out, tuple(tensors), "add_n", backward)
 
 
 def group_sum(values: Tensor, groups, num_groups: int) -> Tensor:
     """Accumulate vector entries into group slots, left to right.
 
-    The explicit loop fixes the addition order so repeated runs (and the
-    word-level aggregation built on this) are bit-reproducible.
+    `np.add.at` applies the entries in index order, so the sums are
+    bit-reproducible and equal to an explicit left-to-right loop.
     """
     if values.data.ndim != 1:
         raise DimensionError(f"group_sum expects a vector, got shape {values.data.shape}")
@@ -405,8 +358,7 @@ def group_sum(values: Tensor, groups, num_groups: int) -> Tensor:
     if idx.shape != values.data.shape:
         raise DimensionError("group_sum: groups must align with values")
     acc = np.zeros(num_groups)
-    for i, slot in enumerate(idx):
-        acc[slot] += values.data[i]
+    np.add.at(acc, idx, values.data)
     out = Tensor(acc)
 
     def backward(g: Array) -> None:
@@ -420,45 +372,30 @@ def group_sum(values: Tensor, groups, num_groups: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Softmax over the unmasked positions of the last axis.
+    """Softmax over the unmasked entries of the last axis.
 
-    Masked entries are exactly zero in the output. Accepts a vector or a
-    matrix (the mask applies to every row). Stabilized by subtracting the
-    running max over the unmasked support.
+    `mask` broadcasts against the logits (a `[L]` mask applies to every
+    row). Masked entries are exactly zero in the output, and every row needs
+    at least one unmasked entry. Stabilized by subtracting the row's max
+    over its unmasked entries.
     """
     logits = _as_tensor(logits)
-    mask = np.asarray(mask, dtype=bool)
     x = logits.data
-    if mask.ndim != 1 or mask.shape[0] != x.shape[-1]:
-        raise DimensionError(
-            f"mask shape {mask.shape} does not match logits shape {x.shape}"
-        )
-    if not mask.any():
-        raise EmptySupportError("masked_softmax over a fully masked vector")
-
-    if x.ndim == 1:
-        shifted = x[mask] - x[mask].max()
-        e = np.zeros_like(x)
-        e[mask] = np.exp(shifted)
-        probs = e / e.sum()
-    elif x.ndim == 2:
-        sub = x[:, mask]
-        shifted = sub - sub.max(axis=1, keepdims=True)
-        e = np.zeros_like(x)
-        e[:, mask] = np.exp(shifted)
-        probs = e / e.sum(axis=1, keepdims=True)
-    else:
-        raise DimensionError(f"masked_softmax expects a vector or matrix, got shape {x.shape}")
+    try:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+    except ValueError:
+        raise DimensionError(f"mask shape {np.shape(mask)} does not match logits shape {x.shape}") from None
+    if not mask.any(axis=-1).all():
+        raise EmptySupportError("masked_softmax over a fully masked row")
+    top = np.max(x, axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.exp(x - top, out=np.zeros_like(x), where=mask)
+    probs = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(probs)
 
     def backward(g: Array) -> None:
         # probs is zero at masked positions, so the usual softmax rule
         # already sends zero gradient there.
-        if probs.ndim == 1:
-            inner = float((g * probs).sum())
-        else:
-            inner = (g * probs).sum(axis=1, keepdims=True)
-        _accumulate(logits, probs * (g - inner))
+        _accumulate(logits, probs * (g - (g * probs).sum(axis=-1, keepdims=True)))
 
     return _record(out, (logits,), "masked_softmax", backward)
 

@@ -111,18 +111,13 @@ def make_batches(
     return batches
 
 
-def nll_loss(outputs: list[reader.SampleForward], answer_ids) -> Tensor:
+def nll_loss(output: reader.ReaderOutput, answer_ids) -> Tensor:
     """Mean negative log-likelihood of the gold answers."""
     answer_ids = np.asarray(answer_ids, dtype=np.int64)
-    if len(outputs) != answer_ids.shape[0]:
+    if len(output) != answer_ids.shape[0]:
         raise UsageError("one answer id per sample output required")
-    terms = []
-    for out, answer in zip(outputs, answer_ids):
-        slot = out.words.slot(int(answer))
-        if slot is None:
-            raise ValidationError(f"answer id {answer} has no probability mass in its document")
-        terms.append(T.log(T.take(out.words.probs, slot)))
-    return T.mul(T.add_n(terms), -1.0 / len(terms))
+    gold = T.gather_rows(output.words.probs, output.words.slots(answer_ids))
+    return T.mul(T.reduce_sum(T.log(gold)), -1.0 / len(answer_ids))
 
 
 Grad = Array | T.RowGrad
@@ -276,13 +271,9 @@ class TrainResult:
 
 
 def _validation_accuracy(params: ModelParams, samples: list[EncodedSample]) -> float:
-    correct = 0
-    for start in range(0, len(samples), 64):
-        group = samples[start : start + 64]
-        outputs = reader.forward(group, params, training=False)
-        for out, s in zip(outputs, group):
-            if reader.argmax_word(out.words.as_dict()) == s.answer_id:
-                correct += 1
+    correct = sum(
+        int((predicted == [s.answer_id for s in group]).sum()) for group, _, predicted in reader.score(samples, params)
+    )
     return correct / len(samples)
 
 
@@ -320,8 +311,8 @@ def train(
             for batch in make_batches(train_samples, config.batch_size, rng):
                 for p in named.values():
                     p.zero_grad()
-                outputs = reader.forward(batch.samples, params, training=True, rng=rng)
-                loss = nll_loss(outputs, batch.answer_ids)
+                output = reader.forward(batch.samples, params, training=True, rng=rng)
+                loss = nll_loss(output, batch.answer_ids)
                 if not np.isfinite(loss.data):
                     diverged = True
                     break

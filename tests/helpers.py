@@ -3,7 +3,8 @@
 `generic_params` builds a reader model at a generic random point in
 parameter space (scale ~1 rather than the flat training init), which keeps
 every gradient coordinate comfortably above finite-difference roundoff so
-relative-error comparisons measure correctness, not noise.
+relative-error comparisons measure correctness, not noise. `head_oracle` is
+the per-sample numpy reference for the batched reading head.
 """
 
 import numpy as np
@@ -45,3 +46,26 @@ def generic_params(vocab_size, embed_dim, hidden_dim, rng, mode="avg"):
         config=reader.ReaderConfig(embed_dim, hidden_dim, merge_mode=mode),
     )
 
+
+
+def head_oracle(h_doc, h_query, doc_ids, mode):
+    """One sample's word probabilities (token id -> probability) from plain numpy.
+
+    `h_doc` [n x 2H] and `h_query` [m x 2H] are the sample's unpadded encoder
+    states, [forward; backward] per position; words accumulate left to right.
+    """
+
+    def softmax(v):
+        e = np.exp(v - v.max())
+        return e / e.sum()
+
+    if mode == reader.AS_BASELINE:
+        hidden = h_query.shape[1] // 2
+        merged = softmax(h_doc @ np.concatenate([h_query[-1, :hidden], h_query[0, hidden:]]))
+    else:
+        alpha = np.stack([softmax(h_doc @ q) for q in h_query])
+        merged = softmax({"sum": alpha.sum, "avg": alpha.mean, "max": alpha.max}[mode](axis=0))
+    probs: dict[int, float] = {}
+    for p, tid in zip(merged, doc_ids):
+        probs[int(tid)] = probs.get(int(tid), 0.0) + float(p)
+    return probs

@@ -25,7 +25,6 @@ from casreader import train as tr
 from casreader.cli import cli
 from casreader.errors import ConfigurationError, CorruptionError, ParseError
 from casreader.evaluate import evaluate
-from casreader.nn import EncodedSequence
 from casreader.synthetic import SyntheticConfig, baseline_accuracy, generate_synthetic_corpus
 from casreader.tensor import Tensor
 from casreader.vocab import build_vocab, encode_sample, load_vocab, save_vocab
@@ -55,8 +54,7 @@ def test_criterion_1_gradient_fidelity():
 
             def loss(p):
                 model = reader.ModelParams.from_named(p, params.config)
-                (out,) = reader.forward([sample], model, mode=mode)
-                return T.mul(T.log(T.take(out.words.probs, out.words.slot(answer))), -1.0)
+                return tr.nll_loss(reader.forward([sample], model, mode=mode), [answer])
 
             err = T.grad_check(loss, named, epsilon=1e-5)
             assert err < 1e-4, f"mode {mode}: max relative error {err:.3e}"
@@ -82,13 +80,11 @@ def test_criterion_2_normalization_suite():
             mask = rng.random(n) < 0.8
             if not mask.any():
                 mask[int(rng.integers(n))] = True
-            h_doc = EncodedSequence(states=Tensor(rng.normal(size=(n, width)) * 3), mask=mask)
-            h_query = EncodedSequence(
-                states=Tensor(rng.normal(size=(m, width)) * 3), mask=np.ones(m, dtype=bool)
-            )
+            h_doc = Tensor(rng.normal(size=(n, width)) * 3)
+            h_query = Tensor(rng.normal(size=(m, width)) * 3)
             mode = reader.MERGE_MODES[i % 3]
-            alpha = reader.attention_per_step(h_doc, h_query)
-            merged = reader.merge_attention(alpha, mode, doc_mask=mask)
+            alpha = reader.attention_per_step(h_doc, h_query, mask)
+            merged = reader.merge_attention(alpha, mode, np.ones(m, dtype=bool), mask)
             words = reader.attention_sum(merged, rng.integers(0, 9, n), doc_mask=mask)
             check(alpha, merged, words.as_dict(), mask)
 
@@ -109,22 +105,24 @@ def test_criterion_3_mode_properties():
         # (a) single query step: all modes agree to 1e-15.
         for _ in range(50):
             row = Tensor(rng.dirichlet(np.ones(int(rng.integers(2, 12)))).reshape(1, -1))
-            outs = [reader.merge_attention(row, mode).data for mode in reader.MERGE_MODES]
+            masks = np.ones(1, dtype=bool), np.ones(row.data.shape[1], dtype=bool)
+            outs = [reader.merge_attention(row, mode, *masks).data for mode in reader.MERGE_MODES]
             assert np.max(np.abs(outs[0] - outs[1])) <= 1e-15
             assert np.max(np.abs(outs[0] - outs[2])) <= 1e-15
         # (b) sum and avg agree on the position ranking, 1000 random alphas.
         for _ in range(1000):
             m, n = int(rng.integers(1, 7)), int(rng.integers(2, 12))
             alpha = Tensor(rng.dirichlet(np.ones(n), size=m))
-            s_sum = reader.merge_attention(alpha, "sum").data
-            s_avg = reader.merge_attention(alpha, "avg").data
+            masks = np.ones(m, dtype=bool), np.ones(n, dtype=bool)
+            s_sum = reader.merge_attention(alpha, "sum", *masks).data
+            s_avg = reader.merge_attention(alpha, "avg", *masks).data
             assert np.array_equal(np.argsort(-s_sum), np.argsort(-s_avg))
         # (c) word aggregation equals the dictionary oracle exactly.
         for _ in range(200):
             n = int(rng.integers(1, 60))
             ids = rng.integers(0, 15, n)
             merged = rng.dirichlet(np.ones(n))
-            got = reader.attention_sum(Tensor(merged), ids).as_dict()
+            got = reader.attention_sum(Tensor(merged), ids, np.ones(n, dtype=bool)).as_dict()
             oracle: dict[int, float] = {}
             for p, tid in zip(merged, ids):
                 oracle[int(tid)] = oracle.get(int(tid), 0.0) + float(p)

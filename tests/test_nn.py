@@ -258,24 +258,10 @@ class TestBatchEncoding:
         fwd, bwd = make_params(3, 4, seed=29), make_params(3, 4, seed=30)
         ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [6, 7, 8, 9]])
         mask = np.array([[True, True, True, False], [True, True, False, False], [True] * 4])
-        batch = nn.encode_batch(ids, mask, emb, fwd, bwd)
+        states = nn.encode_batch(ids, mask, emb, fwd, bwd).states.data.reshape(4, 3, 8)  # [step x row x 2H]
         for row, length in enumerate(mask.sum(axis=1)):
             alone = nn.encode_batch(ids[row : row + 1, :length], np.ones((1, length), dtype=bool), emb, fwd, bwd)
-            np.testing.assert_allclose(
-                batch.sequence(row).states.data, alone.sequence(0).states.data, atol=1e-13, rtol=0
-            )
-
-    def test_final_forward_and_first_backward(self):
-        rng = np.random.default_rng(31)
-        emb = Tensor(nn.uniform_init(10, 3, 0.1, rng))
-        fwd, bwd = make_params(3, 4, seed=32), make_params(3, 4, seed=33)
-        ids = np.array([[1, 2, 3], [4, 5, 0]])
-        mask = np.array([[True] * 3, [True, True, False]])
-        batch = nn.encode_batch(ids, mask, emb, fwd, bwd)
-        for row, last in ((0, 2), (1, 1)):
-            seq = batch.sequence(row)
-            np.testing.assert_array_equal(batch.final_forward(row).data[0], seq.states.data[last, :4])
-            np.testing.assert_array_equal(batch.first_backward(row).data[0], seq.states.data[0, 4:])
+            np.testing.assert_allclose(states[:length, row], alone.states.data, atol=1e-13, rtol=0)
 
     def test_training_dropout_draws_one_block_per_step(self):
         """Whole-state dropout consumes the rng like one [batch x 2*hidden] draw per step, in step order."""

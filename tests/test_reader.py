@@ -1,17 +1,19 @@
 """Reading-head tests: attention shapes and stochasticity, merge heuristics,
-word-level aggregation against a dictionary oracle, and a fully hand-rolled
-numpy pipeline cross-check of the end-to-end forward pass."""
+word-level aggregation against a dictionary oracle, a fully hand-rolled
+numpy pipeline cross-check of the end-to-end forward pass, and the batched
+head against each sample run alone and against the per-sample numpy head."""
 
 import math
 
 import numpy as np
 import pytest
 
-from casreader import reader
+from casreader import nn, reader, train
 from casreader import tensor as T
 from casreader.errors import DimensionError, UsageError
-from casreader.nn import EncodedSequence
 from casreader.tensor import Tensor
+
+from helpers import Sample, generic_params, head_oracle
 
 
 def accumulate_oracle(merged: np.ndarray, doc_ids) -> dict[int, float]:
@@ -23,9 +25,8 @@ def accumulate_oracle(merged: np.ndarray, doc_ids) -> dict[int, float]:
     return out
 
 
-def encoded(mat: np.ndarray, mask=None) -> EncodedSequence:
-    mask = np.ones(mat.shape[0], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    return EncodedSequence(states=Tensor(mat), mask=mask)
+def full(n: int) -> np.ndarray:
+    return np.ones(n, dtype=bool)
 
 
 class FakeSample:
@@ -41,80 +42,93 @@ def tiny_params(vocab_size=12, embed_dim=2, hidden_dim=2, seed=0, mode="avg", dr
 
 class TestAttentionPerStep:
     def test_zero_query_row_gives_uniform(self):
-        h_doc = encoded(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
-        h_query = encoded(np.zeros((2, 2)))
-        alpha = reader.attention_per_step(h_doc, h_query)
+        h_doc = Tensor([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        h_query = Tensor(np.zeros((2, 2)))
+        alpha = reader.attention_per_step(h_doc, h_query, full(3))
         np.testing.assert_allclose(alpha.data, np.full((2, 3), 1 / 3), atol=1e-15)
 
     def test_closed_form_two_positions(self):
-        h_doc = encoded(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        h_query = encoded(np.array([[1.0, 0.0]]))
-        alpha = reader.attention_per_step(h_doc, h_query)
+        h_doc = Tensor([[1.0, 0.0], [0.0, 1.0]])
+        h_query = Tensor([[1.0, 0.0]])
+        alpha = reader.attention_per_step(h_doc, h_query, full(2))
         e = math.exp(1.0)
         np.testing.assert_allclose(alpha.data[0], [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
     def test_masked_position_zero_in_every_row(self):
         rng = np.random.default_rng(0)
-        h_doc = encoded(rng.normal(size=(5, 4)), mask=[True, True, False, True, False])
-        h_query = encoded(rng.normal(size=(3, 4)))
-        alpha = reader.attention_per_step(h_doc, h_query)
+        h_doc = Tensor(rng.normal(size=(5, 4)))
+        h_query = Tensor(rng.normal(size=(3, 4)))
+        alpha = reader.attention_per_step(h_doc, h_query, [True, True, False, True, False])
         assert np.all(alpha.data[:, 2] == 0.0)
         assert np.all(alpha.data[:, 4] == 0.0)
         np.testing.assert_allclose(alpha.data.sum(axis=1), np.ones(3), atol=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            reader.attention_per_step(encoded(np.zeros((2, 4))), encoded(np.zeros((2, 6))))
+            reader.attention_per_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 6))), full(2))
 
 
 class TestMergeAttention:
     def test_single_row_degeneracy(self):
         rng = np.random.default_rng(1)
         row = rng.dirichlet(np.ones(6)).reshape(1, 6)
-        outs = [reader.merge_attention(Tensor(row), mode).data for mode in reader.MERGE_MODES]
+        outs = [reader.merge_attention(Tensor(row), mode, full(1), full(6)).data for mode in reader.MERGE_MODES]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-15, rtol=0)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-15, rtol=0)
 
     def test_sum_mode_symmetry(self):
-        merged = reader.merge_attention(Tensor([[1.0, 0.0], [0.0, 1.0]]), "sum")
+        merged = reader.merge_attention(Tensor([[1.0, 0.0], [0.0, 1.0]]), "sum", full(2), full(2))
         np.testing.assert_allclose(merged.data, [0.5, 0.5], atol=1e-15)
 
     def test_sum_mode_closed_form(self):
-        merged = reader.merge_attention(Tensor([[0.8, 0.2], [0.6, 0.4]]), "sum")
+        merged = reader.merge_attention(Tensor([[0.8, 0.2], [0.6, 0.4]]), "sum", full(2), full(2))
         e14, e06 = math.exp(1.4), math.exp(0.6)
         np.testing.assert_allclose(merged.data, [e14 / (e14 + e06), e06 / (e14 + e06)], atol=1e-12)
         np.testing.assert_allclose(merged.data, [0.6900, 0.3100], atol=5e-5)
 
     def test_max_mode_takes_columnwise_max(self):
         alpha = np.array([[0.7, 0.1, 0.2], [0.2, 0.6, 0.2]])
-        merged = reader.merge_attention(Tensor(alpha), "max")
+        merged = reader.merge_attention(Tensor(alpha), "max", full(2), full(3))
         ref = np.exp(alpha.max(axis=0))
         np.testing.assert_allclose(merged.data, ref / ref.sum(), atol=1e-12)
 
     def test_empty_alpha_rejected(self):
         with pytest.raises(UsageError):
-            reader.merge_attention(Tensor(np.zeros((0, 3))), "sum")
+            reader.merge_attention(Tensor(np.zeros((0, 3))), "sum", full(0), full(3))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):
-            reader.merge_attention(Tensor(np.ones((1, 3))), "median")
+            reader.merge_attention(Tensor(np.ones((1, 3))), "median", full(1), full(3))
+
+    @pytest.mark.parametrize("mode", reader.MERGE_MODES)
+    def test_padded_query_steps_add_nothing(self, mode):
+        # Sample 1 has two real query steps; its padded third row holds a
+        # large attention that must not reach the merge (nor avg's divisor).
+        rng = np.random.default_rng(14)
+        alpha = rng.dirichlet(np.ones(4), size=(2, 3))
+        alpha[1, 2] = [0.0, 0.0, 0.0, 1.0]
+        query_mask = np.array([[True, True, True], [True, True, False]])
+        merged = reader.merge_attention(Tensor(alpha), mode, query_mask, np.ones((2, 4), dtype=bool))
+        for b, m in ((0, 3), (1, 2)):
+            alone = reader.merge_attention(Tensor(alpha[b, :m]), mode, full(m), full(4))
+            np.testing.assert_allclose(merged.data[b], alone.data, rtol=1e-15, atol=0)
 
 
 class TestAttentionSum:
     def test_direct_aggregation(self):
-        words = reader.attention_sum(Tensor([0.2, 0.3, 0.5]), [5, 7, 5])
+        words = reader.attention_sum(Tensor([0.2, 0.3, 0.5]), [5, 7, 5], full(3))
         assert words.as_dict() == {5: 0.7, 7: 0.3}
 
     def test_distinct_tokens_identity(self):
         merged = np.array([0.1, 0.2, 0.3, 0.4])
-        words = reader.attention_sum(Tensor(merged), [3, 1, 4, 2])
+        words = reader.attention_sum(Tensor(merged), [3, 1, 4, 2], full(4))
         assert words.as_dict() == {3: 0.1, 1: 0.2, 4: 0.3, 2: 0.4}
 
     def test_matches_dictionary_oracle_exactly(self):
         rng = np.random.default_rng(2)
         ids = rng.integers(0, 12, size=50)
         merged = rng.dirichlet(np.ones(50))
-        words = reader.attention_sum(Tensor(merged), ids)
+        words = reader.attention_sum(Tensor(merged), ids, full(50))
         assert words.as_dict() == accumulate_oracle(merged, ids)
 
     def test_masked_positions_excluded_from_keys(self):
@@ -124,16 +138,26 @@ class TestAttentionSum:
         assert set(words.as_dict()) == {5}
         assert abs(words.as_dict()[5] - 1.0) < 1e-12
 
+    def test_batch_slots_ascend_by_id_within_each_sample(self):
+        merged = np.array([[0.1, 0.2, 0.3, 0.0], [0.4, 0.1, 0.2, 0.3]])
+        ids = np.array([[5, 3, 5, 5], [9, 2, 9, 9]])
+        mask = np.array([[True, True, True, False], [True] * 4])
+        words = reader.attention_sum(Tensor(merged), ids, mask)
+        np.testing.assert_array_equal(words.token_ids, [3, 5, 2, 9])
+        np.testing.assert_array_equal(words.offsets, [0, 2, 4])
+        assert words.sample(0).as_dict() == accumulate_oracle(merged[0, :3], ids[0, :3])
+        assert words.sample(1).as_dict() == accumulate_oracle(merged[1], ids[1])
+
 
 class TestAsReaderAttention:
     def test_zero_query_gives_uniform(self):
-        h_doc = encoded(np.random.default_rng(3).normal(size=(4, 6)))
-        merged = reader.as_reader_attention(h_doc, Tensor(np.zeros(6)))
+        h_doc = Tensor(np.random.default_rng(3).normal(size=(4, 6)))
+        merged = reader.as_reader_attention(h_doc, Tensor(np.zeros(6)), full(4))
         np.testing.assert_allclose(merged.data, np.full(4, 0.25), atol=1e-15)
 
     def test_orthonormal_rows_pick_matching_position(self):
-        h_doc = encoded(np.eye(4))
-        merged = reader.as_reader_attention(h_doc, Tensor(np.eye(4)[2]))
+        h_doc = Tensor(np.eye(4))
+        merged = reader.as_reader_attention(h_doc, Tensor(np.eye(4)[2]), full(4))
         assert merged.data.argmax() == 2
         assert merged.data[2] > max(np.delete(merged.data, 2))
 
@@ -141,17 +165,17 @@ class TestAsReaderAttention:
         # With m = 1 the consensus head softmaxes the attention row a second
         # time; the baseline head applies exactly one softmax.
         rng = np.random.default_rng(4)
-        h_doc = encoded(rng.normal(size=(3, 4)))
+        h_doc = Tensor(rng.normal(size=(3, 4)))
         q = rng.normal(size=4)
-        baseline = reader.as_reader_attention(h_doc, Tensor(q))
-        alpha = reader.attention_per_step(h_doc, encoded(q.reshape(1, 4)))
-        consensus = reader.merge_attention(alpha, "sum")
+        baseline = reader.as_reader_attention(h_doc, Tensor(q), full(3))
+        alpha = reader.attention_per_step(h_doc, Tensor(q.reshape(1, 4)), full(3))
+        consensus = reader.merge_attention(alpha, "sum", full(1), full(3))
         np.testing.assert_allclose(baseline.data, alpha.data[0], atol=1e-12)
         assert not np.allclose(consensus.data, baseline.data)
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            reader.as_reader_attention(encoded(np.zeros((2, 4))), Tensor(np.zeros(6)))
+            reader.as_reader_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros(6)), full(2))
 
 
 def pipeline_oracle(params, doc_ids, query_ids, mode):
@@ -173,10 +197,6 @@ def pipeline_oracle(params, doc_ids, query_ids, mode):
             out[t] = h
         return out
 
-    def softmax(v):
-        e = np.exp(v - v.max())
-        return e / e.sum()
-
     def enc(ids, fwd, bwd):
         xs = [params.embedding.data[i] for i in ids]
         f, b = gru_seq(xs, fwd, reverse=False), gru_seq(xs, bwd, reverse=True)
@@ -184,17 +204,7 @@ def pipeline_oracle(params, doc_ids, query_ids, mode):
 
     h_doc = enc(doc_ids, params.doc_fwd, params.doc_bwd)
     h_query = enc(query_ids, params.query_fwd, params.query_bwd)
-    alpha = np.stack([softmax(h_doc @ h_query[t]) for t in range(len(query_ids))])
-    if mode == "sum":
-        merged = softmax(alpha.sum(axis=0))
-    elif mode == "avg":
-        merged = softmax(alpha.mean(axis=0))
-    else:
-        merged = softmax(alpha.max(axis=0))
-    probs: dict[int, float] = {}
-    for i, tid in enumerate(doc_ids):
-        probs[int(tid)] = probs.get(int(tid), 0.0) + merged[i]
-    return probs
+    return head_oracle(h_doc, h_query, doc_ids, mode)
 
 
 class TestModelParamsLayout:
@@ -232,8 +242,8 @@ class TestForward:
         params = tiny_params(seed=6)
         target = FakeSample([3, 4, 5, 3], [7, 1])
         other = FakeSample([8, 9, 10, 9, 8, 4, 5], [2, 1, 6])
-        alone = reader.forward([target], params)[0].words.as_dict()
-        batched = reader.forward([target, other], params)[0].words.as_dict()
+        alone = reader.forward([target], params).sample(0).words.as_dict()
+        batched = reader.forward([target, other], params).sample(0).words.as_dict()
         assert alone.keys() == batched.keys()
         for tid in alone:
             assert abs(alone[tid] - batched[tid]) < 1e-12
@@ -260,26 +270,56 @@ class TestForward:
         with pytest.raises(UsageError):
             reader.forward([], tiny_params(seed=9))
 
+    def test_iteration_gives_unpadded_samples_without_graph(self):
+        params = tiny_params(seed=9)
+        samples = [FakeSample([3, 4, 5], [7, 1]), FakeSample([8, 9, 10, 9, 8], [2])]
+        output = reader.forward(samples, params)
+        assert output.merged.requires_grad and len(output) == 2
+        items = list(output)
+        assert [out.alpha.data.shape for out in items] == [(2, 3), (1, 5)]
+        assert [out.merged.data.shape for out in items] == [(3,), (5,)]
+        assert not any(out.merged.requires_grad or out.words.probs.requires_grad for out in items)
+        assert set(items[1].words.as_dict()) == {8, 9, 10}
+
+
+def words_of(probs: dict[int, float]) -> reader.WordDistribution:
+    ids = sorted(probs)
+    return reader.WordDistribution(Tensor([probs[i] for i in ids]), np.array(ids), np.array([0, len(ids)]))
+
 
 class TestPredict:
     def test_argmax(self):
-        assert reader.argmax_word({5: 0.7, 7: 0.3}) == 5
+        assert words_of({5: 0.7, 7: 0.3}).argmax().tolist() == [5]
 
     def test_exact_tie_breaks_to_smaller_id(self):
-        assert reader.argmax_word({7: 0.5, 5: 0.5}) == 5
+        assert words_of({7: 0.5, 5: 0.5}).argmax().tolist() == [5]
 
     def test_candidate_restriction(self):
-        assert reader.argmax_word({5: 0.7, 7: 0.3}, candidates=[7]) == 7
-        assert reader.argmax_word({5: 0.7, 7: 0.3}, candidates=[99]) == 5
+        assert words_of({5: 0.7, 7: 0.3}).argmax([[7]]).tolist() == [7]
+        assert words_of({5: 0.7, 7: 0.3}).argmax([[99]]).tolist() == [5]
+        assert words_of({5: 0.7, 7: 0.3}).argmax([None]).tolist() == [5]
 
     def test_dominant_token_predicted(self):
         # One-hot-ish embedding setup where token 3 dominates the document.
         params = tiny_params(seed=10)
         sample = FakeSample([3, 3, 3, 3, 4], [7, 1])
-        assert reader.predict(sample, params) in (3, 4)
-        maps = reader.attention_maps([sample], params)
-        top = reader.argmax_word(maps[0].word_probs)
-        assert reader.predict(sample, params) == top
+        ((group, output, predicted),) = reader.score([sample], params)
+        assert group == [sample] and predicted.tolist()[0] in (3, 4)
+        word_probs = output.sample(0).words.as_dict()
+        assert predicted[0] == max(word_probs, key=word_probs.get)
+
+    def test_score_batches_without_a_graph(self):
+        params = tiny_params(seed=11)
+        samples = [FakeSample([3, 4, 5, 3], [7, 1]), FakeSample([8, 9], [2]), FakeSample([4, 6, 6], [1, 2, 3])]
+        samples[1].candidate_ids = [9]
+        samples[0].candidate_ids = samples[2].candidate_ids = None
+        batches = list(reader.score(samples, params, mode="max", restrict_candidates=True, batch_size=2))
+        assert [len(group) for group, _, _ in batches] == [2, 1]
+        for group, output, predicted in batches:
+            assert not output.merged.requires_grad
+            expected = reader.forward(group, params, mode="max").words.argmax([s.candidate_ids for s in group])
+            np.testing.assert_array_equal(predicted, expected)
+        assert batches[0][2][1] == 9
 
 
 class TestProperties:
@@ -300,8 +340,8 @@ class TestProperties:
         for _ in range(200):
             m, n = int(rng.integers(1, 6)), int(rng.integers(2, 10))
             alpha = Tensor(rng.dirichlet(np.ones(n), size=m))
-            s_sum = reader.merge_attention(alpha, "sum").data
-            s_avg = reader.merge_attention(alpha, "avg").data
+            s_sum = reader.merge_attention(alpha, "sum", full(m), full(n)).data
+            s_avg = reader.merge_attention(alpha, "avg", full(m), full(n)).data
             np.testing.assert_array_equal(np.argsort(-s_sum), np.argsort(-s_avg))
 
     def test_permuting_positions_permutes_merged_and_keeps_words(self):
@@ -310,24 +350,22 @@ class TestProperties:
         # and leaves the word-level aggregation unchanged.
         rng = np.random.default_rng(13)
         h_doc = rng.normal(size=(6, 4))
-        h_query = encoded(rng.normal(size=(2, 4)))
+        h_query = Tensor(rng.normal(size=(2, 4)))
         doc_ids = np.array([3, 4, 5, 3, 6, 7])
         perm = rng.permutation(6)
         for mode in reader.MERGE_MODES:
-            base_alpha = reader.attention_per_step(encoded(h_doc), h_query)
-            base = reader.merge_attention(base_alpha, mode)
-            perm_alpha = reader.attention_per_step(encoded(h_doc[perm]), h_query)
-            permuted = reader.merge_attention(perm_alpha, mode)
+            base_alpha = reader.attention_per_step(Tensor(h_doc), h_query, full(6))
+            base = reader.merge_attention(base_alpha, mode, full(2), full(6))
+            perm_alpha = reader.attention_per_step(Tensor(h_doc[perm]), h_query, full(6))
+            permuted = reader.merge_attention(perm_alpha, mode, full(2), full(6))
             np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-12)
-            base_words = reader.attention_sum(base, doc_ids).as_dict()
-            perm_words = reader.attention_sum(permuted, doc_ids[perm]).as_dict()
+            base_words = reader.attention_sum(base, doc_ids, full(6)).as_dict()
+            perm_words = reader.attention_sum(permuted, doc_ids[perm], full(6)).as_dict()
             assert base_words.keys() == perm_words.keys()
             for tid in base_words:
                 assert abs(base_words[tid] - perm_words[tid]) < 1e-12
 
     def test_nll_gradients_match_finite_differences(self):
-        from helpers import Sample, generic_params
-
         rng = np.random.default_rng(1003)
         sample = Sample(rng.integers(0, 10, 6), rng.integers(0, 10, 3))
         answer = int(sample.doc_ids[0])
@@ -336,7 +374,78 @@ class TestProperties:
 
         def loss(p):
             model = reader.ModelParams.from_named(p, params.config)
-            (out,) = reader.forward([sample], model)
-            return T.mul(T.log(T.take(out.words.probs, out.words.slot(answer))), -1.0)
+            return train.nll_loss(reader.forward([sample], model), [answer])
 
         assert T.grad_check(loss, named, epsilon=1e-5) < 1e-4
+
+
+def mixed_batch(rng, size=6, vocab_size=15):
+    """Samples of 2-12 document and 1-6 query tokens, answer = first document token."""
+    samples = []
+    for _ in range(size):
+        doc = rng.integers(0, vocab_size, int(rng.integers(2, 13)))
+        samples.append(Sample(doc, rng.integers(0, vocab_size, int(rng.integers(1, 7))), int(doc[0])))
+    return samples
+
+
+def assert_relatively_close(got: dict, want: dict, rtol: float) -> None:
+    assert got.keys() == want.keys()
+    for tid, p in want.items():
+        assert abs(got[tid] - p) <= rtol * abs(p), (tid, got[tid], p)
+
+
+class TestBatchedHead:
+    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    def test_mixed_batch_matches_each_sample_alone(self, mode):
+        rng = np.random.default_rng(40)
+        params = generic_params(15, 3, 3, rng)
+        samples = mixed_batch(rng)
+        batched = list(reader.forward(samples, params, mode=mode))
+        for sample, out in zip(samples, batched):
+            (alone,) = reader.forward([sample], params, mode=mode)
+            assert_relatively_close(out.words.as_dict(), alone.words.as_dict(), 1e-12)
+
+    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    def test_matches_per_sample_head_oracle(self, mode):
+        rng = np.random.default_rng(41)
+        params = generic_params(15, 3, 3, rng)
+        samples = mixed_batch(rng)
+
+        def states(ids, fwd, bwd):  # one sequence encoded on its own, [n x 2H]
+            return nn.encode_batch(ids[None], full(len(ids))[None], params.embedding, fwd, bwd).states.data
+
+        for sample, out in zip(samples, reader.forward(samples, params, mode=mode)):
+            h_doc = states(sample.doc_ids, params.doc_fwd, params.doc_bwd)
+            h_query = states(sample.query_ids, params.query_fwd, params.query_bwd)
+            assert_relatively_close(out.words.as_dict(), head_oracle(h_doc, h_query, sample.doc_ids, mode), 1e-12)
+
+    @pytest.mark.parametrize("mode", reader.MERGE_MODES)
+    def test_batch_gradients_average_single_sample_gradients(self, mode):
+        rng = np.random.default_rng(42)
+        params = generic_params(15, 3, 3, rng)
+        samples = mixed_batch(rng)
+        named = params.named()
+
+        def gradients(group):
+            for p in named.values():
+                p.zero_grad()
+            train.nll_loss(reader.forward(group, params, mode=mode), [s.answer_id for s in group]).backward()
+            return {k: T._dense_grad(p).copy() for k, p in named.items()}
+
+        batched = gradients(samples)
+        alone = [gradients([s]) for s in samples]
+        expected = {k: sum(g[k] for g in alone) / len(samples) for k in named}
+        scale = max(np.abs(g).max() for g in expected.values())
+        for k in named:
+            np.testing.assert_allclose(batched[k], expected[k], rtol=0, atol=1e-12 * scale)
+
+    def test_query_summary_reads_last_forward_and_first_backward_state(self):
+        params = tiny_params(vocab_size=10, embed_dim=3, hidden_dim=4, seed=31)
+        ids = np.array([[1, 2, 3], [4, 5, 4]])
+        mask = np.array([[True] * 3, [True, True, False]])
+        enc = nn.encode_batch(ids, mask, params.embedding, params.query_fwd, params.query_bwd)
+        summary = reader._query_summary(enc).data
+        states = enc.states.data.reshape(3, 2, 8)  # [step x row x 2H]
+        for row, last in ((0, 2), (1, 1)):
+            np.testing.assert_array_equal(summary[row, :4], states[last, row, :4])
+            np.testing.assert_array_equal(summary[row, 4:], states[0, row, 4:])

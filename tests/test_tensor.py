@@ -246,6 +246,69 @@ class TestGatherScatter:
         np.testing.assert_array_equal(a.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
+def weighted_sum(out: T.Tensor, rng) -> T.Tensor:
+    """A scalar with a generic gradient with respect to every entry of `out`."""
+    return T.reduce_sum(T.mul(out, T.Tensor(rng.uniform(0.5, 1.5, out.data.shape))))
+
+
+class TestBatchedOps:
+    def test_batched_matmul_gradients(self):
+        rng = np.random.default_rng(30)
+        a, b = rng.uniform(-1, 1, (3, 2, 4)), rng.uniform(-1, 1, (3, 4, 5))
+        out = T.matmul(T.Tensor(a), T.Tensor(b))
+        for i in range(3):
+            np.testing.assert_allclose(out.data[i], matmul_oracle(a[i], b[i]), atol=1e-12, rtol=0)
+        params = {"a": T.Tensor(a, requires_grad=True), "b": T.Tensor(b, requires_grad=True)}
+        loss = lambda p: weighted_sum(T.tanh(T.matmul(p["a"], p["b"])), np.random.default_rng(31))
+        assert T.grad_check(loss, params) < 1e-4
+
+    def test_batched_matmul_leading_axes_must_match(self):
+        with pytest.raises(DimensionError):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4, 5))))
+
+    def test_transpose_with_axes_gradients(self):
+        x = np.random.default_rng(32).uniform(-1, 1, (2, 3, 4))
+        np.testing.assert_array_equal(T.transpose(T.Tensor(x), (1, 2, 0)).data, x.transpose(1, 2, 0))
+        params = {"x": T.Tensor(x, requires_grad=True)}
+        loss = lambda p: weighted_sum(T.tanh(T.transpose(p["x"], (1, 2, 0))), np.random.default_rng(33))
+        assert T.grad_check(loss, params) < 1e-4
+
+    def test_masked_softmax_broadcast_mask_gradients(self):
+        rng = np.random.default_rng(34)
+        x = rng.normal(size=(2, 3, 5))
+        mask = np.array([[[True, False, True, True, False]], [[False, True, True, False, True]]])  # [B x 1 x L]
+        out = T.masked_softmax(T.Tensor(x), mask)
+        for b in range(2):
+            for t in range(3):
+                np.testing.assert_array_equal(out.data[b, t], T.masked_softmax(T.Tensor(x[b, t]), mask[b, 0]).data)
+        params = {"x": T.Tensor(x, requires_grad=True)}
+        loss = lambda p: weighted_sum(T.masked_softmax(p["x"], mask), np.random.default_rng(35))
+        assert T.grad_check(loss, params) < 1e-4
+
+    def test_masked_softmax_needs_support_in_every_row(self):
+        with pytest.raises(EmptySupportError):
+            T.masked_softmax(T.Tensor(np.zeros((2, 2))), [[True, False], [False, False]])
+
+    def test_reduce_max_over_axis_1_of_3d(self):
+        x = np.random.default_rng(36).uniform(-1, 1, (2, 3, 4))
+        np.testing.assert_array_equal(T.reduce_max(T.Tensor(x), axis=1).data, x.max(axis=1))
+        params = {"x": T.Tensor(x, requires_grad=True)}
+        loss = lambda p: weighted_sum(T.reduce_max(T.tanh(p["x"]), axis=1), np.random.default_rng(37))
+        assert T.grad_check(loss, params) < 1e-4
+        # An exact tie sends the subgradient to the first maximal entry.
+        a = T.Tensor([[[1.0, 5.0], [1.0, 7.0]], [[2.0, 0.0], [3.0, 0.0]]], requires_grad=True)
+        T.reduce_max(a, axis=1).backward(np.ones((2, 2)))
+        np.testing.assert_array_equal(a.grad, [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+
+    def test_group_sum_matches_explicit_loop(self):
+        rng = np.random.default_rng(38)
+        values, groups = rng.normal(size=10_000), rng.integers(0, 37, 10_000)
+        expected = np.zeros(37)
+        for value, slot in zip(values, groups):
+            expected[slot] += value
+        np.testing.assert_array_equal(T.group_sum(T.Tensor(values), groups, 37).data, expected)
+
+
 def quadratic_loss(params):
     total = None
     for p in params.values():
@@ -304,7 +367,7 @@ def test_reduction_and_select_gradients_match_finite_differences():
             x = params["x"]
             col_max = T.reduce_max(T.mul(x, x), axis=0)
             grouped = T.group_sum(col_max, groups, 2)
-            return T.take(T.add_n([grouped, grouped]), 0)
+            return T.reduce_sum(T.gather_rows(grouped, [0, 0]))
 
         params = {"x": T.Tensor(mat, requires_grad=True)}
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4

@@ -66,34 +66,38 @@ class TestMakeBatches:
 
 
 class FixedWords:
-    """Stub sample output carrying a fixed word distribution."""
+    """Stub batch output carrying fixed word distributions, one dict per sample."""
 
-    def __init__(self, probs: dict[int, float]):
-        ids = list(probs)
+    def __init__(self, *dists: dict[int, float]):
+        ids = [sorted(d) for d in dists]
         self.words = reader.WordDistribution(
-            probs=Tensor(np.array([probs[i] for i in ids]), requires_grad=True), token_ids=ids
+            probs=Tensor([d[i] for d, row in zip(dists, ids) for i in row], requires_grad=True),
+            token_ids=np.array([i for row in ids for i in row]),
+            offsets=np.cumsum([0] + [len(row) for row in ids]),
         )
+
+    def __len__(self):
+        return len(self.words.offsets) - 1
 
 
 class TestNllLoss:
     def test_half_probability_gives_ln2(self):
-        loss = train.nll_loss([FixedWords({5: 0.5, 6: 0.5})], [5])
+        loss = train.nll_loss(FixedWords({5: 0.5, 6: 0.5}), [5])
         assert abs(float(loss.data) - math.log(2)) < 1e-12
 
     def test_batch_of_two_hand_arithmetic(self):
-        outs = [FixedWords({5: 0.5, 6: 0.5}), FixedWords({7: 0.25, 8: 0.75})]
-        loss = train.nll_loss(outs, [5, 7])
+        loss = train.nll_loss(FixedWords({5: 0.5, 6: 0.5}, {7: 0.25, 8: 0.75}), [5, 7])
         expected = (math.log(2) + math.log(4)) / 2
         assert abs(float(loss.data) - expected) < 1e-12
         assert abs(float(loss.data) - 1.039721) < 1e-6
 
     def test_zero_loss_is_the_infimum(self):
-        almost_sure = train.nll_loss([FixedWords({5: 1.0 - 1e-12, 6: 1e-12})], [5])
+        almost_sure = train.nll_loss(FixedWords({5: 1.0 - 1e-12, 6: 1e-12}), [5])
         assert 0.0 < float(almost_sure.data) < 1e-9
 
     def test_missing_answer_is_contract_violation(self):
         with pytest.raises(ValidationError):
-            train.nll_loss([FixedWords({5: 1.0})], [6])
+            train.nll_loss(FixedWords({5: 1.0}), [6])
 
 
 class TestClipGradients:
@@ -256,14 +260,14 @@ class TestRowSparseOptimizer:
     def test_reader_backward_gives_embedding_the_batch_rows(self):
         rng = np.random.default_rng(12)
         samples = []
-        for _ in range(4):  # equal lengths: no padding position gathers row 0
-            doc = rng.integers(1, 5000, size=30)
-            samples.append(encoded_sample(doc, rng.integers(1, 5000, size=5), doc[3]))
+        for doc_len, query_len in ((30, 5), (12, 2), (21, 7), (3, 1)):  # unequal: padded batches
+            doc = rng.integers(1, 5000, size=doc_len)
+            samples.append(encoded_sample(doc, rng.integers(1, 5000, size=query_len), doc[0]))
         params = reader.init_model_params(
             reader.ReaderConfig(6, 5, merge_mode="avg"), 5000, np.random.default_rng(0)
         )
-        outputs = reader.forward(samples, params, training=False)
-        train.nll_loss(outputs, [s.answer_id for s in samples]).backward()
+        output = reader.forward(samples, params, training=False)
+        train.nll_loss(output, [s.answer_id for s in samples]).backward()
         grad = params.embedding.grad
         assert isinstance(grad, T.RowGrad)
         ids = np.concatenate([np.concatenate([s.doc_ids, s.query_ids]) for s in samples])
@@ -275,8 +279,8 @@ def one_training_step(params, samples, lr):
     named = params.named()
     for p in named.values():
         p.zero_grad()
-    outputs = reader.forward(samples, params, training=False)
-    loss = train.nll_loss(outputs, [s.answer_id for s in samples])
+    output = reader.forward(samples, params, training=False)
+    loss = train.nll_loss(output, [s.answer_id for s in samples])
     loss.backward()
     grads = {k: T._dense_grad(p).copy() for k, p in named.items()}
     clipped, _ = train.clip_gradients(grads, 10.0)
@@ -293,8 +297,8 @@ class TestTrainingDynamics:
                 reader.ReaderConfig(8, 8, merge_mode="avg"), 20, np.random.default_rng(100 + rep)
             )
             before = one_training_step(params, samples, lr=1e-4)
-            outputs = reader.forward(samples, params, training=False)
-            after = float(train.nll_loss(outputs, [s.answer_id for s in samples]).data)
+            output = reader.forward(samples, params, training=False)
+            after = float(train.nll_loss(output, [s.answer_id for s in samples]).data)
             assert after < before
 
     def test_validation_is_side_effect_free(self):
@@ -352,8 +356,8 @@ class TestTrainLoop:
         real_loss = train.nll_loss
         calls = []
 
-        def poisoned_loss(outputs, answer_ids):
-            loss = real_loss(outputs, answer_ids)
+        def poisoned_loss(output, answer_ids):
+            loss = real_loss(output, answer_ids)
             calls.append(1)
             if len(calls) != poison_step:
                 return loss
@@ -406,8 +410,8 @@ class TestTrainLoop:
     def test_non_finite_gradient_in_first_epoch_raises(self, monkeypatch):
         real_loss = train.nll_loss
 
-        def poisoned_loss(outputs, answer_ids):
-            loss = real_loss(outputs, answer_ids)
+        def poisoned_loss(output, answer_ids):
+            loss = real_loss(output, answer_ids)
             out = Tensor(loss.data.copy())
             return T._record(out, (loss,), "poison", lambda g: T._accumulate(loss, g * np.nan))
 
@@ -416,22 +420,29 @@ class TestTrainLoop:
             train.train(self.config(), toy_corpus(8), toy_corpus(4, rng_seed=1), vocab_size=20)
 
 
-def training_graph_size(doc_len):
-    """Autodiff nodes reachable from one training loss, documents of `doc_len` tokens."""
+def training_graph_size(doc_len, batch_size=4):
+    """Autodiff nodes reachable from one training loss over `batch_size`
+    samples with documents of up to `doc_len` tokens (lengths differ, so the
+    batch is padded)."""
     rng = np.random.default_rng(doc_len)
     samples = [
-        encoded_sample(np.concatenate([[15], rng.integers(12, 20, doc_len - 1)]), [13, 1, 14], 15)
-        for _ in range(4)
+        encoded_sample(np.concatenate([[15], rng.integers(12, 20, doc_len - 1 - i % 3)]), [13, 1, 14][: 1 + i % 3], 15)
+        for i in range(batch_size)
     ]
     config = reader.ReaderConfig(6, 5, dropout_rate=0.1, merge_mode="avg")
     params = reader.init_model_params(config, 20, np.random.default_rng(0))
-    outputs = reader.forward(samples, params, training=True, rng=rng)
-    return len(T._topo_order(train.nll_loss(outputs, [s.answer_id for s in samples])))
+    output = reader.forward(samples, params, training=True, rng=rng)
+    return len(T._topo_order(train.nll_loss(output, [s.answer_id for s in samples])))
 
 
 def test_training_graph_size_does_not_grow_with_document_length():
     sizes = [training_graph_size(n) for n in (10, 20, 40)]
-    assert sizes[0] == sizes[1] == sizes[2]
+    assert sizes == [64] * 3
+
+
+def test_training_graph_size_does_not_grow_with_batch_size():
+    sizes = [training_graph_size(20, batch_size=b) for b in (1, 4, 16)]
+    assert sizes == [64] * 3
 
 
 class TestCheckpoint:
