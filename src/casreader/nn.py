@@ -111,7 +111,9 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
     The input projections of every step are one matmul with the z/r/h maps
     stacked; the loop over t only does the recurrent products. The backward
     pass runs BPTT in a numpy loop that fills one gate-gradient array, from
-    which each weight gradient is then a single matmul over all steps.
+    which each weight gradient is then a single matmul over all steps. When
+    no input requires a gradient, no node is recorded and the per-step gate
+    buffers BPTT would read shrink to one step of scratch.
     """
     mask = np.asarray(mask, dtype=bool)
     batch, steps = mask.shape
@@ -125,20 +127,25 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
     w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = (t.data for t in weights)
     w = np.concatenate([w_z, w_r, w_h])  # [3H x E]
     u_zr = np.concatenate([u_z, u_r])  # [2H x H]
-    proj = (x.data @ w.T + np.concatenate([b_z, b_r, b_h])).reshape(steps, batch, 3 * hidden)
+    proj = x.data @ w.T
+    proj += np.concatenate([b_z, b_r, b_h])
+    proj = proj.reshape(steps, batch, 3 * hidden)
     keep = mask.T[:, :, None]  # [len x batch x 1]
-    h_prev = np.zeros((steps, batch, hidden))
-    zr = np.zeros((steps, batch, 2 * hidden))
-    cand = np.zeros((steps, batch, hidden))
+    # Backward reads every step's gate values; without it one slot is scratch.
+    saved = steps if x.requires_grad or any(p.requires_grad for p in weights) else 1
+    h_prev = np.zeros((saved, batch, hidden))
+    zr = np.zeros((saved, batch, 2 * hidden))
+    cand = np.zeros((saved, batch, hidden))
     out = np.zeros((steps, batch, hidden))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     h = np.zeros((batch, hidden))
     for t in order:
-        h_prev[t] = h
-        zr[t] = T.sigmoid_values(proj[t, :, : 2 * hidden] + h @ u_zr.T)
-        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
-        cand[t] = np.tanh(proj[t, :, 2 * hidden :] + (r * h) @ u_h.T)
-        h = np.where(keep[t], (1.0 - z) * h + z * cand[t], h)
+        s = t % saved
+        h_prev[s] = h
+        zr[s] = T.sigmoid_values(proj[t, :, : 2 * hidden] + h @ u_zr.T)
+        z, r = zr[s, :, :hidden], zr[s, :, hidden:]
+        cand[s] = np.tanh(proj[t, :, 2 * hidden :] + (r * h) @ u_h.T)
+        h = np.where(keep[t], (1.0 - z) * h + z * cand[s], h)
         out[t] = np.where(keep[t], h, 0.0)
     result = Tensor(out.reshape(steps * batch, hidden))
 

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -372,10 +374,28 @@ def train(
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint. `adam.bin` is size-checked at load and read on
+    the first access to `adam_state`; evaluation never touches it."""
+
     params: ModelParams
-    adam_state: AdamState
     config: TrainConfig
     vocab: Vocabulary | None
+    adam_t: int
+    adam_path: Path
+
+    @cached_property
+    def adam_state(self) -> AdamState:
+        specs = [(name, p.data.shape) for name, p in self.params.named().items()]
+        moments = _read_arrays(self.adam_path, specs, per_param=2)
+        return AdamState(
+            m={name: arrays[0] for name, arrays in moments.items()},
+            v={name: arrays[1] for name, arrays in moments.items()},
+            t=self.adam_t,
+            lr=self.config.lr,
+            beta1=self.config.beta1,
+            beta2=self.config.beta2,
+            epsilon=self.config.epsilon,
+        )
 
 
 def save_checkpoint(
@@ -428,10 +448,18 @@ def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool =
         raise CorruptionError(f"manifest field {name!r} has malformed value {text!r}") from None
 
 
+def _open_part(path: Path):
+    """Open one of a checkpoint's binary files; a missing one is corruption."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise CorruptionError(f"no {path.name} under {path.parent}") from None
+
+
 def _read_arrays(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> dict[str, list[Array]]:
     """Read `per_param` consecutive arrays per manifest entry from a flat binary file."""
     out: dict[str, list[Array]] = {}
-    with open(path, "rb") as fh:
+    with _open_part(path) as fh:
         for name, shape in specs:
             arrays = []
             for _ in range(per_param):
@@ -494,16 +522,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise layout_error
     if named["embedding"].data.shape != (vocab_size, config.embed_dim):
         raise CorruptionError("embedding shape disagrees with manifest vocab_size/embed_dim")
-    moment_arrays = _read_arrays(src / "adam.bin", specs, per_param=2)
-    state = AdamState(
-        m={name: arrays[0] for name, arrays in moment_arrays.items()},
-        v={name: arrays[1] for name, arrays in moment_arrays.items()},
-        t=adam_t,
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
+    adam_path = src / "adam.bin"
+    with _open_part(adam_path) as fh:
+        adam_bytes = os.fstat(fh.fileno()).st_size
+    want = 2 * sum(p.data.nbytes for p in named.values())
+    if adam_bytes != want:
+        problem = "truncated" if adam_bytes < want else "trailing bytes beyond manifest contents"
+        raise CorruptionError(f"adam.bin: {problem} ({adam_bytes} bytes, manifest needs {want})")
     vocab = None
     vocab_path = src / "vocab.txt"
     if vocab_path.exists():
@@ -513,4 +538,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint expects vocabulary of size {vocab_size}, "
                 f"found {vocab.total_size} in {vocab_path.name}"
             )
-    return Checkpoint(params=params, adam_state=state, config=config, vocab=vocab)
+    return Checkpoint(params=params, config=config, vocab=vocab, adam_t=adam_t, adam_path=adam_path)

@@ -238,6 +238,17 @@ class TestErrorSurface:
         assert proc.returncode == 5
         assert json.loads(proc.stderr)["error"] == "io"
 
+    def test_missing_checkpoint_binary_is_io_error(self, tmp_path):
+        corpus, ckpt = self.trained_checkpoint(tmp_path)
+        for part in ("params.bin", "adam.bin"):
+            blob = (ckpt / part).read_bytes()
+            (ckpt / part).unlink()
+            proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
+            (ckpt / part).write_bytes(blob)
+            assert proc.returncode == 5, proc.stderr
+            error = json.loads(proc.stderr)
+            assert error["error"] == "io" and error["message"].startswith(f"no {part} under")
+
     def test_malformed_manifest_values_are_io_errors(self, tmp_path):
         corpus, ckpt = self.trained_checkpoint(tmp_path)
         manifest = ckpt / "manifest.txt"

@@ -251,6 +251,44 @@ class TestGruScan:
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
 
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_grad_output_is_bit_identical_and_records_no_node(self, reverse):
+        rng = np.random.default_rng(27)
+        # Row 1 has an interior hole (steps 1-2 masked) and trailing padding.
+        mask = np.array([[True] * 5, [True, False, False, True, False], [True, True, False, False, False]])
+        x = Tensor(rng.uniform(-1, 1, (15, 3)), requires_grad=True)
+        params = random_params(3, 4, rng)
+        graded = nn.gru_scan(x, mask, params, reverse=reverse)
+        frozen = nn.GruParams(**{f.name: Tensor(getattr(params, f.name).data) for f in fields(nn.GruParams)})
+        plain = nn.gru_scan(Tensor(x.data), mask, frozen, reverse=reverse)
+        assert graded._op == "gru_scan"
+        np.testing.assert_array_equal(plain.data, graded.data)
+        assert not plain.requires_grad and plain._op == "leaf" and plain._parents == ()
+
+    def test_no_grad_keeps_no_per_step_buffers(self):
+        """Without a gradient the scan's peak allocation drops by the
+        h_prev/zr/cand arrays BPTT reads: 4*hidden floats per step and row."""
+        import tracemalloc
+
+        batch, steps, hidden = 4, 200, 32
+        rng = np.random.default_rng(31)
+        mask = np.ones((batch, steps), dtype=bool)
+        x = rng.uniform(-1, 1, (steps * batch, 8))
+        params = random_params(8, hidden, rng)
+        frozen = nn.GruParams(**{f.name: Tensor(getattr(params, f.name).data) for f in fields(nn.GruParams)})
+
+        def peak_bytes(x, p):
+            tracemalloc.start()
+            try:
+                nn.gru_scan(x, mask, p, reverse=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        saved = steps * batch * 4 * hidden * 8
+        assert peak_bytes(Tensor(x, requires_grad=True), params) - peak_bytes(Tensor(x), frozen) > 0.9 * saved
+
+
 class TestBatchEncoding:
     def test_batch_rows_match_single_sequence_encodes(self):
         rng = np.random.default_rng(28)

@@ -486,6 +486,39 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="trailing"):
             train.load_checkpoint(tmp_path / "ckpt")
 
+    def test_truncated_adam_fails_at_load(self, tmp_path):
+        self.roundtrip(tmp_path)
+        blob = (tmp_path / "ckpt" / "adam.bin").read_bytes()
+        (tmp_path / "ckpt" / "adam.bin").write_bytes(blob[:-8])
+        with pytest.raises(CorruptionError, match="adam.bin: truncated"):
+            train.load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("part", ["params.bin", "adam.bin"])
+    def test_missing_binary_is_corruption_naming_it(self, tmp_path, part):
+        self.roundtrip(tmp_path)
+        (tmp_path / "ckpt" / part).unlink()
+        with pytest.raises(CorruptionError, match=f"no {part} under"):
+            train.load_checkpoint(tmp_path / "ckpt")
+
+    def test_evaluation_does_not_read_the_moments(self, tmp_path):
+        """The moments are read on first use: eval after a same-size rewrite
+        of adam.bin works, and `adam_state` then holds the new bytes."""
+        from casreader.datagen import ClozeSample
+        from casreader.evaluate import evaluate
+        from casreader.vocab import PLACEHOLDER_TOKEN
+
+        _, state, _, loaded = self.roundtrip(tmp_path, with_vocab=True)
+        adam = tmp_path / "ckpt" / "adam.bin"
+        rewritten = np.random.default_rng(5).normal(size=adam.stat().st_size // 8)
+        adam.write_bytes(rewritten.astype("<f8").tobytes())
+        sample = ClozeSample(document=["a", "b", "a"], query=[PLACEHOLDER_TOKEN, "b"], answer="a")
+        assert evaluate(loaded.params, loaded.vocab, [sample]).total == 1
+        moments = [
+            a.ravel() for name in loaded.params.named() for a in (loaded.adam_state.m[name], loaded.adam_state.v[name])
+        ]
+        np.testing.assert_array_equal(np.concatenate(moments), rewritten)
+        assert loaded.adam_state.t == state.t
+
     def test_vocab_size_mismatch_is_configuration_error(self, tmp_path):
         from casreader.vocab import build_vocab, save_vocab
 
