@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     UsageError,
     ValidationError,
+    text_lines,
 )
 from .evaluate import evaluate
 
@@ -206,11 +207,12 @@ def stats(data_path):
 def _load_config(config_path) -> training.TrainConfig:
     if config_path is None:
         return training.TrainConfig()
-    with open(config_path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"config is not valid JSON: {err.msg}", line=err.lineno) from None
+    try:
+        raw = json.loads("".join(line for _, line in text_lines(config_path)))
+    except json.JSONDecodeError as err:
+        raise ParseError(f"config is not valid JSON: {err.msg}", line=err.lineno) from None
+    except (ValueError, RecursionError) as err:  # nesting too deep, an integer too long
+        raise ParseError(f"config is not valid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must hold a JSON object")
     if "preset" in raw:

@@ -13,7 +13,7 @@ import json
 from typing import Sequence
 
 from .datagen import ClozeSample, validate_sample
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, text_lines
 
 
 def _record_to_sample(record: dict, line: int) -> ClozeSample:
@@ -52,23 +52,23 @@ def load_dataset(path, strict: bool = True) -> tuple[list[ClozeSample], list[tup
 
     Returns (samples, skipped); `skipped` pairs line numbers with reasons
     and is always empty in strict mode, where the first bad line raises.
+    Bytes that are not UTF-8 raise ParseError in either mode.
     """
     samples: list[ClozeSample] = []
     skipped: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
             try:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ParseError(f"malformed JSON: {err.msg}", line=lineno) from None
-                samples.append(_record_to_sample(record, lineno))
-            except (ParseError, ValidationError) as err:
-                if strict:
-                    raise
-                skipped.append((lineno, str(err)))
+                record = json.loads(line)
+            except (ValueError, RecursionError) as err:  # also nesting too deep, an integer too long
+                raise ParseError(f"malformed JSON: {getattr(err, 'msg', err)}", line=lineno) from None
+            samples.append(_record_to_sample(record, lineno))
+        except (ParseError, ValidationError) as err:
+            if strict:
+                raise
+            skipped.append((lineno, str(err)))
     return samples, skipped
 
 

@@ -6,19 +6,20 @@ the query with that occurrence replaced by the placeholder, and the same
 position is blanked inside the (otherwise intact) document — so the blanked
 query sentence stays in context and the answer still occurs elsewhere.
 
-Input corpora are pre-segmented and pre-tagged: `#doc <id>` headers,
-`token<TAB>TAG` lines, blank lines between sentences. POS tagging itself is
-out of scope; the noun test is a pluggable predicate over tag strings.
+Input corpora are pre-segmented and pre-tagged: `#doc <id>` headers (`#doc`
+then whitespace), `token<TAB>TAG` lines, blank lines between sentences. POS
+tagging itself is out of scope; the noun test is a pluggable predicate over
+tag strings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, text_lines
 from .vocab import PLACEHOLDER_TOKEN, fnv1a64
 
 DEFAULT_NOUN_TAGS = frozenset({"n", "NN", "NNS", "NOUN"})
@@ -211,25 +212,24 @@ def parse_tagged_corpus(path) -> list[TaggedDocument]:
         docs.append(TaggedDocument(sentences=sentences, doc_id=doc_id))
         sentences = []
 
-    with open(path, encoding="utf-8") as fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line.startswith("#doc"):
-                flush_doc(lineno)
-                doc_id = line[4:].strip()
-                if not doc_id:
-                    raise ParseError("missing document id after '#doc'", line=lineno)
-            elif not line.strip():
-                flush_sentence()
-            else:
-                if doc_id is None:
-                    raise ParseError("token line before any '#doc' header", line=lineno)
-                cols = line.split("\t")
-                if len(cols) != 2 or not cols[0] or not cols[1]:
-                    raise ParseError(f"expected 'token<TAB>TAG', got {line!r}", line=lineno)
-                current.append((cols[0], cols[1]))
-        flush_doc(lineno + 1)
+    lineno = 0
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if line == "#doc" or line[:4] == "#doc" and line[4].isspace():
+            flush_doc(lineno)
+            doc_id = line[4:].strip()
+            if not doc_id:
+                raise ParseError("missing document id after '#doc'", line=lineno)
+        elif not line.strip():
+            flush_sentence()
+        else:
+            if doc_id is None:
+                raise ParseError("token line before any '#doc' header", line=lineno)
+            cols = line.split("\t")
+            if len(cols) != 2 or not cols[0] or not cols[1]:
+                raise ParseError(f"expected 'token<TAB>TAG', got {line!r}", line=lineno)
+            current.append((cols[0], cols[1]))
+    flush_doc(lineno + 1)
     return docs
 
 
@@ -243,14 +243,7 @@ class DatasetStats:
     vocabulary_size: int
 
     def as_dict(self) -> dict:
-        return {
-            "query_count": self.query_count,
-            "max_doc_tokens": self.max_doc_tokens,
-            "avg_doc_tokens": self.avg_doc_tokens,
-            "max_query_tokens": self.max_query_tokens,
-            "avg_query_tokens": self.avg_query_tokens,
-            "vocabulary_size": self.vocabulary_size,
-        }
+        return asdict(self)
 
 
 def dataset_stats(samples: Sequence[ClozeSample]) -> DatasetStats:

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and `text_lines`, which
+reads the line-oriented text inputs and types an undecodable byte.
 
-Each class maps to one CLI exit code (see cli.EXIT_CODES) so batch callers
+Each class maps to one CLI exit code (see cli._EXIT_CODES) so batch callers
 can distinguish usage mistakes, bad data, numeric blow-ups, and I/O damage.
 """
 
@@ -45,3 +46,25 @@ class ParseError(CasReaderError):
 
 class CorruptionError(CasReaderError):
     """A binary artifact is truncated or inconsistent with its manifest."""
+
+
+
+def text_lines(path):
+    """Yield (line number, line) over a UTF-8 text file as text mode reads it.
+
+    Bytes that are not UTF-8 raise ParseError naming their line, which a
+    second, binary pass finds only once decoding has failed.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):  # text mode's line breaks
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("not valid UTF-8", line=lineno) from None
+    raise ParseError("not valid UTF-8")

@@ -8,7 +8,7 @@ that records no autodiff graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import reader
 from .errors import ConfigurationError, UsageError, ValidationError
@@ -36,23 +36,9 @@ class EvalReport:
     records: list[SampleRecordResult] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        out = {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "total": self.total,
-            "correct": self.correct,
-            "accuracy": self.accuracy,
-        }
-        if self.records:
-            out["records"] = [
-                {
-                    "predicted": r.predicted,
-                    "gold": r.gold,
-                    "gold_rank": r.gold_rank,
-                    "top_words": r.top_words,
-                }
-                for r in self.records
-            ]
+        out = asdict(self)
+        if not self.records:
+            del out["records"]
         return out
 
 

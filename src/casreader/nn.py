@@ -1,5 +1,6 @@
-"""Neural building blocks: shared embedding lookup, the fused bi-GRU scan,
-inverted dropout, and the parameter initializers.
+"""Neural building blocks: the fused bi-GRU scan, the batch encoder that
+embeds and scans both directions, inverted dropout, and the parameter
+initializers.
 
 The GRU uses the standard update/reset gate formulation:
 
@@ -88,16 +89,6 @@ def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -
         u_z=rec(), u_r=rec(), u_h=rec(),
         b_z=bias(), b_r=bias(), b_h=bias(),
     )
-
-
-def embed_lookup(ids, embedding: Tensor) -> Tensor:
-    """Rows of the embedding matrix for each id; gradients scatter into those rows."""
-    idx = np.asarray(ids, dtype=np.int64)
-    vocab_size = embedding.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab_size):
-        bad = idx[(idx < 0) | (idx >= vocab_size)][0]
-        raise IndexError(f"token id {bad} outside embedding table of size {vocab_size}")
-    return T.gather_rows(embedding, idx)
 
 
 def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
@@ -195,13 +186,12 @@ def encode_batch(
     fwd: GruParams,
     bwd: GruParams,
     dropout_rate: float = 0.0,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> BatchEncoding:
     """Embed and bi-GRU encode a right-padded id batch.
 
-    `mask` must be True exactly at real positions. Dropout, when active,
-    applies to the concatenated states; it draws its mask in time-major
+    `mask` must be True exactly at real positions. Dropout at a positive
+    rate applies to the concatenated states; it draws its mask in time-major
     order, i.e. one [batch x 2*hidden] block per step.
     """
     id_matrix = np.asarray(id_matrix, dtype=np.int64)
@@ -209,27 +199,21 @@ def encode_batch(
     n = id_matrix.shape[1]
     if n < 1 or not mask.any(axis=1).all():
         raise UsageError("every sequence in the batch must have at least one unmasked position")
-    x = embed_lookup(id_matrix.T.reshape(-1), embedding)
+    x = T.gather_rows(embedding, id_matrix.T.reshape(-1))
     fwd_out = gru_scan(x, mask, fwd, reverse=False)
     bwd_out = gru_scan(x, mask, bwd, reverse=True)
-    states = T.concat_cols(fwd_out, bwd_out)
-    if training and dropout_rate > 0.0:
-        states = dropout(states, dropout_rate, training=True, rng=rng)
+    states = dropout(T.concat_cols(fwd_out, bwd_out), dropout_rate, rng)
     return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask)
 
 
-def dropout(
-    x: Tensor,
-    rate: float,
-    training: bool,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Inverted dropout: survivors are scaled by 1/(1-rate) so evaluation is identity."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: survivors are scaled by 1/(1-rate), so rate 0 (the
+    evaluation setting) is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise UsageError("training-mode dropout needs an rng")
+        raise UsageError("dropout at a positive rate needs an rng")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     return T.mul(x, Tensor(keep))

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .errors import DimensionError, UsageError, ValidationError
+from .errors import ConfigurationError, DimensionError, UsageError, ValidationError
 from .nn import BatchEncoding, GruParams
 from .tensor import Tensor
 
@@ -53,11 +53,11 @@ class ReaderConfig:
 
     def __post_init__(self):
         if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise UsageError("embed_dim and hidden_dim must be positive")
+            raise ConfigurationError("embed_dim and hidden_dim must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
-            raise UsageError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.merge_mode not in MERGE_MODES:
-            raise UsageError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
+            raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
 
 
 @dataclass
@@ -298,11 +298,11 @@ def forward(
     dropout_rate = params.config.dropout_rate if training else 0.0
     doc_enc = nn.encode_batch(
         doc_ids, doc_mask, params.embedding, params.doc_fwd, params.doc_bwd,
-        dropout_rate=dropout_rate, training=training, rng=rng,
+        dropout_rate=dropout_rate, rng=rng,
     )
     query_enc = nn.encode_batch(
         query_ids, query_mask, params.embedding, params.query_fwd, params.query_bwd,
-        dropout_rate=dropout_rate, training=training, rng=rng,
+        dropout_rate=dropout_rate, rng=rng,
     )
     doc_states = _batch_major(doc_enc)
     if mode == AS_BASELINE:

@@ -1,7 +1,7 @@
 """Synthetic cue/answer corpus for desk-scale verification.
 
 Every document is built around one (cue, noun) pair from a global
-inventory: the answer noun appears in `answer_repeats` sentences, always
+inventory: the answer noun appears in `ANSWER_REPEATS` sentences, always
 directly after its cue; the query is one of those sentences with the noun
 blanked (the cue stays, and the document keeps the sentence intact). Half
 the documents also carry a bare distractor noun repeated exactly as often
@@ -29,62 +29,37 @@ from .errors import UsageError
 from .vocab import PLACEHOLDER_TOKEN
 
 
+# The corpus shape is fixed: 12 cue/noun pairs, four-token sentences, the
+# answer in 3 sentences (and a tied distractor in 3 more for half the
+# documents), 2 background-noun sentences and 1 all-filler sentence.
+PAIRS = 12
+SENTENCE_LEN = 4
+ANSWER_REPEATS = 3
+TIE_PROB = 0.5
+BACKGROUND_SENTENCES = 2
+FILLER_SENTENCES = 1
+CUES = [f"cue{i:02d}" for i in range(PAIRS)]
+NOUNS = [f"noun{i:02d}" for i in range(PAIRS)]
+# A tied document draws 3*2 + 5*3 + 4 = 25 distinct fillers beside the 24
+# cue and noun tokens.
+MIN_VOCAB_SIZE = 49
+
+
 @dataclass
 class SyntheticConfig:
     vocab_size: int = 50
     train_docs: int = 200
     valid_docs: int = 50
     test_docs: int = 50
-    pairs: int = 12
-    sentence_len: int = 4
-    answer_repeats: int = 3
-    tie_prob: float = 0.5
-    background_sentences: int = 2
-    filler_sentences: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 20:
-            raise UsageError(f"vocab_size must be >= 20, got {self.vocab_size}")
-        if self.sentence_len < 3:
-            raise UsageError("sentence_len must be >= 3 (cue, noun, and filler room)")
-        if self.answer_repeats < 2:
-            raise UsageError("answer_repeats must be >= 2 so the answer survives blanking")
-        if self.pairs < 3:
-            raise UsageError("need at least 3 pairs for distractor and background draws")
-        if not 0.0 <= self.tie_prob <= 1.0:
-            raise UsageError("tie_prob must be in [0, 1]")
-        if len(self.fillers) < self._max_filler_slots():
-            raise UsageError(
-                "vocab_size too small: documents need "
-                f"{self._max_filler_slots()} distinct fillers, only {len(self.fillers)} available"
-            )
-        min_doc_len = (
-            self.answer_repeats + self.background_sentences + self.filler_sentences
-        ) * self.sentence_len
-        if min_doc_len < 10:
-            raise UsageError("documents would be shorter than 10 tokens")
-
-    def _max_filler_slots(self) -> int:
-        per_pair = self.sentence_len - 2
-        per_bare = self.sentence_len - 1
-        return (
-            self.answer_repeats * per_pair
-            + (self.answer_repeats + self.background_sentences) * per_bare
-            + self.filler_sentences * self.sentence_len
-        )
-
-    @property
-    def cues(self) -> list[str]:
-        return [f"cue{i:02d}" for i in range(self.pairs)]
-
-    @property
-    def nouns(self) -> list[str]:
-        return [f"noun{i:02d}" for i in range(self.pairs)]
+        if self.vocab_size < MIN_VOCAB_SIZE:
+            raise UsageError(f"vocab_size must be >= {MIN_VOCAB_SIZE}, got {self.vocab_size}")
 
     @property
     def fillers(self) -> list[str]:
-        return [f"fill{i:02d}" for i in range(self.vocab_size - 2 * self.pairs)]
+        return [f"fill{i:02d}" for i in range(self.vocab_size - 2 * PAIRS)]
 
 
 class _FillerPool:
@@ -101,39 +76,39 @@ class _FillerPool:
         return out
 
 
-def _pair_sentence(cfg, pair, pool, rng) -> tuple[list[str], int]:
+def _pair_sentence(pair, pool, rng) -> tuple[list[str], int]:
     """cue directly followed by its noun amid fillers; returns the noun slot."""
-    sentence = pool.take(cfg.sentence_len - 2)
+    sentence = pool.take(SENTENCE_LEN - 2)
     slot = int(rng.integers(0, len(sentence) + 1))
-    sentence[slot:slot] = [cfg.cues[pair], cfg.nouns[pair]]
+    sentence[slot:slot] = [CUES[pair], NOUNS[pair]]
     return sentence, slot + 1
 
 
-def _bare_noun_sentence(cfg, pair, pool, rng) -> list[str]:
-    sentence = pool.take(cfg.sentence_len - 1)
+def _bare_noun_sentence(pair, pool, rng) -> list[str]:
+    sentence = pool.take(SENTENCE_LEN - 1)
     slot = int(rng.integers(0, len(sentence) + 1))
-    sentence[slot:slot] = [cfg.nouns[pair]]
+    sentence[slot:slot] = [NOUNS[pair]]
     return sentence
 
 
 def _build_document(cfg: SyntheticConfig, rng: np.random.Generator, doc_id: str) -> ClozeSample:
     pool = _FillerPool(cfg, rng)
-    pair = int(rng.integers(cfg.pairs))
+    pair = int(rng.integers(PAIRS))
     sentences: list[tuple[list[str], int | None]] = []
-    for _ in range(cfg.answer_repeats):
-        sent, noun_pos = _pair_sentence(cfg, pair, pool, rng)
+    for _ in range(ANSWER_REPEATS):
+        sent, noun_pos = _pair_sentence(pair, pool, rng)
         sentences.append((sent, noun_pos))
-    others = [p for p in range(cfg.pairs) if p != pair]
+    others = [p for p in range(PAIRS) if p != pair]
     rng.shuffle(others)
-    if rng.random() < cfg.tie_prob:
+    if rng.random() < TIE_PROB:
         # Bare distractor repeated to tie the answer count exactly.
         distractor, others = others[0], others[1:]
-        for _ in range(cfg.answer_repeats):
-            sentences.append((_bare_noun_sentence(cfg, distractor, pool, rng), None))
-    for p in others[: cfg.background_sentences]:
-        sentences.append((_bare_noun_sentence(cfg, p, pool, rng), None))
-    for _ in range(cfg.filler_sentences):
-        sentences.append((pool.take(cfg.sentence_len), None))
+        for _ in range(ANSWER_REPEATS):
+            sentences.append((_bare_noun_sentence(distractor, pool, rng), None))
+    for p in others[:BACKGROUND_SENTENCES]:
+        sentences.append((_bare_noun_sentence(p, pool, rng), None))
+    for _ in range(FILLER_SENTENCES):
+        sentences.append((pool.take(SENTENCE_LEN), None))
 
     order = rng.permutation(len(sentences))
     answer_slots = [int(i) for i in order if sentences[i][1] is not None]
@@ -154,7 +129,7 @@ def _build_document(cfg: SyntheticConfig, rng: np.random.Generator, doc_id: str)
     sample = ClozeSample(
         document=document,
         query=query,
-        answer=cfg.nouns[pair],
+        answer=NOUNS[pair],
         candidates=candidates,
         meta={"doc_id": doc_id},
     )

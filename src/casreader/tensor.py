@@ -68,9 +68,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self._op!r}{flag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -160,32 +157,6 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # pointwise arithmetic
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _record(out, (a, b), "add", backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(out, (a, b), "sub", backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -203,26 +174,6 @@ def sigmoid_values(x: Array) -> Array:
     """Logistic function of a plain array, split by sign so exp never overflows."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = sigmoid_values(a.data)
-    out = Tensor(y)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * y * (1.0 - y))
-
-    return _record(out, (a,), "sigmoid", backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * (1.0 - y * y))
-
-    return _record(out, (a,), "tanh", backward)
 
 
 def log(a: Tensor) -> Tensor:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -36,7 +35,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .reader import MERGE_MODES, ModelParams, ReaderConfig
+from .reader import ModelParams, ReaderConfig
 from .tensor import Tensor
 from .vocab import EncodedSample, Vocabulary, load_vocab, save_vocab
 
@@ -62,29 +61,40 @@ class TrainConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self):
-        if min(self.embed_dim, self.hidden_dim, self.batch_size, self.epochs) < 1:
-            raise ConfigurationError("dimensions, batch size, and epochs must be positive")
-        if self.lr <= 0 or self.clip_threshold <= 0:
-            raise ConfigurationError("lr and clip_threshold must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.merge_mode not in MERGE_MODES:
-            raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}")
+        """Each field must have its default's type (an int is taken for a
+        float; only an `| None` field takes None). `ReaderConfig` checks the
+        model's fields; the rest are checked here."""
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if value is None and "None" in str(f.type):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ConfigurationError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+            if kind is float:
+                try:
+                    setattr(self, f.name, float(value))
+                except OverflowError:
+                    raise ConfigurationError(f"{f.name} is out of range") from None
+        self.reader_config()
+        if min(self.batch_size, self.epochs) < 1:
+            raise ConfigurationError("batch_size and epochs must be positive")
+        for name in ("lr", "clip_threshold", "epsilon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     def reader_config(self) -> ReaderConfig:
-        return ReaderConfig(
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            dropout_rate=self.dropout_rate,
-            merge_mode=self.merge_mode,
-        )
+        return ReaderConfig(**{f.name: getattr(self, f.name) for f in fields(ReaderConfig)})
 
 
-# Table-style preset for full-corpus news training, plus the desk-scale
-# defaults used throughout the test suite.
+# The paper's full-corpus news setting; a `--config` file names it with
+# `"preset"` and may override any field next to it.
 PRESETS = {
     "news-full": TrainConfig(embed_dim=256, hidden_dim=256, dropout_rate=0.1, shortlist_size=100_000),
-    "desk": TrainConfig(embed_dim=16, hidden_dim=16, dropout_rate=0.0, shortlist_size=None),
 }
 
 
@@ -448,30 +458,31 @@ def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool =
         raise CorruptionError(f"manifest field {name!r} has malformed value {text!r}") from None
 
 
-def _open_part(path: Path):
-    """Open one of a checkpoint's binary files; a missing one is corruption."""
+def _check_size(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> None:
+    """A checkpoint binary holds exactly `per_param` arrays per manifest
+    entry; checked before anything is allocated. A missing file is corruption."""
     try:
-        return open(path, "rb")
+        size = path.stat().st_size
     except FileNotFoundError:
         raise CorruptionError(f"no {path.name} under {path.parent}") from None
+    want = 0
+    for name, shape in specs:
+        want += per_param * 8 * math.prod(shape)
+        if want > size:
+            raise CorruptionError(f"{path.name}: truncated at parameter {name!r} ({size} bytes)")
+    if size > want:
+        raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents ({size} > {want} bytes)")
 
 
 def _read_arrays(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> dict[str, list[Array]]:
     """Read `per_param` consecutive arrays per manifest entry from a flat binary file."""
+    _check_size(path, specs, per_param)
     out: dict[str, list[Array]] = {}
-    with _open_part(path) as fh:
+    with open(path, "rb") as fh:
         for name, shape in specs:
-            arrays = []
-            for _ in range(per_param):
-                array = np.empty(shape, dtype="<f8")
-                if fh.readinto(array) != array.nbytes:
-                    raise CorruptionError(
-                        f"{path.name}: truncated while reading parameter {name!r}"
-                    )
-                arrays.append(array)
-            out[name] = arrays
-        if fh.read(1):
-            raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents")
+            out[name] = [np.empty(shape, dtype="<f8") for _ in range(per_param)]
+            for array in out[name]:
+                fh.readinto(array)
     return out
 
 
@@ -480,7 +491,10 @@ def load_checkpoint(path) -> Checkpoint:
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():
         raise CorruptionError(f"no manifest.txt under {src}")
-    lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise CorruptionError(f"manifest.txt is not valid UTF-8 at byte {err.start}") from None
     if not lines or lines[0] != _MANIFEST_FORMAT:
         raise CorruptionError(f"unsupported checkpoint format: {lines[:1]}")
     values: dict[str, str] = {}
@@ -523,12 +537,7 @@ def load_checkpoint(path) -> Checkpoint:
     if named["embedding"].data.shape != (vocab_size, config.embed_dim):
         raise CorruptionError("embedding shape disagrees with manifest vocab_size/embed_dim")
     adam_path = src / "adam.bin"
-    with _open_part(adam_path) as fh:
-        adam_bytes = os.fstat(fh.fileno()).st_size
-    want = 2 * sum(p.data.nbytes for p in named.values())
-    if adam_bytes != want:
-        problem = "truncated" if adam_bytes < want else "trailing bytes beyond manifest contents"
-        raise CorruptionError(f"adam.bin: {problem} ({adam_bytes} bytes, manifest needs {want})")
+    _check_size(adam_path, specs, per_param=2)
     vocab = None
     vocab_path = src / "vocab.txt"
     if vocab_path.exists():

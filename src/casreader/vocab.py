@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError
+from .errors import ParseError, UsageError, ValidationError, text_lines
 
 PAD_ID = 0
 PLACEHOLDER_ID = 1
@@ -53,7 +53,7 @@ class Vocabulary:
     tokens: list[str]  # regular tokens in id order (id = FIRST_REGULAR_ID + index)
     frequencies: list[int]  # build-time counts, aligned with `tokens`
     shortlist_size: int | None  # None means unbounded
-    _ids: dict[str, int] = field(init=False, repr=False)
+    _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._ids = {tok: FIRST_REGULAR_ID + i for i, tok in enumerate(self.tokens)}
@@ -84,14 +84,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self._ids
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vocabulary)
-            and self.tokens == other.tokens
-            and self.frequencies == other.frequencies
-            and self.shortlist_size == other.shortlist_size
-        )
 
 
 def build_vocab(tokens: Iterable[str], shortlist_size: int | None) -> Vocabulary:
@@ -131,7 +123,6 @@ class EncodedSample:
     answer_id: int
     answer_missing: bool  # answer id absent from doc_ids (never for valid samples)
     candidate_ids: list[int] | None = None
-    answer_token: str = ""
 
 
 def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
@@ -146,7 +137,6 @@ def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
         answer_id=answer_id,
         answer_missing=answer_id not in doc_ids,
         candidate_ids=[vocab.token_to_id(c) for c in candidates] if candidates else None,
-        answer_token=sample.answer,
     )
 
 
@@ -163,35 +153,35 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.split("\t")
-        if len(parts) != 2 or parts[0] != _VOCAB_FORMAT:
-            raise ParseError(
-                f"expected vocabulary header {_VOCAB_FORMAT!r}, got {header!r}", line=1
-            )
-        if not parts[1].startswith("shortlist="):
-            raise ParseError(f"malformed shortlist field {parts[1]!r}", line=1)
-        raw = parts[1][len("shortlist="):]
-        shortlist = None if raw == "none" else int(raw) if raw.isdigit() else -1
-        if shortlist == -1:
-            raise ParseError(f"malformed shortlist value {raw!r}", line=1)
-        tokens: list[str] = []
-        frequencies: list[int] = []
-        seen: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"expected 'token<TAB>frequency', got {line!r}", line=lineno)
-            token, freq = cols
-            if token in seen:
-                raise ParseError(f"duplicate token {token!r}", line=lineno)
-            if not freq.isdigit():
-                raise ParseError(f"non-numeric frequency {freq!r}", line=lineno)
-            seen.add(token)
-            tokens.append(token)
-            frequencies.append(int(freq))
+    lines = text_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n")
+    parts = header.split("\t")
+    if len(parts) != 2 or parts[0] != _VOCAB_FORMAT:
+        raise ParseError(
+            f"expected vocabulary header {_VOCAB_FORMAT!r}, got {header!r}", line=1
+        )
+    if not parts[1].startswith("shortlist="):
+        raise ParseError(f"malformed shortlist field {parts[1]!r}", line=1)
+    raw = parts[1][len("shortlist="):]
+    shortlist = None if raw == "none" else int(raw) if raw.isdecimal() else -1
+    if shortlist == -1:
+        raise ParseError(f"malformed shortlist value {raw!r}", line=1)
+    tokens: list[str] = []
+    frequencies: list[int] = []
+    seen: set[str] = set()
+    for lineno, line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"expected 'token<TAB>frequency', got {line!r}", line=lineno)
+        token, freq = cols
+        if token in seen:
+            raise ParseError(f"duplicate token {token!r}", line=lineno)
+        if not freq.isdecimal():
+            raise ParseError(f"non-numeric frequency {freq!r}", line=lineno)
+        seen.add(token)
+        tokens.append(token)
+        frequencies.append(int(freq))
     return Vocabulary(tokens=tokens, frequencies=frequencies, shortlist_size=shortlist)

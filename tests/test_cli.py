@@ -249,11 +249,42 @@ class TestErrorSurface:
             error = json.loads(proc.stderr)
             assert error["error"] == "io" and error["message"].startswith(f"no {part} under")
 
+    @pytest.mark.parametrize(
+        "args, content, code",
+        [
+            (["stats", "--data"], b'{"document": ["a\xff"]}\n', 3),
+            (["stats", "--data"], b"[" * 100_000 + b"\n", 3),
+            (["generate", "--output", "-", "--input"], b"#doc d0\nriver\tn\n\xff\tn\n", 3),
+            (["train", "--train", "-", "--valid", "-", "--out", "-", "--vocab"],
+             b"casreader-vocab-v1\tshortlist=none\nfoo\t\xc2\xb2\n", 3),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"epochs": 1, \xff}', 3),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"embed_dim": "16"}', 2),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"epochs": 1.5}', 2),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"seed": -1}', 2),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"beta1": 1.0}', 2),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"lr": NaN}', 2),
+        ],
+        ids=["jsonl-not-utf8", "jsonl-too-deep", "tagged-not-utf8", "vocab-superscript-frequency",
+             "config-not-utf8", "config-str-dim", "config-float-epochs", "config-negative-seed",
+             "config-beta1-one", "config-nan-lr"],
+    )
+    def test_malformed_input_is_typed_error(self, tmp_path, args, content, code):
+        """The input named by the last flag is read before any "-" path."""
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        proc = self.run_cli(*args, str(path))
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stderr)["error"] == {2: "usage", 3: "validation"}[code]
+
     def test_malformed_manifest_values_are_io_errors(self, tmp_path):
         corpus, ckpt = self.trained_checkpoint(tmp_path)
         manifest = ckpt / "manifest.txt"
         original = manifest.read_text()
-        for old, new in [("embed_dim\t8", "embed_dim\tfour"), ("param\tembedding\t", "param\tembedding\tx,")]:
+        for old, new in [
+            ("embed_dim\t8", "embed_dim\tfour"),
+            ("param\tembedding\t", "param\tembedding\tx,"),
+            ("param\tdoc_fwd.w_z\t8,8", "param\tdoc_fwd.w_z\t1000000,1000000"),  # 7.3 TiB if allocated
+        ]:
             assert old in original
             manifest.write_text(original.replace(old, new))
             proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casreader import data, reader, synthetic
-from casreader.datagen import ClozeSample, dataset_stats, validate_sample
-from casreader.errors import ConfigurationError, ParseError, UsageError, ValidationError
+from casreader.datagen import ClozeSample, dataset_stats, parse_tagged_corpus, validate_sample
+from casreader.errors import CasReaderError, ConfigurationError, ParseError, UsageError, ValidationError
 from casreader.evaluate import evaluate
-from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab
+from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab, load_vocab
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_seed0_stats.json"
 
@@ -69,6 +71,23 @@ class TestLoadDataset:
         assert len(samples) == 1
         assert [line for line, _ in skipped] == [2, 3]
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path, strict):
+        path = tmp_path / "d.jsonl"
+        valid = record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode()
+        path.write_bytes(valid + b"\n" + valid.replace(b'"b"', b'"\xff"', 1) + b"\n")
+        with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
+            data.load_dataset(path, strict=strict)
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, "1" * 5000], ids=["deep-nesting", "long-integer"])
+    def test_json_beyond_parser_limits_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [record(["a", "a"], [PLACEHOLDER_TOKEN], "a"), line])
+        with pytest.raises(ParseError, match="line 2: malformed JSON"):
+            data.load_dataset(path)
+        samples, skipped = data.load_dataset(path, strict=False)
+        assert len(samples) == 1 and [n for n, _ in skipped] == [2]
+
     def test_round_trip(self, tmp_path):
         samples = [
             ClozeSample(
@@ -85,7 +104,44 @@ class TestLoadDataset:
         assert loaded == samples
 
 
+# Each text reader with well-formed starts of its own format, so that the
+# arbitrary bytes after them reach past the first line. The checkpoint
+# manifest is left out: its shapes size the arrays read from params.bin.
+TEXT_READERS = {
+    "dataset": (data.load_dataset, [b"", record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n"]),
+    "lenient-dataset": (lambda path: data.load_dataset(path, strict=False), [b"", b'{"document": ["a"]}\n']),
+    "vocab": (load_vocab, [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"]),
+    "tagged": (parse_tagged_corpus, [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n"]),
+}
+FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b":", b",", b"a", b"0", b"-1",
+             b"null", b"\xff", b"\xc2\xb2", b"\xe2\x9f\xa8X\xe2\x9f\xa9", b'"document"', b'"query"', b'"answer"']
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(TEXT_READERS)),
+    start=st.integers(0, 2),
+    body=st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(FRAGMENTS), max_size=60).map(b"".join)),
+)
+def test_text_readers_raise_only_typed_errors_on_arbitrary_bytes(tmp_path_factory, name, start, body):
+    read, starts = TEXT_READERS[name]
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(starts[start % len(starts)] + body)
+    try:
+        read(path)
+    except CasReaderError:
+        pass
+
+
 class TestSyntheticCorpus:
+    def test_vocab_size_floor(self):
+        """49 ids leave the 25 distinct fillers a tied document draws."""
+        with pytest.raises(UsageError, match="49"):
+            synthetic.SyntheticConfig(vocab_size=48)
+        for samples in synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(vocab_size=49, seed=2)).values():
+            for s in samples:
+                validate_sample(s)
+
     def test_every_record_passes_validation(self):
         splits = synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(seed=3))
         for samples in splits.values():

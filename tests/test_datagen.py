@@ -205,6 +205,19 @@ class TestParseTaggedCorpus:
         with pytest.raises(ParseError, match="header"):
             dg.parse_tagged_corpus(path)
 
+    def test_token_starting_with_doc_is_not_a_header(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("#doc d0\nriver\tn\n#doctor\tNN\n\n#doc\td1\nsky\tn\n", encoding="utf-8")
+        docs = dg.parse_tagged_corpus(path)
+        assert [d.doc_id for d in docs] == ["d0", "d1"]
+        assert docs[0].sentences == [[("river", "n"), ("#doctor", "NN")]]
+
+    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"#doc d0\nriver\tn\nsk\xffy\tn\n")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            dg.parse_tagged_corpus(path)
+
     def test_empty_document_rejected(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_text("#doc d0\n\n#doc d1\nx\tn\n", encoding="utf-8")

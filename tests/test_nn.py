@@ -90,26 +90,29 @@ def scan_oracle(x, mask, p, reverse):
 
 
 class TestEmbedLookup:
+    """The encoder's embedding lookup is `gather_rows` on the table."""
+
     def test_selects_rows(self):
         w = Tensor(np.arange(8.0).reshape(4, 2))
-        out = nn.embed_lookup([0], w)
+        out = T.gather_rows(w, [0])
         np.testing.assert_array_equal(out.data, [[0.0, 1.0]])
 
     def test_duplicate_ids_sum_gradients(self):
         w = Tensor(np.zeros((4, 2)), requires_grad=True)
-        out = nn.embed_lookup([3, 3], w)
+        out = T.gather_rows(w, [3, 3])
         out.backward(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(w.grad.dense()[3], [4.0, 6.0])
 
     def test_unselected_row_gets_zero_gradient(self):
         w = Tensor(np.ones((4, 2)), requires_grad=True)
-        T.reduce_sum(nn.embed_lookup([1, 2], w)).backward()
+        T.reduce_sum(T.gather_rows(w, [1, 2])).backward()
         np.testing.assert_array_equal(w.grad.dense()[0], [0.0, 0.0])
         np.testing.assert_array_equal(w.grad.dense()[3], [0.0, 0.0])
 
     def test_out_of_range_id(self):
+        fwd, bwd = make_params(2, 3, seed=1), make_params(2, 3, seed=2)
         with pytest.raises(IndexError):
-            nn.embed_lookup([4], Tensor(np.zeros((4, 2))))
+            nn.encode_batch([[1, 4]], [[True, True]], Tensor(np.zeros((4, 2))), fwd, bwd)
 
 
 class TestGruCell:
@@ -311,7 +314,7 @@ class TestBatchEncoding:
         fwd, bwd = make_params(2, hidden, seed=47), make_params(2, hidden, seed=48)
         _, plain = encode_rows(x, mask, fwd, bwd)
         got_rng, want_rng = np.random.default_rng(49), np.random.default_rng(49)
-        _, dropped = encode_rows(x, mask, fwd, bwd, dropout_rate=rate, training=True, rng=got_rng)
+        _, dropped = encode_rows(x, mask, fwd, bwd, dropout_rate=rate, rng=got_rng)
         for t in range(steps):
             keep = (want_rng.random((batch, 2 * hidden)) >= rate) / (1.0 - rate)
             np.testing.assert_array_equal(dropped[:, t], plain[:, t] * keep)
@@ -358,17 +361,29 @@ class TestInitializers:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = Tensor(np.ones(5))
-        assert nn.dropout(x, 0.0, training=True, rng=np.random.default_rng(42)) is x
-        assert nn.dropout(x, 0.0, training=False) is x
+        assert nn.dropout(x, 0.0, rng=np.random.default_rng(42)) is x
+        assert nn.dropout(x, 0.0) is x
 
     def test_eval_mode_is_identity(self):
-        x = Tensor(np.ones(5))
-        assert nn.dropout(x, 0.5, training=False) is x
+        """Outside training the reader encodes at rate 0: a model trained with
+        dropout scores exactly as without it, and draws nothing from the rng."""
+        from casreader import reader
+        from casreader.vocab import EncodedSample
+
+        samples = [EncodedSample(np.array([3, 4, 3, 5]), np.array([4, 1]), 3, False)]
+        outputs = []
+        for rate in (0.0, 0.5):
+            config = reader.ReaderConfig(3, 2, dropout_rate=rate)
+            params = reader.init_model_params(config, 6, np.random.default_rng(0))
+            rng = np.random.default_rng(42)
+            outputs.append(reader.forward(samples, params, training=False, rng=rng).merged.data)
+            assert rng.bit_generator.state == np.random.default_rng(42).bit_generator.state
+        np.testing.assert_array_equal(outputs[0], outputs[1])
 
     def test_training_statistics(self):
         rng = np.random.default_rng(43)
         x = Tensor(np.full(100_000, 2.0))
-        out = nn.dropout(x, 0.1, training=True, rng=rng)
+        out = nn.dropout(x, 0.1, rng=rng)
         zeroed = (out.data == 0.0).mean()
         assert abs(zeroed - 0.1) < 0.02
         survivors = out.data[out.data != 0.0]
@@ -380,9 +395,9 @@ class TestDropout:
         total = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            total += nn.dropout(x, 0.1, training=True, rng=rng).data
+            total += nn.dropout(x, 0.1, rng=rng).data
         np.testing.assert_allclose(total / n, np.ones(4), rtol=0.02)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            nn.dropout(Tensor(np.ones(3)), 1.0, training=True, rng=np.random.default_rng(45))
+            nn.dropout(Tensor(np.ones(3)), 1.0, rng=np.random.default_rng(45))

@@ -314,6 +314,34 @@ class TestTrainingDynamics:
             np.testing.assert_array_equal(p.data, before[k])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("embed_dim", "16"), ("epochs", 1.5), ("batch_size", True), ("merge_mode", None),
+            ("lr", None), ("seed", -1), ("beta1", 1.0), ("beta2", -0.1), ("lr", float("nan")),
+            ("lr", 0.0), ("clip_threshold", float("inf")), ("epsilon", -1e-8), pytest.param("lr", 10**400, id="lr-huge-int"),
+            ("dropout_rate", 1.0), ("merge_mode", "median"), ("hidden_dim", 0),
+        ],
+    )
+    def test_invalid_field_is_configuration_error(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            train.TrainConfig(**{field: value})
+
+    def test_ints_pass_for_floats_and_none_only_where_annotated(self):
+        config = train.TrainConfig(lr=1, clip_threshold=5, beta1=0, shortlist_size=None)
+        assert (config.lr, config.clip_threshold, config.beta1) == (1.0, 5.0, 0.0)
+        assert all(type(getattr(config, name)) is float for name in ("lr", "clip_threshold", "beta1"))
+
+    def test_presets_pass(self):
+        for preset in train.PRESETS.values():
+            assert train.TrainConfig(**preset.__dict__) == preset
+
+    def test_reader_config_checks_are_configuration_errors(self):
+        with pytest.raises(ConfigurationError, match="embed_dim"):
+            reader.ReaderConfig(0, 4)
+
+
 class TestTrainLoop:
     def config(self, **kw):
         base = dict(embed_dim=8, hidden_dim=8, epochs=2, batch_size=8, seed=11, merge_mode="avg")
@@ -552,8 +580,12 @@ class TestCheckpoint:
             ("param\tdoc_fwd.w_z\t", "param\tdoc_fwd.w_q\t", "layout"),
             ("param\tdoc_fwd.w_z\t4,4\nparam\tdoc_fwd.w_r\t4,4",
              "param\tdoc_fwd.w_r\t4,4\nparam\tdoc_fwd.w_z\t4,4", "layout"),
+            # Larger than params.bin: caught by the size check before anything is allocated.
+            ("param\tdoc_fwd.w_z\t4,4", "param\tdoc_fwd.w_z\t1000000,1000000",
+             "params.bin: truncated at parameter 'doc_fwd.w_z'"),
         ],
-        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params"],
+        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params",
+             "oversized-shape"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):
         self.roundtrip(tmp_path)
@@ -562,6 +594,13 @@ class TestCheckpoint:
         assert old in text
         manifest.write_text(text.replace(old, new))
         with pytest.raises(CorruptionError, match=message):
+            train.load_checkpoint(tmp_path / "ckpt")
+
+    def test_undecodable_manifest_is_corruption(self, tmp_path):
+        self.roundtrip(tmp_path)
+        with open(tmp_path / "ckpt" / "manifest.txt", "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(CorruptionError, match="not valid UTF-8"):
             train.load_checkpoint(tmp_path / "ckpt")
 
     def test_missing_manifest(self, tmp_path):

@@ -152,6 +152,27 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match="line 3"):
             V.load_vocab(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("casreader-vocab-v1\tshortlist=5\na\t\u00b2\n", 2),
+            ("casreader-vocab-v1\tshortlist=\u00b2\na\t3\n", 1),
+        ],
+        ids=["frequency", "shortlist"],
+    )
+    def test_non_decimal_digit_is_parse_error(self, tmp_path, text, line):
+        """'²' passes `str.isdigit` but not `int`."""
+        path = tmp_path / "vocab.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}"):
+            V.load_vocab(path)
+
+    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(b"casreader-vocab-v1\tshortlist=5\na\t3\nb\xff\t2\n")
+        with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
+            V.load_vocab(path)
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
