@@ -66,8 +66,8 @@ class _FillerPool:
     """Per-document filler source without replacement."""
 
     def __init__(self, cfg: SyntheticConfig, rng: np.random.Generator):
-        order = rng.permutation(len(cfg.fillers))
-        self._names = [cfg.fillers[i] for i in order]
+        fillers = cfg.fillers
+        self._names = [fillers[i] for i in rng.permutation(len(fillers))]
         self._next = 0
 
     def take(self, n: int) -> list[str]:
