@@ -52,7 +52,8 @@ def load_dataset(path, strict: bool = True) -> tuple[list[ClozeSample], list[tup
 
     Returns (samples, skipped); `skipped` pairs line numbers with reasons
     and is always empty in strict mode, where the first bad line raises.
-    Bytes that are not UTF-8 raise ParseError in either mode.
+    Bytes that are not UTF-8, and `\\u` escapes of lone surrogates (text
+    that no UTF-8 file can hold), raise ParseError in either mode.
     """
     samples: list[ClozeSample] = []
     skipped: list[tuple[int, str]] = []
@@ -64,11 +65,18 @@ def load_dataset(path, strict: bool = True) -> tuple[list[ClozeSample], list[tup
                 record = json.loads(line)
             except (ValueError, RecursionError) as err:  # also nesting too deep, an integer too long
                 raise ParseError(f"malformed JSON: {getattr(err, 'msg', err)}", line=lineno) from None
-            samples.append(_record_to_sample(record, lineno))
+            sample = _record_to_sample(record, lineno)
         except (ParseError, ValidationError) as err:
             if strict:
                 raise
             skipped.append((lineno, str(err)))
+            continue
+        if "\\" in line:  # decoded UTF-8 holds no surrogates; only an escape brings one in
+            try:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("lone surrogate escape, not encodable as UTF-8", line=lineno) from None
+        samples.append(sample)
     return samples, skipped
 
 

@@ -11,7 +11,11 @@ The GRU uses the standard update/reset gate formulation:
 
 Each direction of the encoder is one autodiff node (`gru_scan`) with
 backpropagation through time inside it, so the recorded graph does not grow
-with sequence length. Input-to-hidden weights start uniform in [-0.1, 0.1],
+with sequence length. Its step loop computes the sigmoid as
+`0.5*tanh(a/2) + 0.5`, multiplies by C-ordered copies of the transposed
+recurrent matrices, writes into preallocated buffers and keeps every state
+in one history array whose shifted view is the previous state.
+Input-to-hidden weights start uniform in [-0.1, 0.1],
 recurrent matrices start orthogonal, biases start at zero. Padding is
 handled by carrying the hidden state through masked positions unchanged
 while emitting all-zero output rows, so left- and right-padding agree on the
@@ -100,11 +104,22 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
     through untouched and emit all-zero rows.
 
     The input projections of every step are one matmul with the z/r/h maps
-    stacked; the loop over t only does the recurrent products. The backward
-    pass runs BPTT in a numpy loop that fills one gate-gradient array, from
-    which each weight gradient is then a single matmul over all steps. When
-    no input requires a gradient, no node is recorded and the per-step gate
-    buffers BPTT would read shrink to one step of scratch.
+    stacked; the loop over t only does the recurrent products, each against
+    a C-ordered copy of a transposed recurrent matrix (the transposed views
+    are F-ordered and BLAS multiplies by them about half as fast), and
+    writes into preallocated buffers. The sigmoid is `0.5*tanh(a/2) + 0.5`,
+    with the halving folded into the z/r projections and recurrent copies
+    (scaling by a power of two is exact). Every state lives in one
+    [len+1 x batch x hidden] history, so the state before each step is a
+    shifted view of it, not a copy.
+
+    The backward pass computes the gate factors that do not depend on the
+    incoming state gradient as whole-array products first, so the BPTT loop
+    only scales them and carries `dh` through the three recurrent products;
+    each weight gradient is then a single matmul over all steps. When no
+    input requires a gradient, no node is recorded, the z/r/h~ buffers BPTT
+    would read shrink to one step of scratch and the output is masked in
+    the state history itself.
     """
     mask = np.asarray(mask, dtype=bool)
     batch, steps = mask.shape
@@ -117,48 +132,81 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
     weights = [getattr(params, f.name) for f in fields(GruParams)]
     w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = (t.data for t in weights)
     w = np.concatenate([w_z, w_r, w_h])  # [3H x E]
-    u_zr = np.concatenate([u_z, u_r])  # [2H x H]
     proj = x.data @ w.T
     proj += np.concatenate([b_z, b_r, b_h])
     proj = proj.reshape(steps, batch, 3 * hidden)
-    keep = mask.T[:, :, None]  # [len x batch x 1]
+    proj[:, :, : 2 * hidden] *= 0.5
+    p_z, p_r, p_h = proj[:, :, :hidden], proj[:, :, hidden : 2 * hidden], proj[:, :, 2 * hidden :]
+    # Fresh C-ordered copies: the parameters themselves are never written.
+    uz_t = np.multiply(u_z.T, 0.5, order="C")
+    ur_t = np.multiply(u_r.T, 0.5, order="C")
+    uh_t = np.array(u_h.T, order="C")
+    keep = mask.T[:, :, None].astype(np.float64)  # [len x batch x 1]
+    needs_grad = x.requires_grad or any(p.requires_grad for p in weights)
     # Backward reads every step's gate values; without it one slot is scratch.
-    saved = steps if x.requires_grad or any(p.requires_grad for p in weights) else 1
-    h_prev = np.zeros((saved, batch, hidden))
-    zr = np.zeros((saved, batch, 2 * hidden))
-    cand = np.zeros((saved, batch, hidden))
-    out = np.zeros((steps, batch, hidden))
+    saved = steps if needs_grad else 1
+    zs, rs, cs = (np.empty((saved, batch, hidden)) for _ in range(3))
+    hist = np.zeros((steps + 1, batch, hidden))
+    # The state before step t and after it, both views of the one history.
+    prev, new = (hist[1:], hist[:-1]) if reverse else (hist[:-1], hist[1:])
+    rh = np.empty((batch, hidden))
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    h = np.zeros((batch, hidden))
     for t in order:
         s = t % saved
-        h_prev[s] = h
-        zr[s] = T.sigmoid_values(proj[t, :, : 2 * hidden] + h @ u_zr.T)
-        z, r = zr[s, :, :hidden], zr[s, :, hidden:]
-        cand[s] = np.tanh(proj[t, :, 2 * hidden :] + (r * h) @ u_h.T)
-        h = np.where(keep[t], (1.0 - z) * h + z * cand[s], h)
-        out[t] = np.where(keep[t], h, 0.0)
+        hp, hn, z, r, c = prev[t], new[t], zs[s], rs[s], cs[s]
+        for gate, u_t, p in ((z, uz_t, p_z), (r, ur_t, p_r)):
+            np.matmul(hp, u_t, out=gate)
+            gate += p[t]
+            np.tanh(gate, out=gate)
+            gate *= 0.5
+            gate += 0.5
+        np.multiply(r, hp, out=rh)
+        np.matmul(rh, uh_t, out=c)
+        c += p_h[t]
+        np.tanh(c, out=c)
+        np.subtract(c, hp, out=hn)
+        hn *= z
+        hn *= keep[t]
+        hn += hp
+    out = new * keep if needs_grad else np.multiply(new, keep, out=new)
     result = Tensor(out.reshape(steps * batch, hidden))
 
     def backward(g: Array) -> None:
-        g = g.reshape(steps, batch, hidden)
-        gates = np.zeros((steps, batch, 3 * hidden))  # pre-activation grads [z, r, h~]
+        gk = g.reshape(steps, batch, hidden) * keep
+        # Pre-activation grads [z, r, h~], first as their factors off the recurrence.
+        gates = np.empty((steps, batch, 3 * hidden))
+        g_z, g_r, g_h = gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 2 * hidden :]
+        kz = zs * keep
+        np.multiply(cs, cs, out=g_h)
+        np.subtract(1.0, g_h, out=g_h)
+        g_h *= kz  # z (1 - c^2) keep
+        np.subtract(cs, prev, out=g_z)
+        g_z *= kz
+        g_z *= 1.0 - zs  # (c - h_prev) z (1 - z) keep
+        np.subtract(1.0, rs, out=g_r)
+        g_r *= rs
+        g_r *= prev  # h_prev r (1 - r)
+        carry = np.subtract(1.0, kz, out=kz)  # (1 - z) keep + (1 - keep)
         dh = np.zeros((batch, hidden))
+        d, d_rh, tmp = (np.empty((batch, hidden)) for _ in range(3))
         for t in reversed(order):
-            z, r, c, hp = zr[t, :, :hidden], zr[t, :, hidden:], cand[t], h_prev[t]
-            d_new = np.where(keep[t], dh + g[t], 0.0)
-            dh = np.where(keep[t], 0.0, dh)
-            da_h = d_new * z * (1.0 - c * c)
-            d_rh = da_h @ u_h
-            gates[t, :, :hidden] = d_new * (c - hp) * z * (1.0 - z)
-            gates[t, :, hidden : 2 * hidden] = d_rh * hp * r * (1.0 - r)
-            gates[t, :, 2 * hidden :] = da_h
-            dh += d_new * (1.0 - z) + d_rh * r + gates[t, :, : 2 * hidden] @ u_zr
+            np.add(dh, gk[t], out=d)
+            g_z[t] *= d
+            g_h[t] *= d
+            np.matmul(g_h[t], u_h, out=d_rh)
+            g_r[t] *= d_rh
+            np.multiply(d, carry[t], out=dh)
+            np.multiply(d_rh, rs[t], out=tmp)
+            dh += tmp
+            np.matmul(g_z[t], u_z, out=tmp)
+            dh += tmp
+            np.matmul(g_r[t], u_r, out=tmp)
+            dh += tmp
         flat = gates.reshape(steps * batch, 3 * hidden)
-        prev = h_prev.reshape(steps * batch, hidden)
-        r_prev = zr[:, :, hidden:].reshape(steps * batch, hidden) * prev
+        h_prev = prev.reshape(steps * batch, hidden)
+        r_prev = rs.reshape(steps * batch, hidden) * h_prev
         dw = np.split(flat.T @ x.data, 3)
-        du = np.split(flat[:, : 2 * hidden].T @ prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
+        du = np.split(flat[:, : 2 * hidden].T @ h_prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
         db = np.split(flat.sum(axis=0), 3)
         for param, grad in zip(weights, (*dw, *du, *db)):
             if param.requires_grad:

@@ -5,7 +5,7 @@ output (parents + a backward closure), so each forward pass rebuilds the
 graph from scratch — sequences here are variable-length and a static graph
 would buy nothing. A layer whose graph would grow with sequence length
 records itself as one node with a hand-written backward instead (the GRU
-scan in `nn`, built on `_record`, `_accumulate` and `sigmoid_values`).
+scan in `nn`, built on `_record` and `_accumulate`).
 `Tensor.backward` walks the recorded graph once in reverse topological
 order. `grad_check` is the independent oracle: central finite differences
 against the analytic gradients.
@@ -168,12 +168,6 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, (a, b), "mul", backward)
-
-
-def sigmoid_values(x: Array) -> Array:
-    """Logistic function of a plain array, split by sign so exp never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log(a: Tensor) -> Tensor:

@@ -267,9 +267,6 @@ class EpochRecord:
     grad_norm_max: float  # largest pre-clip global gradient norm of the epoch
     clip_rate: float  # share of the epoch's steps whose norm exceeded the clip threshold
 
-    def deterministic_fields(self) -> tuple:
-        return (self.epoch, self.mean_loss, self.valid_accuracy)
-
 
 @dataclass
 class TrainResult:
@@ -525,6 +522,8 @@ def load_checkpoint(path) -> Checkpoint:
         adam_t = _parse_value(values, "adam_t", int)
     except KeyError as missing:
         raise CorruptionError(f"manifest missing field {missing}") from None
+    except ConfigurationError as bad:
+        raise CorruptionError(f"manifest value rejected: {bad}") from None
     param_arrays = _read_arrays(src / "params.bin", specs, per_param=1)
     named = {name: Tensor(arrays[0], requires_grad=True) for name, arrays in param_arrays.items()}
     layout_error = CorruptionError("manifest parameter list does not match the model layout")

@@ -5,6 +5,8 @@ parameter space (scale ~1 rather than the flat training init), which keeps
 every gradient coordinate comfortably above finite-difference roundoff so
 relative-error comparisons measure correctness, not noise. `head_oracle` is
 the per-sample numpy reference for the batched reading head.
+`deterministic_fields` picks the epoch, mean loss and validation accuracy of
+a training-log record, the fields the tests compare across runs.
 """
 
 import numpy as np
@@ -69,3 +71,8 @@ def head_oracle(h_doc, h_query, doc_ids, mode):
     for p, tid in zip(merged, doc_ids):
         probs[int(tid)] = probs.get(int(tid), 0.0) + float(p)
     return probs
+
+
+def deterministic_fields(record) -> tuple:
+    """(epoch, mean loss, validation accuracy) of a `train.EpochRecord`; the wall time varies."""
+    return (record.epoch, record.mean_loss, record.valid_accuracy)

@@ -12,7 +12,7 @@ from casreader import data, reader, synthetic
 from casreader.datagen import ClozeSample, dataset_stats, parse_tagged_corpus, validate_sample
 from casreader.errors import CasReaderError, ConfigurationError, ParseError, UsageError, ValidationError
 from casreader.evaluate import evaluate
-from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab, load_vocab
+from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab, load_vocab, save_vocab
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_seed0_stats.json"
 
@@ -79,6 +79,20 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
             data.load_dataset(path, strict=strict)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_lone_surrogate_is_parse_error_naming_line(self, tmp_path, strict):
+        """JSON can escape a lone surrogate, which no UTF-8 file written from it could hold."""
+        path = tmp_path / "d.jsonl"
+        pair = record(["a", "\U0001f600", "a"], [PLACEHOLDER_TOKEN, "\U0001f600"], "a")  # escaped as a valid pair
+        assert "\\ud83d\\ude00" in pair
+        write_lines(path, [pair, record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "\udc80"], "a")])
+        with pytest.raises(ParseError, match="line 2: lone surrogate"):
+            data.load_dataset(path, strict=strict)
+        write_lines(path, [pair])
+        samples, _ = data.load_dataset(path, strict=strict)
+        data.save_dataset(samples, tmp_path / "out.jsonl")
+        assert data.load_dataset(tmp_path / "out.jsonl")[0] == samples
+
     @pytest.mark.parametrize("line", ["[" * 100_000, "1" * 5000], ids=["deep-nesting", "long-integer"])
     def test_json_beyond_parser_limits_is_parse_error(self, tmp_path, line):
         path = tmp_path / "d.jsonl"
@@ -104,17 +118,27 @@ class TestLoadDataset:
         assert loaded == samples
 
 
+def _write_dataset(result, path):
+    data.save_dataset(result[0], path)
+
+
 # Each text reader with well-formed starts of its own format, so that the
-# arbitrary bytes after them reach past the first line. The checkpoint
-# manifest is left out: its shapes size the arrays read from params.bin.
+# arbitrary bytes after them reach past the first line, and the writer that
+# must accept whatever the reader returns. The checkpoint manifest is left
+# out: its shapes size the arrays read from params.bin.
+SURROGATE_LINE = record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n"
 TEXT_READERS = {
-    "dataset": (data.load_dataset, [b"", record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n"]),
-    "lenient-dataset": (lambda path: data.load_dataset(path, strict=False), [b"", b'{"document": ["a"]}\n']),
-    "vocab": (load_vocab, [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"]),
-    "tagged": (parse_tagged_corpus, [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n"]),
+    "dataset": (data.load_dataset, _write_dataset,
+                [b"", record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n", SURROGATE_LINE]),
+    "lenient-dataset": (lambda path: data.load_dataset(path, strict=False), _write_dataset,
+                        [b"", b'{"document": ["a"]}\n', SURROGATE_LINE]),
+    "vocab": (load_vocab, save_vocab,
+              [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"]),
+    "tagged": (parse_tagged_corpus, None, [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n"]),
 }
 FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b":", b",", b"a", b"0", b"-1",
-             b"null", b"\xff", b"\xc2\xb2", b"\xe2\x9f\xa8X\xe2\x9f\xa9", b'"document"', b'"query"', b'"answer"']
+             b"null", b"\xff", b"\xc2\xb2", b"\xe2\x9f\xa8X\xe2\x9f\xa9", b'"document"', b'"query"', b'"answer"',
+             b"\\udc80", b"\\ud83d", b"\\ude00"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -124,13 +148,15 @@ FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b
     body=st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(FRAGMENTS), max_size=60).map(b"".join)),
 )
 def test_text_readers_raise_only_typed_errors_on_arbitrary_bytes(tmp_path_factory, name, start, body):
-    read, starts = TEXT_READERS[name]
+    read, write, starts = TEXT_READERS[name]
     path = tmp_path_factory.mktemp("fuzz") / "input"
     path.write_bytes(starts[start % len(starts)] + body)
     try:
-        read(path)
+        result = read(path)
     except CasReaderError:
-        pass
+        return
+    if write is not None:
+        write(result, path.with_name("written"))
 
 
 class TestSyntheticCorpus:

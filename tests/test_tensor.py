@@ -114,11 +114,6 @@ class TestMaskedSoftmax:
         assert abs(out.data.sum() - 1.0) < 1e-12
 
 
-class TestElementwise:
-    def test_sigmoid_zero(self):
-        assert T.sigmoid_values(np.array([0.0]))[0] == 0.5
-
-
 class TestBackward:
     def test_square(self):
         x = T.Tensor([3.0], requires_grad=True)

@@ -20,6 +20,7 @@ from casreader.errors import (
 )
 from casreader.tensor import Tensor
 from casreader.vocab import EncodedSample
+from helpers import deterministic_fields
 
 
 def encoded_sample(doc, query, answer):
@@ -357,8 +358,8 @@ class TestTrainLoop:
         valid = toy_corpus(8, rng_seed=7)
         a = train.train(self.config(), corpus, valid, vocab_size=20)
         b = train.train(self.config(), corpus, valid, vocab_size=20)
-        assert [r.deterministic_fields() for r in a.history] == [
-            r.deterministic_fields() for r in b.history
+        assert [deterministic_fields(r) for r in a.history] == [
+            deterministic_fields(r) for r in b.history
         ]
         for k, p in a.params.named().items():
             np.testing.assert_array_equal(p.data, b.params.named()[k].data)
@@ -400,7 +401,7 @@ class TestTrainLoop:
         assert result.aborted
         assert [r.epoch for r in result.history] == [1]
         assert result.best_epoch == 1
-        assert result.history[0].deterministic_fields() == clean.history[0].deterministic_fields()
+        assert deterministic_fields(result.history[0]) == deterministic_fields(clean.history[0])
         for k, p in result.params.named().items():
             np.testing.assert_array_equal(p.data, clean.params.named()[k].data)
 
@@ -419,8 +420,8 @@ class TestTrainLoop:
         monkeypatch.setattr(train, "clip_gradients", recording_clip)
         log_path = tmp_path / "training_log.jsonl"
         logged = train.train(config, corpus, valid, vocab_size=20, log_path=log_path)
-        assert [r.deterministic_fields() for r in logged.history] == [
-            r.deterministic_fields() for r in silent.history
+        assert [deterministic_fields(r) for r in logged.history] == [
+            deterministic_fields(r) for r in silent.history
         ]
         for k, p in logged.params.named().items():
             np.testing.assert_array_equal(p.data, silent.params.named()[k].data)
@@ -583,9 +584,13 @@ class TestCheckpoint:
             # Larger than params.bin: caught by the size check before anything is allocated.
             ("param\tdoc_fwd.w_z\t4,4", "param\tdoc_fwd.w_z\t1000000,1000000",
              "params.bin: truncated at parameter 'doc_fwd.w_z'"),
+            # Well-formed values that TrainConfig rejects: this program never writes them.
+            ("seed\t3", "seed\t-1", "seed must be non-negative"),
+            ("lr\t0.0005", "lr\tnan", "lr must be finite and positive"),
+            ("beta1\t0.9", "beta1\t1.0", r"beta1 must be in \[0, 1\)"),
         ],
         ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params",
-             "oversized-shape"],
+             "oversized-shape", "negative-seed", "nan-lr", "beta1-one"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):
         self.roundtrip(tmp_path)
