@@ -1,7 +1,7 @@
 """Command-line surface: generate, build-vocab, train, eval, synth, stats.
 
 All subcommands print machine-readable JSON on stdout; failures emit one
-JSON line on stderr and exit with a class-specific code.
+JSON line on stderr and exit with the code their error class carries.
 """
 
 from __future__ import annotations
@@ -15,51 +15,13 @@ import click
 from . import data, datagen, synthetic
 from . import train as training
 from . import vocab as V
-from .errors import (
-    CasReaderError,
-    ConfigurationError,
-    CorruptionError,
-    DimensionError,
-    EmptySupportError,
-    NumericError,
-    ParseError,
-    UsageError,
-    ValidationError,
-    text_lines,
-)
+from .errors import CasReaderError, ConfigurationError, CorruptionError, ParseError, UsageError, text_lines
 from .evaluate import evaluate
-
-EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
-
-_EXIT_CODES: list[tuple[type, int]] = [
-    (NumericError, EXIT_NUMERIC),
-    (EmptySupportError, EXIT_NUMERIC),
-    (ParseError, EXIT_VALIDATION),
-    (ValidationError, EXIT_VALIDATION),
-    (CorruptionError, EXIT_IO),
-    (UsageError, EXIT_USAGE),
-    (ConfigurationError, EXIT_USAGE),
-    (DimensionError, EXIT_USAGE),
-    (OSError, EXIT_IO),
-]
+from .reader import EVAL_MODES
 
 
-def _fail(err: Exception) -> None:
-    for klass, code in _EXIT_CODES:
-        if isinstance(err, klass):
-            break
-    else:
-        code = EXIT_USAGE
-    kind = {
-        EXIT_USAGE: "usage",
-        EXIT_VALIDATION: "validation",
-        EXIT_NUMERIC: "numeric",
-        EXIT_IO: "io",
-    }[code]
-    sys.stderr.write(json.dumps({"error": kind, "message": str(err)}) + "\n")
+def _fail(kind: str, code: int, message: str) -> None:
+    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
     sys.exit(code)
 
 
@@ -77,13 +39,9 @@ def cli():
 @click.option("--skip-log", default=None, type=click.Path(), help="Write skipped-document reasons here.")
 def generate(input_path, output_path, seed, samples_per_doc, noun_tags, skip_log):
     """Generate cloze triples from a tagged corpus."""
-    is_noun = (
-        datagen.noun_predicate(t.strip() for t in noun_tags.split(","))
-        if noun_tags
-        else datagen.default_noun_predicate
-    )
+    tags = frozenset(t.strip() for t in noun_tags.split(",")) if noun_tags else datagen.DEFAULT_NOUN_TAGS
     docs = datagen.parse_tagged_corpus(input_path)
-    samples, skips = datagen.generate_corpus(docs, seed=seed, samples_per_doc=samples_per_doc, is_noun=is_noun)
+    samples, skips = datagen.generate_corpus(docs, seed=seed, samples_per_doc=samples_per_doc, noun_tags=tags)
     data.save_dataset(samples, output_path)
     if skip_log:
         with open(skip_log, "w", encoding="utf-8") as fh:
@@ -108,7 +66,7 @@ def build_vocab_cmd(input_paths, shortlist, output_path):
                 yield from s.query
                 yield s.answer
 
-    vocab = V.build_vocab(stream(), shortlist_size=shortlist if shortlist > 0 else None)
+    vocab = V.build_vocab(stream(), shortlist_size=shortlist or None)
     V.save_vocab(vocab, output_path)
     click.echo(json.dumps({"tokens": len(vocab.tokens), "total_ids": vocab.total_size}))
 
@@ -149,7 +107,7 @@ def train_cmd(train_path, valid_path, vocab_path, config_path, out_dir):
 @cli.command("eval")
 @click.option("--checkpoint", "ckpt_dir", required=True, type=click.Path())
 @click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--mode", default=None, type=click.Choice(["sum", "avg", "max", "as-baseline"]),
+@click.option("--mode", default=None, type=click.Choice(EVAL_MODES),
               help="Merge mode; defaults to the checkpoint's training mode.")
 @click.option("--restrict-candidates", is_flag=True, default=False)
 @click.option("--dump-attention", "dump_path", default=None, type=click.Path())
@@ -217,7 +175,7 @@ def _load_config(config_path) -> training.TrainConfig:
         raise ConfigurationError("config file must hold a JSON object")
     if "preset" in raw:
         preset = raw.pop("preset")
-        if preset not in training.PRESETS:
+        if not isinstance(preset, str) or preset not in training.PRESETS:
             raise ConfigurationError(f"unknown preset {preset!r}; have {sorted(training.PRESETS)}")
         base = training.PRESETS[preset].__dict__ | raw
     else:
@@ -238,16 +196,15 @@ def main():
     try:
         cli(standalone_mode=False)
     except click.UsageError as err:
-        sys.stderr.write(json.dumps({"error": "usage", "message": err.format_message()}) + "\n")
-        sys.exit(EXIT_USAGE)
+        _fail(UsageError.kind, UsageError.exit_code, err.format_message())
     except click.exceptions.Exit as err:
         sys.exit(err.exit_code)
     except click.Abort:
-        sys.exit(EXIT_USAGE)
+        sys.exit(UsageError.exit_code)
     except CasReaderError as err:
-        _fail(err)
-    except OSError as err:
-        _fail(err)
+        _fail(err.kind, err.exit_code, str(err))
+    except OSError as err:  # the one class from outside the package with a code: I/O, as for a corrupt file
+        _fail(CorruptionError.kind, CorruptionError.exit_code, str(err))
 
 
 if __name__ == "__main__":

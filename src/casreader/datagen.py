@@ -8,14 +8,14 @@ query sentence stays in context and the answer still occurs elsewhere.
 
 Input corpora are pre-segmented and pre-tagged: `#doc <id>` headers (`#doc`
 then whitespace), `token<TAB>TAG` lines, blank lines between sentences. POS
-tagging itself is out of scope; the noun test is a pluggable predicate over
-tag strings.
+tagging itself is out of scope; a token counts as a noun when its tag is in
+a configurable tag set.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,16 +23,6 @@ from .errors import ParseError, UsageError, ValidationError, text_lines
 from .vocab import PLACEHOLDER_TOKEN, fnv1a64
 
 DEFAULT_NOUN_TAGS = frozenset({"n", "NN", "NNS", "NOUN"})
-
-
-def noun_predicate(tags: Iterable[str]) -> Callable[[str], bool]:
-    """Membership predicate over a configurable noun tag set."""
-    tag_set = frozenset(tags)
-    return lambda tag: tag in tag_set
-
-
-def default_noun_predicate(tag: str) -> bool:
-    return tag in DEFAULT_NOUN_TAGS
 
 
 @dataclass
@@ -74,7 +64,7 @@ def validate_sample(sample: ClozeSample) -> None:
 
 
 def candidate_answers(
-    doc: TaggedDocument, is_noun: Callable[[str], bool] = default_noun_predicate
+    doc: TaggedDocument, noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS
 ) -> dict[str, list[tuple[int, int]]]:
     """Tokens with >= 2 noun-tagged occurrences, mapped to those positions.
 
@@ -85,25 +75,26 @@ def candidate_answers(
     positions: dict[str, list[tuple[int, int]]] = {}
     for s_idx, sentence in enumerate(doc.sentences):
         for t_idx, (token, tag) in enumerate(sentence):
-            if is_noun(tag):
+            if tag in noun_tags:
                 positions.setdefault(token, []).append((s_idx, t_idx))
     return {tok: occ for tok, occ in positions.items() if len(occ) >= 2}
 
 
 def _eligible_occurrences(
     doc: TaggedDocument, answer: str, occurrences: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Occurrences whose sentence contains the answer exactly once.
+) -> list[tuple[int, int, int]]:
+    """(occurrence index, sentence, token) of the occurrences whose sentence
+    contains the answer exactly once.
 
     Blanking such an occurrence removes every trace of the answer from the
     query, which the sample invariants require; the placeholder literal
     must also be absent from the sentence.
     """
     keep = []
-    for s_idx, t_idx in occurrences:
+    for index, (s_idx, t_idx) in enumerate(occurrences):
         surface = [tok for tok, _ in doc.sentences[s_idx]]
         if surface.count(answer) == 1 and PLACEHOLDER_TOKEN not in surface:
-            keep.append((s_idx, t_idx))
+            keep.append((index, s_idx, t_idx))
     return keep
 
 
@@ -111,7 +102,7 @@ def generate_samples(
     doc: TaggedDocument,
     rng: np.random.Generator,
     samples_per_doc: int = 1,
-    is_noun: Callable[[str], bool] = default_noun_predicate,
+    noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS,
 ) -> list[ClozeSample]:
     """Draw up to `samples_per_doc` triples from one document.
 
@@ -120,11 +111,17 @@ def generate_samples(
     pairs are never reused. Returns fewer samples (possibly none) when the
     document runs out of eligible pairs.
     """
+    return _draw_samples(doc, candidate_answers(doc, noun_tags), rng, samples_per_doc)
+
+
+def _draw_samples(
+    doc: TaggedDocument, candidates: dict[str, list[tuple[int, int]]], rng: np.random.Generator, samples_per_doc: int
+) -> list[ClozeSample]:
     if samples_per_doc < 1:
         raise UsageError(f"samples_per_doc must be >= 1, got {samples_per_doc}")
     pool = {
         answer: eligible
-        for answer, occurrences in sorted(candidate_answers(doc, is_noun).items())
+        for answer, occurrences in sorted(candidates.items())
         if (eligible := _eligible_occurrences(doc, answer, occurrences))
     }
     samples: list[ClozeSample] = []
@@ -133,23 +130,20 @@ def generate_samples(
         answer = answers[int(rng.integers(len(answers)))]
         occurrences = pool[answer]
         pick = int(rng.integers(len(occurrences)))
-        s_idx, t_idx = occurrences.pop(pick)
+        occurrence_index, s_idx, t_idx = occurrences.pop(pick)
         if not occurrences:
             del pool[answer]
-        samples.append(_build_sample(doc, answer, s_idx, t_idx, is_noun))
+        samples.append(_build_sample(doc, answer, s_idx, t_idx, occurrence_index))
     return samples
 
 
-def _build_sample(
-    doc: TaggedDocument, answer: str, s_idx: int, t_idx: int, is_noun: Callable[[str], bool]
-) -> ClozeSample:
+def _build_sample(doc: TaggedDocument, answer: str, s_idx: int, t_idx: int, occurrence_index: int) -> ClozeSample:
     query = [tok for tok, _ in doc.sentences[s_idx]]
     query[t_idx] = PLACEHOLDER_TOKEN
     document: list[str] = []
     for i, sentence in enumerate(doc.sentences):
         for j, (tok, _) in enumerate(sentence):
             document.append(PLACEHOLDER_TOKEN if (i, j) == (s_idx, t_idx) else tok)
-    occurrence_index = candidate_answers(doc, is_noun)[answer].index((s_idx, t_idx))
     return ClozeSample(
         document=document,
         query=query,
@@ -168,23 +162,26 @@ def generate_corpus(
     docs: Iterable[TaggedDocument],
     seed: int,
     samples_per_doc: int = 1,
-    is_noun: Callable[[str], bool] = default_noun_predicate,
+    noun_tags: frozenset[str] = DEFAULT_NOUN_TAGS,
 ) -> tuple[list[ClozeSample], list[SkipRecord]]:
     """Generate over many documents; documents without usable answers are
     skipped with a reason, never aborted. Each document gets its own rng
     stream derived from (seed, doc_id), so results do not depend on
     processing order."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     samples: list[ClozeSample] = []
     skips: list[SkipRecord] = []
     for doc in docs:
         doc_rng = np.random.default_rng(
             np.random.SeedSequence([seed, fnv1a64(doc.doc_id.encode("utf-8"))])
         )
-        drawn = generate_samples(doc, doc_rng, samples_per_doc, is_noun)
+        candidates = candidate_answers(doc, noun_tags)
+        drawn = _draw_samples(doc, candidates, doc_rng, samples_per_doc)
         if drawn:
             samples.extend(drawn)
         else:
-            reason = "no-candidates" if not candidate_answers(doc, is_noun) else "no-eligible-occurrence"
+            reason = "no-eligible-occurrence" if candidates else "no-candidates"
             skips.append(SkipRecord(doc_id=doc.doc_id, reason=reason))
     return samples, skips
 

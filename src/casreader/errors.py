@@ -1,13 +1,18 @@
 """Exception hierarchy shared across the package, and `text_lines`, which
 reads the line-oriented text inputs and types an undecodable byte.
 
-Each class maps to one CLI exit code (see cli._EXIT_CODES) so batch callers
-can distinguish usage mistakes, bad data, numeric blow-ups, and I/O damage.
+Each class owns its CLI exit code and the `kind` the CLI prints beside it,
+so batch callers can tell usage mistakes (2), bad data (3), numeric
+blow-ups (4) and I/O damage (5) apart.
 """
 
 
 class CasReaderError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a usage error
+    (exit 2) unless a subclass sets its own code."""
+
+    exit_code = 2
+    kind = "usage"
 
 
 class UsageError(CasReaderError):
@@ -25,17 +30,29 @@ class DimensionError(CasReaderError):
 class EmptySupportError(CasReaderError):
     """A softmax was requested over a fully masked vector."""
 
+    exit_code = 4
+    kind = "numeric"
+
 
 class NumericError(CasReaderError):
     """A non-finite value appeared where a finite one is required."""
+
+    exit_code = 4
+    kind = "numeric"
 
 
 class ValidationError(CasReaderError):
     """A data record violates the sample invariants."""
 
+    exit_code = 3
+    kind = "validation"
+
 
 class ParseError(CasReaderError):
     """A text file does not follow its declared format."""
+
+    exit_code = 3
+    kind = "validation"
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -47,6 +64,8 @@ class ParseError(CasReaderError):
 class CorruptionError(CasReaderError):
     """A binary artifact is truncated or inconsistent with its manifest."""
 
+    exit_code = 5
+    kind = "io"
 
 
 def text_lines(path):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import reader
 from .errors import ConfigurationError, UsageError, ValidationError
-from .reader import EVAL_MODES, ModelParams
+from .reader import ModelParams
 from .vocab import EncodedSample, Vocabulary, encode_sample
 
 TOP_K = 5
@@ -61,8 +61,6 @@ def evaluate(
     if not samples:
         raise UsageError("evaluate needs a non-empty dataset")
     mode = params.config.merge_mode if mode is None else mode
-    if mode not in EVAL_MODES:
-        raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     if params.vocab_size != vocab.total_size:
         raise ConfigurationError(
             f"model expects vocabulary of size {params.vocab_size}, got {vocab.total_size}"

@@ -219,12 +219,20 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
 
 @dataclass
 class BatchEncoding:
-    """Bi-GRU outputs for a padded batch in time-major rows (row t*batch + b)."""
+    """Bi-GRU outputs for a padded batch. `states` is batch-major; `fwd` and
+    `bwd` keep the scan's time-major rows (row t*batch + b)."""
 
-    states: Tensor  # [len*batch x 2*hidden], [fwd; bwd] per row, dropout applied
+    states: Tensor  # [batch x len x 2*hidden], [fwd; bwd] per position, dropout applied
     fwd: Tensor  # [len*batch x hidden]
     bwd: Tensor  # [len*batch x hidden]
     mask: Array  # bool [batch x len]
+
+    def summary(self) -> Tensor:
+        """[last forward state; first backward state] of each sequence, `[batch x 2*hidden]`, without dropout."""
+        batch = len(self.mask)
+        rows = np.arange(batch)
+        last_forward = T.gather_rows(self.fwd, (self.mask.sum(axis=1) - 1) * batch + rows)
+        return T.concat_cols(last_forward, T.gather_rows(self.bwd, rows))
 
 
 def encode_batch(
@@ -240,7 +248,8 @@ def encode_batch(
 
     `mask` must be True exactly at real positions. Dropout at a positive
     rate applies to the concatenated states; it draws its mask in time-major
-    order, i.e. one [batch x 2*hidden] block per step.
+    order, i.e. one [batch x 2*hidden] block per step, before the states
+    turn batch-major.
     """
     id_matrix = np.asarray(id_matrix, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -251,6 +260,7 @@ def encode_batch(
     fwd_out = gru_scan(x, mask, fwd, reverse=False)
     bwd_out = gru_scan(x, mask, bwd, reverse=True)
     states = dropout(T.concat_cols(fwd_out, bwd_out), dropout_rate, rng)
+    states = T.transpose(T.reshape(states, (n, len(mask), -1)), (1, 0, 2))
     return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask)
 
 

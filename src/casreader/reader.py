@@ -4,9 +4,11 @@ For each query position t, a dot-product attention over document positions
 yields a distribution alpha(t). A merge heuristic (sum, avg, or max over t,
 followed by a softmax) condenses those into one document-level attention s,
 and summing s over every position where a word occurs gives the word-level
-answer distribution. The single-attention baseline head skips the merge and
-attends once with the query summary [last forward state; first backward
-state].
+answer distribution. The single-attention `as-baseline` head skips the
+merge and attends once with the query summary [last forward state; first
+backward state] (`BatchEncoding.summary`). It reads a model trained through
+consensus attention, so it is not an attention-sum reader trained on its
+own.
 
 Each stage works over the trailing axes with explicit masks, `[B x L_d]`
 for documents and `[B x L_q]` for queries; without the batch axis the same
@@ -33,7 +35,7 @@ import numpy as np
 from . import nn
 from . import tensor as T
 from .errors import ConfigurationError, DimensionError, UsageError, ValidationError
-from .nn import BatchEncoding, GruParams
+from .nn import GruParams
 from .tensor import Tensor
 
 Array = np.ndarray
@@ -100,11 +102,16 @@ class ModelParams:
 
 
 def init_model_params(config: ReaderConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
-    embedding = Tensor(nn.uniform_init(vocab_size, config.embed_dim, 0.1, rng), requires_grad=True)
-    make = lambda: nn.init_gru_params(config.embed_dim, config.hidden_dim, rng)
-    return ModelParams(
-        embedding=embedding, config=config, **{direction: make() for direction in GRU_DIRECTIONS}
-    )
+    """Fresh parameters; a size numpy refuses to allocate is a ConfigurationError."""
+    try:
+        embedding = Tensor(nn.uniform_init(vocab_size, config.embed_dim, 0.1, rng), requires_grad=True)
+        grus = {d: nn.init_gru_params(config.embed_dim, config.hidden_dim, rng) for d in GRU_DIRECTIONS}
+    except (MemoryError, ValueError) as err:
+        raise ConfigurationError(
+            f"cannot allocate a [{vocab_size} x {config.embed_dim}] embedding with GRUs of hidden size "
+            f"{config.hidden_dim}: {err}"
+        ) from None
+    return ModelParams(embedding=embedding, config=config, **grus)
 
 
 @dataclass
@@ -258,19 +265,6 @@ def _pad_batch(rows: list[Array]) -> tuple[Array, Array]:
     return ids, mask
 
 
-def _batch_major(enc: BatchEncoding) -> Tensor:
-    """The time-major `[L*B x 2H]` states as `[B x L x 2H]`."""
-    batch, steps = enc.mask.shape
-    return T.transpose(T.reshape(enc.states, (steps, batch, -1)), (1, 0, 2))
-
-
-def _query_summary(enc: BatchEncoding) -> Tensor:
-    """[last forward state; first backward state] of each sequence, `[B x 2H]`."""
-    rows = np.arange(enc.mask.shape[0])
-    last_forward = T.gather_rows(enc.fwd, (enc.mask.sum(axis=1) - 1) * len(rows) + rows)
-    return T.concat_cols(last_forward, T.gather_rows(enc.bwd, rows))
-
-
 def forward(
     samples,
     params: ModelParams,
@@ -304,12 +298,11 @@ def forward(
         query_ids, query_mask, params.embedding, params.query_fwd, params.query_bwd,
         dropout_rate=dropout_rate, rng=rng,
     )
-    doc_states = _batch_major(doc_enc)
     if mode == AS_BASELINE:
         alpha = None
-        merged = as_reader_attention(doc_states, _query_summary(query_enc), doc_mask)
+        merged = as_reader_attention(doc_enc.states, query_enc.summary(), doc_mask)
     else:
-        alpha = attention_per_step(doc_states, _batch_major(query_enc), doc_mask)
+        alpha = attention_per_step(doc_enc.states, query_enc.states, doc_mask)
         merged = merge_attention(alpha, mode, query_mask, doc_mask)
     words = attention_sum(merged, doc_ids, doc_mask)
     return ReaderOutput(alpha=alpha, merged=merged, words=words, doc_mask=doc_mask, query_mask=query_mask)

@@ -56,6 +56,11 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.vocab_size < MIN_VOCAB_SIZE:
             raise UsageError(f"vocab_size must be >= {MIN_VOCAB_SIZE}, got {self.vocab_size}")
+        for split in ("train_docs", "valid_docs", "test_docs"):
+            if getattr(self, split) < 1:
+                raise UsageError(f"{split} must be >= 1, got {getattr(self, split)}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def fillers(self) -> list[str]:

@@ -7,12 +7,17 @@ relative-error comparisons measure correctness, not noise. `head_oracle` is
 the per-sample numpy reference for the batched reading head.
 `deterministic_fields` picks the epoch, mean loss and validation accuracy of
 a training-log record, the fields the tests compare across runs.
+`FRAGMENTS` are byte strings the input fuzzers join into malformed files.
 """
 
 import numpy as np
 
 from casreader import nn, reader
 from casreader.tensor import Tensor
+
+FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b":", b",", b"a", b"0", b"-1",
+             b"null", b"\xff", b"\xc2\xb2", b"\xe2\x9f\xa8X\xe2\x9f\xa9", b'"document"', b'"query"', b'"answer"',
+             b"\\udc80", b"\\ud83d", b"\\ude00"]
 
 
 class Sample:

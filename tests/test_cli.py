@@ -1,19 +1,28 @@
 """End-to-end command-line tests: the synth -> build-vocab -> train -> eval
-pipeline, the tagged-corpus path, stats golden, and the error surface."""
+pipeline, the tagged-corpus path, stats golden, the error surface, and an
+in-process fuzz of every subcommand's exit code."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casreader
-from casreader.cli import cli
+from casreader.cli import cli, main
+
+from helpers import FRAGMENTS
 
 GOLDEN = Path(__file__).parent / "golden" / "synth_seed0_stats.json"
+SAMPLE_LINE = b'{"document": ["a", "b", "a"], "query": ["\xe2\x9f\xa8X\xe2\x9f\xa9", "b"], "answer": "a"}\n'
 
 TRAIN_CONFIG = {
     "embed_dim": 8,
@@ -263,13 +272,20 @@ class TestErrorSurface:
             (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"seed": -1}', 2),
             (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"beta1": 1.0}', 2),
             (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"lr": NaN}', 2),
+            (["build-vocab", "--shortlist", "-5", "--output", "-", "--input"], SAMPLE_LINE, 2),
+            (["synth", "--test-docs", "0", "--out"], b"", 2),
+            (["synth", "--train-docs", "-1", "--out"], b"", 2),
+            (["synth", "--seed", "-1", "--out"], b"", 2),
+            (["generate", "--seed", "-1", "--output", "-", "--input"], b"#doc d0\nriver\tn\n\nriver\tn\n", 2),
+            (["train", "--train", "-", "--valid", "-", "--vocab", "-", "--out", "-", "--config"], b'{"preset": []}', 2),
         ],
         ids=["jsonl-not-utf8", "jsonl-too-deep", "tagged-not-utf8", "vocab-superscript-frequency",
              "config-not-utf8", "config-str-dim", "config-float-epochs", "config-negative-seed",
-             "config-beta1-one", "config-nan-lr"],
+             "config-beta1-one", "config-nan-lr", "vocab-negative-shortlist", "synth-zero-test-docs",
+             "synth-negative-train-docs", "synth-negative-seed", "generate-negative-seed", "config-list-preset"],
     )
     def test_malformed_input_is_typed_error(self, tmp_path, args, content, code):
-        """The input named by the last flag is read before any "-" path."""
+        """The path named by the last flag fails before any "-" path is used."""
         path = tmp_path / "input"
         path.write_bytes(content)
         proc = self.run_cli(*args, str(path))
@@ -305,3 +321,110 @@ class TestErrorSurface:
         )
         assert proc.returncode == 2
         assert "learning_rate" in json.loads(proc.stderr)["message"]
+
+
+def run_main(*args):
+    """Run the `casreader` entry point in this process: (exit code, stdout, stderr).
+
+    An exception that escapes `main` is not caught: it is the traceback and
+    exit status 1 a shell would see.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["casreader", *map(str, args)]), redirect_stdout(out), redirect_stderr(err):
+        try:
+            main()
+            code = 0
+        except SystemExit as exit_:
+            code = exit_.code or 0
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_exit(code, stderr):
+    """Exit 0, or a documented failure code with one JSON line naming its class."""
+    assert code in (0, 2, 3, 4, 5), (code, stderr)
+    if code:
+        line, rest = stderr.split("\n", 1)
+        assert rest == ""
+        error = json.loads(line)
+        assert error["error"] == {2: "usage", 3: "validation", 4: "numeric", 5: "io"}[code]
+        assert isinstance(error["message"], str)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A tiny corpus, its vocabulary, a one-epoch config and the checkpoint it trains."""
+    base = tmp_path_factory.mktemp("cli-base")
+    runs = [
+        ("synth", "--out", base, "--train-docs", 6, "--valid-docs", 3, "--test-docs", 3),
+        ("build-vocab", "--input", base / "train.jsonl", "--shortlist", 0, "--output", base / "vocab.txt"),
+        ("train", "--train", base / "train.jsonl", "--valid", base / "valid.jsonl", "--vocab", base / "vocab.txt",
+         "--config", config_file(base, embed_dim=4, hidden_dim=4, epochs=1, batch_size=4), "--out", base / "ckpt"),
+    ]
+    for args in runs:
+        code, _, stderr = run_main(*args)
+        assert code == 0, stderr
+    return base
+
+
+JSONL_STARTS = [b"", SAMPLE_LINE, b'{"document": ["a"]}\n']
+# Each subcommand, the flag whose file gets the fuzzed bytes, the well-formed
+# starts of that file's format, and the rest of a valid command line;
+# `{base}` names the fixture's files, `{out}` a fresh output directory.
+CLI_RUNS = {
+    "stats": ("stats", "--data", JSONL_STARTS, []),
+    "generate": ("generate", "--input", [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n\nriver\tn\n"],
+                 ["--output", "{out}/samples.jsonl", "--skip-log", "{out}/skips.jsonl", "--noun-tags", "n,NN"]),
+    "build-vocab": ("build-vocab", "--input", JSONL_STARTS, ["--shortlist", "3", "--output", "{out}/vocab.txt"]),
+    "train-data": ("train", "--train", JSONL_STARTS, ["--valid", "{base}/valid.jsonl", "--vocab", "{base}/vocab.txt",
+                                                      "--config", "{base}/config.json", "--out", "{out}/ckpt"]),
+    "train-vocab": ("train", "--vocab", [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"],
+                    ["--train", "{base}/train.jsonl", "--valid", "{base}/valid.jsonl",
+                     "--config", "{base}/config.json", "--out", "{out}/ckpt"]),
+    "train-config": ("train", "--config", [b"", b'{"epochs": 1, "embed_dim": 4, "hidden_dim": 4, "batch_size": 4, '],
+                     ["--train", "{base}/train.jsonl", "--valid", "{base}/valid.jsonl",
+                      "--vocab", "{base}/vocab.txt", "--out", "{out}/ckpt"]),
+    "eval": ("eval", "--data", JSONL_STARTS, ["--checkpoint", "{base}/ckpt", "--records", "--restrict-candidates",
+                                              "--dump-attention", "{out}/attention.jsonl"]),
+}
+CLI_FRAGMENTS = FRAGMENTS + [b'"candidates"', b'"meta"', b"casreader-vocab-v1", b"shortlist=", b"none", b"\tn",
+                             b"\tNN", b'"merge_mode"', b'"preset"', b'"sum"', b"true", b"1e999"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CLI_RUNS)),
+    start=st.integers(0, 2),
+    body=st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(CLI_FRAGMENTS), max_size=60).map(b"".join)),
+)
+def test_every_subcommand_exits_with_a_documented_code_on_arbitrary_bytes(
+    fuzz_base, tmp_path_factory, name, start, body
+):
+    command, flag, starts, rest = CLI_RUNS[name]
+    out = tmp_path_factory.mktemp("cli-fuzz")
+    path = out / "input"
+    path.write_bytes(starts[start % len(starts)] + body)
+    code, _, stderr = run_main(command, flag, path, *(arg.format(base=fuzz_base, out=out) for arg in rest))
+    assert_documented_exit(code, stderr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vocab_size=st.integers(40, 60),
+    sizes=st.tuples(st.integers(-2, 3), st.integers(-2, 3), st.integers(-2, 3)),
+    seed=st.integers(-1, 2),
+)
+def test_synth_exits_with_a_documented_code_on_any_sizes(tmp_path_factory, vocab_size, sizes, seed):
+    out = tmp_path_factory.mktemp("synth-fuzz") / "corpus"
+    train_docs, valid_docs, test_docs = sizes
+    code, _, stderr = run_main("synth", "--out", out, "--seed", seed, "--vocab-size", vocab_size,
+                               "--train-docs", train_docs, "--valid-docs", valid_docs, "--test-docs", test_docs)
+    assert_documented_exit(code, stderr)
+    assert out.exists() == (code == 0)
+
+
+def test_embedding_numpy_refuses_is_usage_error(fuzz_base, tmp_path):
+    config = config_file(tmp_path, epochs=1, embed_dim=2**50)  # 2**50 columns: numpy refuses before allocating
+    code, _, stderr = run_main("train", "--train", fuzz_base / "train.jsonl", "--valid", fuzz_base / "valid.jsonl",
+                               "--vocab", fuzz_base / "vocab.txt", "--config", config, "--out", tmp_path / "ckpt")
+    assert code == 2, stderr
+    assert f"x {2**50}] embedding" in json.loads(stderr)["message"]

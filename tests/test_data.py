@@ -14,6 +14,8 @@ from casreader.errors import CasReaderError, ConfigurationError, ParseError, Usa
 from casreader.evaluate import evaluate
 from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab, load_vocab, save_vocab
 
+from helpers import FRAGMENTS
+
 GOLDEN = Path(__file__).parent / "golden" / "synth_seed0_stats.json"
 
 
@@ -136,9 +138,6 @@ TEXT_READERS = {
               [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"]),
     "tagged": (parse_tagged_corpus, None, [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n"]),
 }
-FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b":", b",", b"a", b"0", b"-1",
-             b"null", b"\xff", b"\xc2\xb2", b"\xe2\x9f\xa8X\xe2\x9f\xa9", b'"document"', b'"query"', b'"answer"',
-             b"\\udc80", b"\\ud83d", b"\\ude00"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -160,6 +159,12 @@ def test_text_readers_raise_only_typed_errors_on_arbitrary_bytes(tmp_path_factor
 
 
 class TestSyntheticCorpus:
+    @pytest.mark.parametrize("split", ["train_docs", "valid_docs", "test_docs"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_split_sizes_below_one_rejected(self, split, size):
+        with pytest.raises(UsageError, match=f"{split} must be >= 1, got {size}"):
+            synthetic.SyntheticConfig(**{split: size})
+
     def test_vocab_size_floor(self):
         """49 ids leave the 25 distinct fillers a tied document draws."""
         with pytest.raises(UsageError, match="49"):

@@ -48,18 +48,13 @@ class TestCandidateAnswers:
         cands = dg.candidate_answers(doc)
         assert cands["bank"] == [(0, 0), (2, 0)]
 
-    def test_custom_predicate(self):
-        pred = dg.noun_predicate({"NOUN"})
-        assert pred("NOUN") and not pred("n")
-        doc = doc_from_sentences([[("w", "n"), ("w", "n")]])
-        assert dg.candidate_answers(doc, pred) == {}
+    def test_custom_noun_tags(self):
+        doc = doc_from_sentences([[("w", "n"), ("w", "n")], [("x", "NOUN"), ("x", "NOUN")]])
+        assert dg.candidate_answers(doc, frozenset({"NOUN"})) == {"x": [(1, 0), (1, 1)]}
 
-
-class TestNounPredicate:
-    def test_defaults(self):
-        assert dg.default_noun_predicate("n")
-        assert dg.default_noun_predicate("NN")
-        assert not dg.default_noun_predicate("v")
+    def test_default_noun_tags(self):
+        doc = doc_from_sentences([[(tag, tag), (tag, tag)] for tag in ("n", "NN", "NNS", "NOUN", "v", "nn")])
+        assert sorted(dg.candidate_answers(doc)) == ["NN", "NNS", "NOUN", "n"]
 
 
 class TestGenerateSamples:
@@ -118,6 +113,13 @@ class TestGenerateCorpus:
         assert [s.doc_id for s in skips] == ["verbs"]
         assert skips[0].reason == "no-candidates"
 
+    def test_skip_reason_tells_missing_candidates_from_ineligible_ones(self):
+        twice_in_one_sentence = doc_from_sentences([[("w", "n"), ("w", "n")]], doc_id="same")
+        samples, skips = dg.generate_corpus([twice_in_one_sentence], seed=5)
+        assert samples == [] and [(s.doc_id, s.reason) for s in skips] == [("same", "no-eligible-occurrence")]
+        _, skips = dg.generate_corpus([twice_in_one_sentence], seed=5, noun_tags=frozenset({"NOUN"}))
+        assert [(s.doc_id, s.reason) for s in skips] == [("same", "no-candidates")]
+
     def test_order_independent_per_document_streams(self):
         other = doc_from_sentences(
             [[("tree", "n"), ("grows", "v")], [("tree", "n"), ("falls", "v")]], doc_id="d1"
@@ -156,6 +158,8 @@ def test_every_generated_sample_satisfies_invariants(doc, per_doc, seed):
         original = [tok for tok, _ in doc.sentences[s.meta["query_sentence"]]]
         spliced = [s.answer if t == PLACEHOLDER_TOKEN else t for t in s.query]
         assert spliced == original
+        position = (s.meta["query_sentence"], s.query.index(PLACEHOLDER_TOKEN))
+        assert dg.candidate_answers(doc)[s.answer][s.meta["answer_occurrence"]] == position
 
 
 class TestValidateSample:

@@ -68,13 +68,12 @@ def zero_params(input_dim, hidden_dim):
 def encode_rows(x, mask, fwd, bwd, **kw):
     """Encode per-sequence inputs x [batch x len x dim] by using them as their own embedding table.
 
-    Returns the encoding and its states as [batch x len x 2*hidden].
+    Returns the states as [batch x len x 2*hidden].
     """
     batch, steps, dim = x.shape
     emb = Tensor(x.reshape(-1, dim))
     ids = np.arange(batch * steps).reshape(batch, steps)
-    enc = nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw)
-    return enc, enc.states.data.reshape(steps, batch, -1).transpose(1, 0, 2)
+    return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw).states.data
 
 
 def scan_oracle(x, mask, p, reverse):
@@ -123,14 +122,14 @@ class TestGruCell:
         p = zero_params(3, 4)
         p.b_h.data[:] = [0.3, -0.7, 1.1, 0.0]
         x = np.random.default_rng(1).uniform(-1, 1, (1, 5, 3))
-        _, states = encode_rows(x, np.ones((1, 5), dtype=bool), p, zero_params(3, 4))
+        states = encode_rows(x, np.ones((1, 5), dtype=bool), p, zero_params(3, 4))
         target = np.tanh(p.b_h.data)
         for t in range(5):
             np.testing.assert_allclose(states[0, t, :4], target * (1.0 - 0.5 ** (t + 1)), atol=1e-15)
 
     def test_zero_weights_zero_state_fixed_point(self):
         x = np.random.default_rng(5).uniform(-1, 1, (2, 4, 3))
-        _, states = encode_rows(x, np.ones((2, 4), dtype=bool), zero_params(3, 4), zero_params(3, 4))
+        states = encode_rows(x, np.ones((2, 4), dtype=bool), zero_params(3, 4), zero_params(3, 4))
         np.testing.assert_array_equal(states, np.zeros((2, 4, 8)))
 
     def test_matches_scalar_loop_oracle(self):
@@ -140,7 +139,7 @@ class TestGruCell:
         mask = np.ones((3, 6), dtype=bool)
         mask[1, 4:] = False  # right padding
         mask[2, 2] = False  # interior hole
-        _, states = encode_rows(x, mask, fwd, bwd)
+        states = encode_rows(x, mask, fwd, bwd)
         for b in range(3):
             expected = np.hstack([
                 scan_oracle(x[b], mask[b], fwd, reverse=False),
@@ -150,7 +149,7 @@ class TestGruCell:
 
     def test_state_stays_in_open_unit_interval(self):
         x = np.random.default_rng(6).uniform(-3, 3, (4, 20, 3))
-        _, states = encode_rows(x, np.ones((4, 20), dtype=bool), make_params(3, 5, 7), make_params(3, 5, 8))
+        states = encode_rows(x, np.ones((4, 20), dtype=bool), make_params(3, 5, 7), make_params(3, 5, 8))
         assert np.all(states > -1.0) and np.all(states < 1.0)
 
     def test_batched_rows_match_single_calls(self):
@@ -176,7 +175,7 @@ class TestBigruEncode:
         rng = np.random.default_rng(9)
         fwd, bwd = make_params(3, 4, seed=10), make_params(3, 4, seed=11)
         x = rng.uniform(-1, 1, (2, 1, 3))
-        _, states = encode_rows(x, np.ones((2, 1), dtype=bool), fwd, bwd)
+        states = encode_rows(x, np.ones((2, 1), dtype=bool), fwd, bwd)
         for b in range(2):
             f, bk = gru_oracle(x[b, 0], np.zeros(4), fwd), gru_oracle(x[b, 0], np.zeros(4), bwd)
             np.testing.assert_allclose(states[b, 0], np.concatenate([f, bk]), atol=1e-15)
@@ -186,7 +185,7 @@ class TestBigruEncode:
         p = make_params(3, 4, seed=13)
         half = rng.uniform(-1, 1, (2, 3, 3))
         x = np.concatenate([half, half[:, ::-1]], axis=1)
-        _, states = encode_rows(x, np.ones((2, 6), dtype=bool), p, p)
+        states = encode_rows(x, np.ones((2, 6), dtype=bool), p, p)
         np.testing.assert_allclose(states[:, :, :4], states[:, ::-1, 4:], atol=1e-12)
 
     def test_appending_masked_position_keeps_rows_bit_identical(self):
@@ -194,9 +193,9 @@ class TestBigruEncode:
         fwd, bwd = make_params(3, 4, seed=15), make_params(3, 4, seed=16)
         x = rng.uniform(-1, 1, (2, 4, 3))
         mask = np.array([[True] * 4, [True, True, True, False]])
-        _, plain = encode_rows(x, mask, fwd, bwd)
+        plain = encode_rows(x, mask, fwd, bwd)
         padded_x = np.concatenate([x, rng.uniform(-1, 1, (2, 1, 3))], axis=1)
-        _, padded = encode_rows(padded_x, np.hstack([mask, [[False], [False]]]), fwd, bwd)
+        padded = encode_rows(padded_x, np.hstack([mask, [[False], [False]]]), fwd, bwd)
         np.testing.assert_array_equal(plain, padded[:, :4])
         assert np.all(padded[:, 4] == 0.0)
 
@@ -205,14 +204,14 @@ class TestBigruEncode:
         fwd, bwd = make_params(2, 3, seed=18), make_params(2, 3, seed=19)
         x = rng.uniform(-1, 1, (2, 3, 2))
         pad = rng.uniform(-1, 1, (2, 2, 2))
-        _, left = encode_rows(np.concatenate([pad, x], axis=1), [[False, False, True, True, True]] * 2, fwd, bwd)
-        _, right = encode_rows(np.concatenate([x, pad], axis=1), [[True, True, True, False, False]] * 2, fwd, bwd)
+        left = encode_rows(np.concatenate([pad, x], axis=1), [[False, False, True, True, True]] * 2, fwd, bwd)
+        right = encode_rows(np.concatenate([x, pad], axis=1), [[True, True, True, False, False]] * 2, fwd, bwd)
         np.testing.assert_array_equal(left[:, 2:], right[:, :3])
 
     def test_width_is_twice_hidden_and_masked_rows_zero(self):
         x = np.random.default_rng(22).uniform(-1, 1, (2, 4, 3))
         mask = np.array([[True, False, True, True], [True, True, True, False]])
-        _, states = encode_rows(x, mask, make_params(3, 5, seed=20), make_params(3, 5, seed=21))
+        states = encode_rows(x, mask, make_params(3, 5, seed=20), make_params(3, 5, seed=21))
         assert states.shape == (2, 4, 10)
         assert np.all(states[~mask] == 0.0)
         assert np.all(states[mask] != 0.0)
@@ -228,7 +227,7 @@ class TestBigruEncode:
         fwd, bwd = random_params(2, 3, rng), random_params(2, 3, rng)
         mask = np.array([[True] * 3, [True, True, False], [True, False, True]])
         ids = np.array([[0, 1, 2], [3, 4, 0], [5, 6, 7]])
-        weights = rng.uniform(0.5, 1.5, (9, 6))
+        weights = rng.uniform(0.5, 1.5, (3, 3, 6))
         params = {"emb": Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True), **fwd.named("fwd"), **bwd.named("bwd")}
 
         def loss(p):
@@ -342,10 +341,10 @@ class TestBatchEncoding:
         fwd, bwd = make_params(3, 4, seed=29), make_params(3, 4, seed=30)
         ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [6, 7, 8, 9]])
         mask = np.array([[True, True, True, False], [True, True, False, False], [True] * 4])
-        states = nn.encode_batch(ids, mask, emb, fwd, bwd).states.data.reshape(4, 3, 8)  # [step x row x 2H]
+        states = nn.encode_batch(ids, mask, emb, fwd, bwd).states.data  # [row x step x 2H]
         for row, length in enumerate(mask.sum(axis=1)):
             alone = nn.encode_batch(ids[row : row + 1, :length], np.ones((1, length), dtype=bool), emb, fwd, bwd)
-            np.testing.assert_allclose(states[:length, row], alone.states.data, atol=1e-13, rtol=0)
+            np.testing.assert_allclose(states[row, :length], alone.states.data[0], atol=1e-13, rtol=0)
 
     def test_training_dropout_draws_one_block_per_step(self):
         """Whole-state dropout consumes the rng like one [batch x 2*hidden] draw per step, in step order."""
@@ -355,9 +354,9 @@ class TestBatchEncoding:
         mask = np.ones((batch, steps), dtype=bool)
         mask[2, 3:] = False
         fwd, bwd = make_params(2, hidden, seed=47), make_params(2, hidden, seed=48)
-        _, plain = encode_rows(x, mask, fwd, bwd)
+        plain = encode_rows(x, mask, fwd, bwd)
         got_rng, want_rng = np.random.default_rng(49), np.random.default_rng(49)
-        _, dropped = encode_rows(x, mask, fwd, bwd, dropout_rate=rate, rng=got_rng)
+        dropped = encode_rows(x, mask, fwd, bwd, dropout_rate=rate, rng=got_rng)
         for t in range(steps):
             keep = (want_rng.random((batch, 2 * hidden)) >= rate) / (1.0 - rate)
             np.testing.assert_array_equal(dropped[:, t], plain[:, t] * keep)

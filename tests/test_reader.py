@@ -10,7 +10,7 @@ import pytest
 
 from casreader import nn, reader, train
 from casreader import tensor as T
-from casreader.errors import DimensionError, UsageError
+from casreader.errors import ConfigurationError, DimensionError, UsageError
 from casreader.tensor import Tensor
 
 from helpers import Sample, generic_params, head_oracle
@@ -226,6 +226,13 @@ class TestModelParamsLayout:
         with pytest.raises(KeyError, match="query_bwd.u_r"):
             reader.ModelParams.from_named(named, params.config)
 
+    @pytest.mark.parametrize("embed_dim", [2**50, 10**18], ids=["memory-error", "value-error"])
+    def test_size_numpy_refuses_is_configuration_error(self, embed_dim):
+        """Both sizes fail in numpy before anything is allocated."""
+        config = reader.ReaderConfig(embed_dim, 2)
+        with pytest.raises(ConfigurationError, match=rf"\[7 x {embed_dim}\] embedding"):
+            reader.init_model_params(config, 7, np.random.default_rng(0))
+
 
 class TestForward:
     def test_output_satisfies_distribution_invariants(self):
@@ -412,7 +419,7 @@ class TestBatchedHead:
         samples = mixed_batch(rng)
 
         def states(ids, fwd, bwd):  # one sequence encoded on its own, [n x 2H]
-            return nn.encode_batch(ids[None], full(len(ids))[None], params.embedding, fwd, bwd).states.data
+            return nn.encode_batch(ids[None], full(len(ids))[None], params.embedding, fwd, bwd).states.data[0]
 
         for sample, out in zip(samples, reader.forward(samples, params, mode=mode)):
             h_doc = states(sample.doc_ids, params.doc_fwd, params.doc_bwd)
@@ -444,8 +451,8 @@ class TestBatchedHead:
         ids = np.array([[1, 2, 3], [4, 5, 4]])
         mask = np.array([[True] * 3, [True, True, False]])
         enc = nn.encode_batch(ids, mask, params.embedding, params.query_fwd, params.query_bwd)
-        summary = reader._query_summary(enc).data
-        states = enc.states.data.reshape(3, 2, 8)  # [step x row x 2H]
+        summary = enc.summary().data
+        states = enc.states.data  # [row x step x 2H]
         for row, last in ((0, 2), (1, 1)):
-            np.testing.assert_array_equal(summary[row, :4], states[last, row, :4])
-            np.testing.assert_array_equal(summary[row, 4:], states[0, row, 4:])
+            np.testing.assert_array_equal(summary[row, :4], states[row, last, :4])
+            np.testing.assert_array_equal(summary[row, 4:], states[row, 0, 4:])
