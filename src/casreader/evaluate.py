@@ -60,7 +60,7 @@ def evaluate(
     """
     if not samples:
         raise UsageError("evaluate needs a non-empty dataset")
-    mode = params.config.merge_mode if mode is None else mode
+    mode = params.config.head_mode(mode)
     if params.vocab_size != vocab.total_size:
         raise ConfigurationError(
             f"model expects vocabulary of size {params.vocab_size}, got {vocab.total_size}"

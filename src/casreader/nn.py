@@ -1,6 +1,7 @@
 """Neural building blocks: the fused bi-GRU scan, the batch encoder that
-embeds and scans both directions, inverted dropout, and the parameter
-initializers.
+embeds and scans both directions, inverted dropout, and the uniform and
+orthogonal initializers (`reader.init_model_params` decides which tensor
+gets which).
 
 The GRU uses the standard update/reset gate formulation:
 
@@ -14,9 +15,7 @@ backpropagation through time inside it, so the recorded graph does not grow
 with sequence length. Its step loop computes the sigmoid as
 `0.5*tanh(a/2) + 0.5`, multiplies by C-ordered copies of the transposed
 recurrent matrices, writes into preallocated buffers and keeps every state
-in one history array whose shifted view is the previous state.
-Input-to-hidden weights start uniform in [-0.1, 0.1],
-recurrent matrices start orthogonal, biases start at zero. Padding is
+in one history array whose shifted view is the previous state. Padding is
 handled by carrying the hidden state through masked positions unchanged
 while emitting all-zero output rows, so left- and right-padding agree on the
 unmasked rows.
@@ -76,23 +75,6 @@ def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> Array:
     # Fix the per-column sign so the result is unique for a given draw.
     q = q * np.sign(np.diag(r))
     return q.T if flip else q
-
-
-def init_gru_params(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> GruParams:
-    def inp() -> Tensor:
-        return Tensor(uniform_init(hidden_dim, input_dim, 0.1, rng), requires_grad=True)
-
-    def rec() -> Tensor:
-        return Tensor(orthogonal_init(hidden_dim, hidden_dim, rng), requires_grad=True)
-
-    def bias() -> Tensor:
-        return Tensor(np.zeros(hidden_dim), requires_grad=True)
-
-    return GruParams(
-        w_z=inp(), w_r=inp(), w_h=inp(),
-        u_z=rec(), u_r=rec(), u_h=rec(),
-        b_z=bias(), b_r=bias(), b_h=bias(),
-    )
 
 
 def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:

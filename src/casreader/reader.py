@@ -61,6 +61,13 @@ class ReaderConfig:
         if self.merge_mode not in MERGE_MODES:
             raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
 
+    def head_mode(self, mode: str | None) -> str:
+        """The head `mode` names, by default the merge the model was trained with."""
+        mode = self.merge_mode if mode is None else mode
+        if mode not in EVAL_MODES:
+            raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+        return mode
+
 
 @dataclass
 class ModelParams:
@@ -86,10 +93,7 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, named: dict[str, Tensor], config: ReaderConfig) -> ModelParams:
-        """Inverse of `named`: a view over the given tensors, which are not copied.
-
-        Raises KeyError naming the first parameter missing from `named`.
-        """
+        """Inverse of `named`: a view over the given tensors, which are not copied."""
 
         def gru(direction: str) -> GruParams:
             return GruParams(**{f.name: named[f"{direction}.{f.name}"] for f in fields(GruParams)})
@@ -101,17 +105,34 @@ class ModelParams:
         )
 
 
+def param_layout(config: ReaderConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Every trainable tensor's name and shape, in `named` (checkpoint) order."""
+    e, h = config.embed_dim, config.hidden_dim
+    gru = [(f.name, {"w": (h, e), "u": (h, h), "b": (h,)}[f.name[0]]) for f in fields(GruParams)]
+    return [("embedding", (vocab_size, e))] + [(f"{d}.{name}", shape) for d in GRU_DIRECTIONS for name, shape in gru]
+
+
 def init_model_params(config: ReaderConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
-    """Fresh parameters; a size numpy refuses to allocate is a ConfigurationError."""
+    """Fresh parameters drawn in `param_layout` order: the embedding and the
+    input maps uniform in [-0.1, 0.1], the recurrent maps orthogonal, the
+    biases zero. A size numpy refuses to allocate is a ConfigurationError."""
+    named = {}
     try:
-        embedding = Tensor(nn.uniform_init(vocab_size, config.embed_dim, 0.1, rng), requires_grad=True)
-        grus = {d: nn.init_gru_params(config.embed_dim, config.hidden_dim, rng) for d in GRU_DIRECTIONS}
+        for name, shape in param_layout(config, vocab_size):
+            role = name.rpartition(".")[2][0]  # a GRU's w (input), u (recurrent) or b (bias); e for the embedding
+            if role == "u":
+                data = nn.orthogonal_init(*shape, rng)
+            elif role == "b":
+                data = np.zeros(shape)
+            else:
+                data = nn.uniform_init(*shape, 0.1, rng)
+            named[name] = Tensor(data, requires_grad=True)
     except (MemoryError, ValueError) as err:
         raise ConfigurationError(
             f"cannot allocate a [{vocab_size} x {config.embed_dim}] embedding with GRUs of hidden size "
             f"{config.hidden_dim}: {err}"
         ) from None
-    return ModelParams(embedding=embedding, config=config, **grus)
+    return ModelParams.from_named(named, config)
 
 
 @dataclass
@@ -280,9 +301,7 @@ def forward(
     """
     if not samples:
         raise UsageError("forward needs at least one sample")
-    mode = params.config.merge_mode if mode is None else mode
-    if mode not in EVAL_MODES:
-        raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    mode = params.config.head_mode(mode)
     doc_rows = [np.asarray(s.doc_ids, dtype=np.int64) for s in samples]
     query_rows = [np.asarray(s.query_ids, dtype=np.int64) for s in samples]
     if any(len(r) == 0 for r in doc_rows) or any(len(r) == 0 for r in query_rows):

@@ -10,9 +10,12 @@ row's moments, so the result is the dense Adam update.
 The answer distribution comes out of two stacked softmaxes, so every
 document word has strictly positive probability and the log-likelihood is
 always finite on finite inputs; divergence can still happen through the
-parameters themselves. A non-finite loss or gradient aborts the run with the
-best checkpoint so far (`TrainResult.aborted`), or raises `NumericError`
-when no epoch has completed yet.
+parameters themselves. Each epoch's steps and its validation run with numpy
+raising on overflow, division by zero and invalid operations (underflow
+stays quiet), and `clip_gradients` raises `NumericError` on a gradient whose
+norm is not finite. Either aborts the run with the best checkpoint so far
+(`TrainResult.aborted`), or raises `NumericError` when no epoch has
+completed yet.
 """
 
 from __future__ import annotations
@@ -142,17 +145,20 @@ def clip_gradients(grads: dict[str, Grad], threshold: float) -> tuple[dict[str, 
     the input dict itself comes back; above it, rescaled copies. A `RowGrad`
     contributes its stored rows only; its squares are summed in another
     order than over the dense array, so the norm agrees with the dense one
-    to rounding (1e-12 relative), not bit for bit.
+    to rounding (1e-12 relative), not bit for bit. A non-finite entry, or
+    squares that overflow, make the norm non-finite: `NumericError` names
+    the parameter where the running sum stopped being finite.
     """
     if threshold <= 0:
         raise UsageError(f"clip threshold must be positive, got {threshold}")
     total = 0.0
-    for name, g in grads.items():
-        values = g.values if isinstance(g, T.RowGrad) else g
-        if not np.all(np.isfinite(values)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-        total += float((values * values).sum())
-    norm = float(np.sqrt(total))
+    with np.errstate(over="ignore"):
+        for name, g in grads.items():
+            values = g.values if isinstance(g, T.RowGrad) else g
+            total += float((values * values).sum())
+            if not math.isfinite(total):
+                raise NumericError(f"non-finite gradient norm at parameter {name!r}")
+    norm = math.sqrt(total)
     if norm <= threshold:
         return grads, norm
     scale = threshold / norm
@@ -313,52 +319,44 @@ def train(
     aborted = False
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            losses, norms = [], []
-            diverged = False
-            for batch in make_batches(train_samples, config.batch_size, rng):
-                for p in named.values():
-                    p.zero_grad()
-                output = reader.forward(batch.samples, params, training=True, rng=rng)
-                loss = nll_loss(output, batch.answer_ids)
-                if not np.isfinite(loss.data):
-                    diverged = True
-                    break
-                loss.backward()
-                grads = {
-                    name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for name, p in named.items()
-                }
-                try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(1, config.epochs + 1):
+                started = time.perf_counter()
+                losses, norms = [], []
+                for batch in make_batches(train_samples, config.batch_size, rng):
+                    for p in named.values():
+                        p.zero_grad()
+                    output = reader.forward(batch.samples, params, training=True, rng=rng)
+                    loss = nll_loss(output, batch.answer_ids)
+                    loss.backward()
+                    grads = {
+                        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                        for name, p in named.items()
+                    }
                     clipped, norm = clip_gradients(grads, config.clip_threshold)
-                except NumericError:
-                    diverged = True
-                    break
-                adam_step(named, clipped, state)
-                losses.append(float(loss.data))
-                norms.append(norm)
-            if diverged or not losses:
-                aborted = True
-                break
-            accuracy = _validation_accuracy(params, valid_samples)
-            record = EpochRecord(
-                epoch=epoch,
-                mean_loss=float(np.mean(losses)),
-                valid_accuracy=accuracy,
-                wall_time_s=time.perf_counter() - started,
-                grad_norm_max=max(norms),
-                clip_rate=sum(n > config.clip_threshold for n in norms) / len(norms),
-            )
-            history.append(record)
-            if log_fh:
-                json.dump(asdict(record), log_fh)
-                log_fh.write("\n")
-                log_fh.flush()
-            if accuracy > best_accuracy:
-                best_accuracy = accuracy
-                best_epoch = epoch
-                best = _snapshot(params)
+                    adam_step(named, clipped, state)
+                    losses.append(float(loss.data))
+                    norms.append(norm)
+                accuracy = _validation_accuracy(params, valid_samples)
+                record = EpochRecord(
+                    epoch=epoch,
+                    mean_loss=float(np.mean(losses)),
+                    valid_accuracy=accuracy,
+                    wall_time_s=time.perf_counter() - started,
+                    grad_norm_max=max(norms),
+                    clip_rate=sum(n > config.clip_threshold for n in norms) / len(norms),
+                )
+                history.append(record)
+                if log_fh:
+                    json.dump(asdict(record), log_fh)
+                    log_fh.write("\n")
+                    log_fh.flush()
+                if accuracy > best_accuracy:
+                    best_accuracy = accuracy
+                    best_epoch = epoch
+                    best = _snapshot(params)
+    except (FloatingPointError, NumericError):
+        aborted = True
     finally:
         if log_fh:
             log_fh.close()
@@ -525,16 +523,10 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
     param_arrays = _read_arrays(src / "params.bin", specs, per_param=1)
+    if specs != reader.param_layout(config.reader_config(), vocab_size):
+        raise CorruptionError("manifest parameter list does not match the model layout")
     named = {name: Tensor(arrays[0], requires_grad=True) for name, arrays in param_arrays.items()}
-    layout_error = CorruptionError("manifest parameter list does not match the model layout")
-    try:
-        params = ModelParams.from_named(named, config.reader_config())
-    except KeyError:
-        raise layout_error from None
-    if list(params.named()) != [name for name, _ in specs]:
-        raise layout_error
-    if named["embedding"].data.shape != (vocab_size, config.embed_dim):
-        raise CorruptionError("embedding shape disagrees with manifest vocab_size/embed_dim")
+    params = ModelParams.from_named(named, config.reader_config())
     adam_path = src / "adam.bin"
     _check_size(adam_path, specs, per_param=2)
     vocab = None

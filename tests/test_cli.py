@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -300,6 +301,7 @@ class TestErrorSurface:
             ("embed_dim\t8", "embed_dim\tfour"),
             ("param\tembedding\t", "param\tembedding\tx,"),
             ("param\tdoc_fwd.w_z\t8,8", "param\tdoc_fwd.w_z\t1000000,1000000"),  # 7.3 TiB if allocated
+            ("param\tdoc_fwd.u_z\t8,8", "param\tdoc_fwd.u_z\t4,16"),  # same element count: only the layout differs
         ]:
             assert old in original
             manifest.write_text(original.replace(old, new))
@@ -428,3 +430,13 @@ def test_embedding_numpy_refuses_is_usage_error(fuzz_base, tmp_path):
                                "--vocab", fuzz_base / "vocab.txt", "--config", config, "--out", tmp_path / "ckpt")
     assert code == 2, stderr
     assert f"x {2**50}] embedding" in json.loads(stderr)["message"]
+
+
+def test_huge_learning_rate_exits_numeric_without_warnings(fuzz_base, tmp_path):
+    config = config_file(tmp_path, epochs=1, embed_dim=4, hidden_dim=4, batch_size=4, lr=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run_main("train", "--train", fuzz_base / "train.jsonl", "--valid", fuzz_base / "valid.jsonl",
+                                   "--vocab", fuzz_base / "vocab.txt", "--config", config, "--out", tmp_path / "ckpt")
+    assert code == 4, stderr
+    assert json.loads(stderr)["message"] == "training diverged before completing the first epoch"

@@ -126,8 +126,9 @@ def _write_dataset(result, path):
 
 # Each text reader with well-formed starts of its own format, so that the
 # arbitrary bytes after them reach past the first line, and the writer that
-# must accept whatever the reader returns. The checkpoint manifest is left
-# out: its shapes size the arrays read from params.bin.
+# must accept whatever the reader returns. The checkpoint manifest has its
+# own fuzz in test_train.py: a manifest needs its params.bin beside it, and
+# that fuzz also rewrites shapes keeping their element count.
 SURROGATE_LINE = record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n"
 TEXT_READERS = {
     "dataset": (data.load_dataset, _write_dataset,
@@ -281,6 +282,14 @@ class TestEvaluate:
         for rec in report.records:
             assert rec.gold_rank is not None and rec.gold_rank >= 1
             assert 0 < len(rec.top_words) <= 5
+
+    def test_unknown_mode_is_rejected_before_the_dump_is_opened(self, tmp_path):
+        samples = small_dataset()
+        vocab = build_vocab([t for s in samples for t in s.document + s.query], shortlist_size=None)
+        dump = tmp_path / "attn.jsonl"
+        with pytest.raises(UsageError, match="'bogus'"):
+            evaluate(tiny_model(vocab), vocab, samples, mode="bogus", dump_attention=dump)
+        assert not dump.exists()
 
     def test_attention_dump_satisfies_invariants(self, tmp_path):
         samples = small_dataset()

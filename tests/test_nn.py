@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from casreader import nn
+from casreader import nn, reader
 from casreader import tensor as T
 from casreader.errors import ConfigurationError, DimensionError, UsageError
 from casreader.tensor import Tensor
@@ -35,7 +35,9 @@ def gru_oracle(x: np.ndarray, h: np.ndarray, p: nn.GruParams) -> np.ndarray:
 
 
 def make_params(input_dim, hidden_dim, seed):
-    return nn.init_gru_params(input_dim, hidden_dim, np.random.default_rng(seed))
+    """One GRU direction at the training init: a one-word model's `doc_fwd`."""
+    config = reader.ReaderConfig(input_dim, hidden_dim)
+    return reader.init_model_params(config, 1, np.random.default_rng(seed)).doc_fwd
 
 
 def random_params(input_dim, hidden_dim, rng):
@@ -409,7 +411,6 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         """Outside training the reader encodes at rate 0: a model trained with
         dropout scores exactly as without it, and draws nothing from the rng."""
-        from casreader import reader
         from casreader.vocab import EncodedSample
 
         samples = [EncodedSample(np.array([3, 4, 3, 5]), np.array([4, 1]), 3, False)]

@@ -226,6 +226,36 @@ class TestModelParamsLayout:
         with pytest.raises(KeyError, match="query_bwd.u_r"):
             reader.ModelParams.from_named(named, params.config)
 
+    def test_layout_gives_named_order_and_shapes(self):
+        params = self.params()
+        layout = reader.param_layout(params.config, 7)
+        assert [(name, p.data.shape) for name, p in params.named().items()] == layout
+        assert layout[:2] == [("embedding", (7, 3)), ("doc_fwd.w_z", (2, 3))]
+
+    @pytest.mark.parametrize("embed_dim, hidden_dim, vocab_size", [(3, 2, 7), (2, 5, 4), (4, 4, 1)])
+    def test_init_draws_in_layout_order(self, embed_dim, hidden_dim, vocab_size):
+        """Bit for bit: the embedding, then per direction three uniform input
+        maps, three orthogonal recurrent maps and three zero biases."""
+        params = reader.init_model_params(
+            reader.ReaderConfig(embed_dim, hidden_dim), vocab_size, np.random.default_rng(11)
+        )
+        rng = np.random.default_rng(11)
+
+        def orthogonal():
+            q, r = np.linalg.qr(rng.standard_normal((hidden_dim, hidden_dim)))
+            return q * np.sign(np.diag(r))
+
+        want = {"embedding": rng.uniform(-0.1, 0.1, (vocab_size, embed_dim))}
+        for direction in reader.GRU_DIRECTIONS:
+            want.update({f"{direction}.w_{g}": rng.uniform(-0.1, 0.1, (hidden_dim, embed_dim)) for g in "zrh"})
+            want.update({f"{direction}.u_{g}": orthogonal() for g in "zrh"})
+            want.update({f"{direction}.b_{g}": np.zeros(hidden_dim) for g in "zrh"})
+        named = params.named()
+        assert list(named) == list(want)
+        for name, array in want.items():
+            np.testing.assert_array_equal(named[name].data, array)
+            assert named[name].requires_grad
+
     @pytest.mark.parametrize("embed_dim", [2**50, 10**18], ids=["memory-error", "value-error"])
     def test_size_numpy_refuses_is_configuration_error(self, embed_dim):
         """Both sizes fail in numpy before anything is allocated."""

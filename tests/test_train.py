@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casreader import reader, train
 from casreader import tensor as T
 from casreader.errors import (
+    CasReaderError,
     ConfigurationError,
     CorruptionError,
     NumericError,
@@ -20,7 +23,7 @@ from casreader.errors import (
 )
 from casreader.tensor import Tensor
 from casreader.vocab import EncodedSample
-from helpers import deterministic_fields
+from helpers import FRAGMENTS, deterministic_fields
 
 
 def encoded_sample(doc, query, answer):
@@ -131,6 +134,15 @@ class TestClipGradients:
     def test_nonfinite_gradient_names_parameter(self):
         with pytest.raises(NumericError, match="bad_param"):
             train.clip_gradients({"bad_param": np.array([np.nan])}, 10.0)
+
+    def test_overflowing_norm_raises_instead_of_zeroing(self):
+        """Finite gradients whose squares overflow: the norm is not finite, and
+        scaling by threshold / inf would zero them."""
+        with pytest.raises(NumericError, match="'w'"):
+            train.clip_gradients({"w": np.array([1e200, 1.0])}, 10.0)
+        # Each square (1e308) is finite; their running sum is not.
+        with pytest.raises(NumericError, match="'b'"):
+            train.clip_gradients({"a": np.array([1e154]), "b": np.array([1e154])}, 10.0)
 
 
 class TestAdamStep:
@@ -377,7 +389,7 @@ class TestTrainLoop:
         with pytest.raises(UsageError):
             train.train(self.config(), [], toy_corpus(2), vocab_size=20)
 
-    @pytest.mark.parametrize("fault", ["loss", "gradient"])
+    @pytest.mark.parametrize("fault", ["loss", "gradient", "overflow"])
     def test_non_finite_step_aborts_with_best_snapshot(self, monkeypatch, fault):
         corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
         clean = train.train(self.config(epochs=1), corpus, valid, vocab_size=20)
@@ -392,6 +404,8 @@ class TestTrainLoop:
                 return loss
             if fault == "loss":
                 return T.mul(loss, np.nan)
+            if fault == "overflow":
+                return T.mul(T.mul(loss, 1e200), 1e200)  # overflows: FloatingPointError inside train's errstate
             out = Tensor(loss.data.copy())
             return T._record(out, (loss,), "poison", lambda g: T._accumulate(loss, g * np.nan))
 
@@ -581,6 +595,10 @@ class TestCheckpoint:
             ("param\tdoc_fwd.w_z\t", "param\tdoc_fwd.w_q\t", "layout"),
             ("param\tdoc_fwd.w_z\t4,4\nparam\tdoc_fwd.w_r\t4,4",
              "param\tdoc_fwd.w_r\t4,4\nparam\tdoc_fwd.w_z\t4,4", "layout"),
+            # Same element count, so params.bin has the right size: only the layout catches these.
+            ("param\tdoc_fwd.u_z\t4,4", "param\tdoc_fwd.u_z\t2,8", "layout"),
+            ("param\tdoc_fwd.b_z\t4\n", "param\tdoc_fwd.b_z\t2,2\n", "layout"),
+            ("param\tembedding\t14,4", "param\tembedding\t7,8", "layout"),
             # Larger than params.bin: caught by the size check before anything is allocated.
             ("param\tdoc_fwd.w_z\t4,4", "param\tdoc_fwd.w_z\t1000000,1000000",
              "params.bin: truncated at parameter 'doc_fwd.w_z'"),
@@ -590,7 +608,7 @@ class TestCheckpoint:
             ("beta1\t0.9", "beta1\t1.0", r"beta1 must be in \[0, 1\)"),
         ],
         ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params",
-             "oversized-shape", "negative-seed", "nan-lr", "beta1-one"],
+             "reshaped-recurrent", "reshaped-bias", "reshaped-embedding", "oversized-shape", "negative-seed", "nan-lr", "beta1-one"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):
         self.roundtrip(tmp_path)
@@ -611,3 +629,65 @@ class TestCheckpoint:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptionError, match="manifest"):
             train.load_checkpoint(tmp_path / "nowhere")
+
+
+@pytest.fixture(scope="module")
+def manifest_base(tmp_path_factory):
+    """A small checkpoint (vocabulary of 14, E=H=4) with its vocab.txt."""
+    from casreader.vocab import build_vocab
+
+    path = tmp_path_factory.mktemp("manifest-base")
+    config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=3)
+    params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(1))
+    state = train.AdamState.init(params.named(), lr=config.lr)
+    train.save_checkpoint(params, state, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
+    return path
+
+
+MANIFEST_FRAGMENTS = FRAGMENTS + [b"param", b"embedding", b"doc_fwd.u_z", b"query_bwd.b_h", b"vocab_size", b"adam_t",
+                                  b"embed_dim", b"hidden_dim", b"merge_mode", b"none", b"nan", b"1e999", b"14",
+                                  b"4", b"16", b"casreader-checkpoint-v1"]
+
+
+def reshaped(data, count: int) -> bytes:
+    """A shape of `count` elements: up to three drawn divisors and the rest."""
+    dims, rest = [], count
+    while rest > 1 and len(dims) < 3 and data.draw(st.booleans()):
+        dims.append(data.draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0])))
+        rest //= dims[-1]
+    return b",".join(str(d).encode() for d in data.draw(st.permutations(dims + [rest])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data):
+    """Arbitrary bytes after a well-formed prefix of the manifest, or a
+    parameter reshaped to the same element count, so params.bin still has
+    the size the manifest asks for. Either loads into a usable model or
+    raises a CasReaderError; a reshape that changes the shape is corruption."""
+    original = (manifest_base / "manifest.txt").read_bytes().splitlines(keepends=True)
+    lines = list(original)
+    reshape = data.draw(st.booleans(), label="reshape")
+    if reshape:
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith(b"param\t")]))
+        name, shape = lines[i].rstrip(b"\n").split(b"\t")[1:]
+        lines[i] = b"param\t" + name + b"\t" + reshaped(data, math.prod(int(d) for d in shape.split(b","))) + b"\n"
+    else:
+        cut = data.draw(st.integers(0, len(lines)), label="cut")
+        body = data.draw(
+            st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(MANIFEST_FRAGMENTS), max_size=60).map(b"".join)),
+            label="body",
+        )
+        lines = lines[:cut] + [body]
+    ckpt = tmp_path_factory.mktemp("manifest-fuzz")
+    for part in ("params.bin", "adam.bin", "vocab.txt"):
+        (ckpt / part).write_bytes((manifest_base / part).read_bytes())
+    (ckpt / "manifest.txt").write_bytes(b"".join(lines))
+    try:
+        loaded = train.load_checkpoint(ckpt)
+    except CasReaderError as err:
+        assert not reshape or lines != original, err
+        return
+    assert not reshape or lines == original
+    reader.forward([encoded_sample([1, 2, 1], [3, 1], 1)], loaded.params)
+    assert set(loaded.adam_state.m) == set(loaded.params.named())
