@@ -90,7 +90,7 @@ def train_cmd(train_path, valid_path, vocab_path, config_path, out_dir):
         config, train_samples, valid_samples,
         vocab_size=vocab.total_size, log_path=out / "training_log.jsonl",
     )
-    training.save_checkpoint(result.params, result.adam_state, config, out, vocab=vocab)
+    training.save_checkpoint(result.params, None, config, out, vocab=vocab)
     click.echo(
         json.dumps(
             {

@@ -43,6 +43,10 @@ NOUNS = [f"noun{i:02d}" for i in range(PAIRS)]
 # A tied document draws 3*2 + 5*3 + 4 = 25 distinct fillers beside the 24
 # cue and noun tokens.
 MIN_VOCAB_SIZE = 49
+# Every document shuffles all `vocab_size - 24` filler names, so time and
+# memory per document grow with the size. The cap is the default shortlist,
+# the most tokens a default-configured vocabulary keeps.
+MAX_VOCAB_SIZE = 100_000
 
 
 @dataclass
@@ -54,8 +58,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < MIN_VOCAB_SIZE:
-            raise UsageError(f"vocab_size must be >= {MIN_VOCAB_SIZE}, got {self.vocab_size}")
+        if not MIN_VOCAB_SIZE <= self.vocab_size <= MAX_VOCAB_SIZE:
+            raise UsageError(
+                f"vocab_size must be in [{MIN_VOCAB_SIZE}, {MAX_VOCAB_SIZE}], got {self.vocab_size}"
+            )
         for split in ("train_docs", "valid_docs", "test_docs"):
             if getattr(self, split) < 1:
                 raise UsageError(f"{split} must be >= 1, got {getattr(self, split)}")

@@ -1,6 +1,7 @@
 """Mini-batch training: shuffled epochs, mean negative log-likelihood,
 global-norm gradient clipping, Adam updates, epoch-level validation
-selection, and a manifest-plus-flat-arrays checkpoint format.
+selection, and a manifest-plus-flat-arrays checkpoint format that holds
+the parameters only: the optimizer state is not saved.
 
 The embedding's gradient arrives as a `tensor.RowGrad` over the rows the
 batch touched; clipping reads and scales only those rows, and Adam applies
@@ -24,7 +25,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,10 @@ from .vocab import EncodedSample, Vocabulary, load_vocab, save_vocab
 
 Array = np.ndarray
 
-_MANIFEST_FORMAT = "casreader-checkpoint-v1"
+_MANIFEST_FORMAT = "casreader-checkpoint-v2"
+# v1 checkpoints also held the Adam step and moments; they are not read, so a
+# v1 checkpoint loads as the v2 one with the same parameters.
+_READABLE_FORMATS = ("casreader-checkpoint-v1", _MANIFEST_FORMAT)
 
 
 @dataclass
@@ -58,6 +61,8 @@ class TrainConfig:
     clip_threshold: float = 10.0
     epochs: int = 10
     seed: int = 0
+    # Recorded in the manifest only: training never reads it, since `train` sizes
+    # the model by the vocabulary it is given (`build-vocab --shortlist`).
     shortlist_size: int | None = 100_000
     beta1: float = 0.9
     beta2: float = 0.999
@@ -277,7 +282,6 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     params: ModelParams  # best-by-validation snapshot
-    adam_state: AdamState
     config: TrainConfig
     best_epoch: int
     best_accuracy: float
@@ -364,7 +368,6 @@ def train(
         raise NumericError("training diverged before completing the first epoch")
     return TrainResult(
         params=best,
-        adam_state=state,
         config=config,
         best_epoch=best_epoch,
         best_accuracy=best_accuracy,
@@ -379,48 +382,30 @@ def train(
 
 @dataclass
 class Checkpoint:
-    """A loaded checkpoint. `adam.bin` is size-checked at load and read on
-    the first access to `adam_state`; evaluation never touches it."""
-
     params: ModelParams
     config: TrainConfig
     vocab: Vocabulary | None
-    adam_t: int
-    adam_path: Path
-
-    @cached_property
-    def adam_state(self) -> AdamState:
-        specs = [(name, p.data.shape) for name, p in self.params.named().items()]
-        moments = _read_arrays(self.adam_path, specs, per_param=2)
-        return AdamState(
-            m={name: arrays[0] for name, arrays in moments.items()},
-            v={name: arrays[1] for name, arrays in moments.items()},
-            t=self.adam_t,
-            lr=self.config.lr,
-            beta1=self.config.beta1,
-            beta2=self.config.beta2,
-            epsilon=self.config.epsilon,
-        )
 
 
 def save_checkpoint(
     params: ModelParams,
-    adam_state: AdamState,
+    unused_state: AdamState | None,
     config: TrainConfig,
     path,
     vocab: Vocabulary | None = None,
 ) -> None:
-    """Write manifest.txt, params.bin, adam.bin (and vocab.txt when given).
+    """Write manifest.txt, params.bin (and vocab.txt when given).
 
     Arrays are stored flat, little-endian float64, in manifest order; the
-    round trip is bit-exact.
+    round trip is bit-exact. `unused_state` is never read: it is the slot
+    where the optimizer state was passed when checkpoints held it, kept so
+    that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
     """
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     named = params.named()
     lines = [_MANIFEST_FORMAT, f"vocab_size\t{params.vocab_size}"]
     lines += [f"{f.name}\t{_format_value(getattr(config, f.name))}" for f in fields(TrainConfig)]
-    lines.append(f"adam_t\t{adam_state.t}")
     for name, p in named.items():
         shape = ",".join(str(d) for d in p.data.shape)
         lines.append(f"param\t{name}\t{shape}")
@@ -428,10 +413,6 @@ def save_checkpoint(
     with open(out / "params.bin", "wb") as fh:
         for p in named.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    with open(out / "adam.bin", "wb") as fh:
-        for name in named:
-            fh.write(np.ascontiguousarray(adam_state.m[name], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(adam_state.v[name], dtype="<f8").tobytes())
     if vocab is not None:
         save_vocab(vocab, out / "vocab.txt")
 
@@ -453,32 +434,27 @@ def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool =
         raise CorruptionError(f"manifest field {name!r} has malformed value {text!r}") from None
 
 
-def _check_size(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> None:
-    """A checkpoint binary holds exactly `per_param` arrays per manifest
-    entry; checked before anything is allocated. A missing file is corruption."""
+def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[str, Tensor]:
+    """Read params.bin, one flat array per layout entry in layout order. Its
+    size is checked before anything is allocated; a missing file is corruption."""
     try:
         size = path.stat().st_size
     except FileNotFoundError:
         raise CorruptionError(f"no {path.name} under {path.parent}") from None
     want = 0
-    for name, shape in specs:
-        want += per_param * 8 * math.prod(shape)
+    for name, shape in layout:
+        want += 8 * math.prod(shape)
         if want > size:
             raise CorruptionError(f"{path.name}: truncated at parameter {name!r} ({size} bytes)")
     if size > want:
         raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents ({size} > {want} bytes)")
-
-
-def _read_arrays(path: Path, specs: list[tuple[str, tuple[int, ...]]], per_param: int) -> dict[str, list[Array]]:
-    """Read `per_param` consecutive arrays per manifest entry from a flat binary file."""
-    _check_size(path, specs, per_param)
-    out: dict[str, list[Array]] = {}
+    named: dict[str, Tensor] = {}
     with open(path, "rb") as fh:
-        for name, shape in specs:
-            out[name] = [np.empty(shape, dtype="<f8") for _ in range(per_param)]
-            for array in out[name]:
-                fh.readinto(array)
-    return out
+        for name, shape in layout:
+            array = np.empty(shape, dtype="<f8")
+            fh.readinto(array)
+            named[name] = Tensor(array, requires_grad=True)
+    return named
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -490,7 +466,7 @@ def load_checkpoint(path) -> Checkpoint:
         lines = manifest_path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as err:
         raise CorruptionError(f"manifest.txt is not valid UTF-8 at byte {err.start}") from None
-    if not lines or lines[0] != _MANIFEST_FORMAT:
+    if not lines or lines[0] not in _READABLE_FORMATS:
         raise CorruptionError(f"unsupported checkpoint format: {lines[:1]}")
     values: dict[str, str] = {}
     specs: list[tuple[str, tuple[int, ...]]] = []
@@ -517,18 +493,13 @@ def load_checkpoint(path) -> Checkpoint:
             for f in fields(TrainConfig)
         })
         vocab_size = _parse_value(values, "vocab_size", int)
-        adam_t = _parse_value(values, "adam_t", int)
     except KeyError as missing:
         raise CorruptionError(f"manifest missing field {missing}") from None
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
-    param_arrays = _read_arrays(src / "params.bin", specs, per_param=1)
     if specs != reader.param_layout(config.reader_config(), vocab_size):
         raise CorruptionError("manifest parameter list does not match the model layout")
-    named = {name: Tensor(arrays[0], requires_grad=True) for name, arrays in param_arrays.items()}
-    params = ModelParams.from_named(named, config.reader_config())
-    adam_path = src / "adam.bin"
-    _check_size(adam_path, specs, per_param=2)
+    params = ModelParams.from_named(_read_params(src / "params.bin", specs), config.reader_config())
     vocab = None
     vocab_path = src / "vocab.txt"
     if vocab_path.exists():
@@ -538,4 +509,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint expects vocabulary of size {vocab_size}, "
                 f"found {vocab.total_size} in {vocab_path.name}"
             )
-    return Checkpoint(params=params, config=config, vocab=vocab, adam_t=adam_t, adam_path=adam_path)
+    return Checkpoint(params=params, config=config, vocab=vocab)

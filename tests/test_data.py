@@ -174,6 +174,18 @@ class TestSyntheticCorpus:
             for s in samples:
                 validate_sample(s)
 
+    @pytest.mark.parametrize("size", [synthetic.MAX_VOCAB_SIZE + 1, 2**70])
+    def test_vocab_size_ceiling(self, size):
+        """A size past the cap is refused before any filler name is built."""
+        with pytest.raises(UsageError, match=f"got {size}"):
+            synthetic.SyntheticConfig(vocab_size=size)
+
+    def test_vocab_size_at_the_ceiling_is_served(self):
+        cfg = synthetic.SyntheticConfig(vocab_size=synthetic.MAX_VOCAB_SIZE, train_docs=1, valid_docs=1, test_docs=1)
+        for samples in synthetic.generate_synthetic_corpus(cfg).values():
+            for s in samples:
+                validate_sample(s)
+
     def test_every_record_passes_validation(self):
         splits = synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(seed=3))
         for samples in splits.values():

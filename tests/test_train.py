@@ -499,20 +499,17 @@ class TestCheckpoint:
         rng = np.random.default_rng(2)
         train.adam_step(named, {k: rng.normal(size=p.data.shape) for k, p in named.items()}, state)
         vocab = build_vocab(["a", "b", "a"], shortlist_size=2) if with_vocab else None
-        train.save_checkpoint(params, state, config, tmp_path / "ckpt", vocab=vocab)
-        return params, state, config, train.load_checkpoint(tmp_path / "ckpt")
+        train.save_checkpoint(params, None, config, tmp_path / "ckpt", vocab=vocab)
+        return params, config, train.load_checkpoint(tmp_path / "ckpt")
 
     def test_bit_exact_roundtrip(self, tmp_path):
-        params, state, config, loaded = self.roundtrip(tmp_path)
+        params, config, loaded = self.roundtrip(tmp_path)
         for k, p in params.named().items():
             np.testing.assert_array_equal(p.data, loaded.params.named()[k].data)
-            np.testing.assert_array_equal(state.m[k], loaded.adam_state.m[k])
-            np.testing.assert_array_equal(state.v[k], loaded.adam_state.v[k])
-        assert loaded.adam_state.t == state.t
         assert loaded.config == config
 
     def test_vocab_travels_with_checkpoint(self, tmp_path):
-        _, _, _, loaded = self.roundtrip(tmp_path, with_vocab=True)
+        _, _, loaded = self.roundtrip(tmp_path, with_vocab=True)
         assert loaded.vocab is not None and loaded.vocab.total_size == 14
 
     def test_truncated_params_names_parameter(self, tmp_path):
@@ -524,43 +521,30 @@ class TestCheckpoint:
 
     def test_trailing_bytes_detected(self, tmp_path):
         self.roundtrip(tmp_path)
-        with open(tmp_path / "ckpt" / "adam.bin", "ab") as fh:
+        with open(tmp_path / "ckpt" / "params.bin", "ab") as fh:
             fh.write(b"\x00" * 8)
-        with pytest.raises(CorruptionError, match="trailing"):
+        with pytest.raises(CorruptionError, match="params.bin: trailing"):
             train.load_checkpoint(tmp_path / "ckpt")
 
-    def test_truncated_adam_fails_at_load(self, tmp_path):
-        self.roundtrip(tmp_path)
-        blob = (tmp_path / "ckpt" / "adam.bin").read_bytes()
-        (tmp_path / "ckpt" / "adam.bin").write_bytes(blob[:-8])
-        with pytest.raises(CorruptionError, match="adam.bin: truncated"):
-            train.load_checkpoint(tmp_path / "ckpt")
-
-    @pytest.mark.parametrize("part", ["params.bin", "adam.bin"])
+    @pytest.mark.parametrize("part", ["params.bin"])
     def test_missing_binary_is_corruption_naming_it(self, tmp_path, part):
         self.roundtrip(tmp_path)
         (tmp_path / "ckpt" / part).unlink()
         with pytest.raises(CorruptionError, match=f"no {part} under"):
             train.load_checkpoint(tmp_path / "ckpt")
 
-    def test_evaluation_does_not_read_the_moments(self, tmp_path):
-        """The moments are read on first use: eval after a same-size rewrite
-        of adam.bin works, and `adam_state` then holds the new bytes."""
-        from casreader.datagen import ClozeSample
-        from casreader.evaluate import evaluate
-        from casreader.vocab import PLACEHOLDER_TOKEN
-
-        _, state, _, loaded = self.roundtrip(tmp_path, with_vocab=True)
-        adam = tmp_path / "ckpt" / "adam.bin"
-        rewritten = np.random.default_rng(5).normal(size=adam.stat().st_size // 8)
-        adam.write_bytes(rewritten.astype("<f8").tobytes())
-        sample = ClozeSample(document=["a", "b", "a"], query=[PLACEHOLDER_TOKEN, "b"], answer="a")
-        assert evaluate(loaded.params, loaded.vocab, [sample]).total == 1
-        moments = [
-            a.ravel() for name in loaded.params.named() for a in (loaded.adam_state.m[name], loaded.adam_state.v[name])
-        ]
-        np.testing.assert_array_equal(np.concatenate(moments), rewritten)
-        assert loaded.adam_state.t == state.t
+    def test_oversized_model_fails_before_allocating(self, tmp_path):
+        """A manifest consistent with its layout but far larger than
+        params.bin is caught by the size check, before any array exists."""
+        self.roundtrip(tmp_path)
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        text = manifest.read_text()
+        huge = 10**15
+        manifest.write_text(
+            text.replace("vocab_size\t14\n", f"vocab_size\t{huge}\n").replace("embedding\t14,4", f"embedding\t{huge},4")
+        )
+        with pytest.raises(CorruptionError, match="params.bin: truncated at parameter 'embedding'"):
+            train.load_checkpoint(tmp_path / "ckpt")
 
     def test_vocab_size_mismatch_is_configuration_error(self, tmp_path):
         from casreader.vocab import build_vocab, save_vocab
@@ -571,19 +555,53 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError, match="vocabulary"):
             train.load_checkpoint(tmp_path / "ckpt")
 
-    def test_golden_manifest_v1(self, tmp_path):
+    GOLDEN = Path(__file__).parent / "golden"
+
+    def golden_checkpoint(self, path):
+        """The checkpoint whose manifest is golden/manifest_v2.txt, with a vocabulary of its 14 ids."""
+        from casreader.vocab import build_vocab
+
         config = train.TrainConfig(
             embed_dim=4, hidden_dim=3, merge_mode="max", lr=1e-3 / 3, shortlist_size=None
         )
         params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(0))
-        state = train.AdamState.init(params.named(), config.lr, config.beta1, config.beta2, config.epsilon)
-        state.t = 3
-        train.save_checkpoint(params, state, config, tmp_path / "ckpt")
-        golden = Path(__file__).parent / "golden" / "manifest_v1.txt"
-        assert (tmp_path / "ckpt" / "manifest.txt").read_bytes() == golden.read_bytes()
-        loaded = train.load_checkpoint(tmp_path / "ckpt")
-        assert loaded.config == config
-        assert loaded.adam_state.t == 3
+        train.save_checkpoint(params, None, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
+        return config
+
+    def test_golden_manifest_v2(self, tmp_path):
+        config = self.golden_checkpoint(tmp_path / "ckpt")
+        assert (tmp_path / "ckpt" / "manifest.txt").read_bytes() == (self.GOLDEN / "manifest_v2.txt").read_bytes()
+        assert train.load_checkpoint(tmp_path / "ckpt").config == config
+
+    def test_golden_manifest_v1(self, tmp_path):
+        """A v1 checkpoint (its manifest has an `adam_t` line) loads to the
+        v2 checkpoint's config and evaluates to the same report, with and
+        without an adam.bin beside it."""
+        from casreader.datagen import ClozeSample
+        from casreader.evaluate import evaluate
+        from casreader.vocab import PLACEHOLDER_TOKEN
+
+        config = self.golden_checkpoint(tmp_path / "v2")
+        v1 = tmp_path / "v1"
+        v1.mkdir()
+        (v1 / "manifest.txt").write_bytes((self.GOLDEN / "manifest_v1.txt").read_bytes())
+        for part in ("params.bin", "vocab.txt"):
+            (v1 / part).write_bytes((tmp_path / "v2" / part).read_bytes())
+        samples = [
+            ClozeSample(document=["a", "b", "a", "c"], query=[PLACEHOLDER_TOKEN, "b"], answer="a"),
+            ClozeSample(document=["b", "c", "b"], query=["a", PLACEHOLDER_TOKEN], answer="c"),
+        ]
+
+        def report(path):
+            loaded = train.load_checkpoint(path)
+            assert loaded.config == config
+            return evaluate(loaded.params, loaded.vocab, samples, keep_records=True).as_dict()
+
+        expected = report(tmp_path / "v2")
+        assert report(v1) == expected
+        moments = np.random.default_rng(5).normal(size=2 * (v1 / "params.bin").stat().st_size // 8)
+        (v1 / "adam.bin").write_bytes(moments.astype("<f8").tobytes())
+        assert report(v1) == expected
 
     @pytest.mark.parametrize(
         "old, new, message",
@@ -599,9 +617,8 @@ class TestCheckpoint:
             ("param\tdoc_fwd.u_z\t4,4", "param\tdoc_fwd.u_z\t2,8", "layout"),
             ("param\tdoc_fwd.b_z\t4\n", "param\tdoc_fwd.b_z\t2,2\n", "layout"),
             ("param\tembedding\t14,4", "param\tembedding\t7,8", "layout"),
-            # Larger than params.bin: caught by the size check before anything is allocated.
-            ("param\tdoc_fwd.w_z\t4,4", "param\tdoc_fwd.w_z\t1000000,1000000",
-             "params.bin: truncated at parameter 'doc_fwd.w_z'"),
+            # Larger than params.bin: the layout rejects it before params.bin is opened.
+            ("param\tdoc_fwd.w_z\t4,4", "param\tdoc_fwd.w_z\t1000000,1000000", "layout"),
             # Well-formed values that TrainConfig rejects: this program never writes them.
             ("seed\t3", "seed\t-1", "seed must be non-negative"),
             ("lr\t0.0005", "lr\tnan", "lr must be finite and positive"),
@@ -631,6 +648,31 @@ class TestCheckpoint:
             train.load_checkpoint(tmp_path / "nowhere")
 
 
+def test_benchmark_eval_checkpoint_call_shape(tmp_path):
+    """The calls `perfbench/inputs.py::prepare_paper_eval` makes, at a tiny
+    shape: an `AdamState` still fills `save_checkpoint`'s second slot, and the
+    checkpoint loads and evaluates as the parameters it was saved from."""
+    from casreader import synthetic
+    from casreader.evaluate import evaluate
+    from casreader.vocab import build_vocab
+
+    rng = np.random.default_rng(4)
+    splits = synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(train_docs=4, valid_docs=1, test_docs=6))
+    vocab = build_vocab((t for s in splits["train"] for t in s.document + s.query), shortlist_size=100_000)
+    config = train.TrainConfig(**dict(train.PRESETS["news-full"].__dict__, embed_dim=4, hidden_dim=4, seed=4))
+    params = reader.init_model_params(config.reader_config(), vocab.total_size, rng)
+    named = params.named()
+    state = train.AdamState.init(named, config.lr, config.beta1, config.beta2, config.epsilon)
+    train.save_checkpoint(params, state, config, tmp_path / "checkpoint", vocab=vocab)
+    del state
+
+    loaded = train.load_checkpoint(tmp_path / "checkpoint")
+    assert sorted(p.name for p in (tmp_path / "checkpoint").iterdir()) == ["manifest.txt", "params.bin", "vocab.txt"]
+    report = evaluate(loaded.params, loaded.vocab, splits["test"], mode="avg", batch_size=16)
+    assert report.as_dict() == evaluate(params, vocab, splits["test"], mode="avg", batch_size=16).as_dict()
+    assert report.total == len(splits["test"])
+
+
 @pytest.fixture(scope="module")
 def manifest_base(tmp_path_factory):
     """A small checkpoint (vocabulary of 14, E=H=4) with its vocab.txt."""
@@ -639,14 +681,13 @@ def manifest_base(tmp_path_factory):
     path = tmp_path_factory.mktemp("manifest-base")
     config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=3)
     params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(1))
-    state = train.AdamState.init(params.named(), lr=config.lr)
-    train.save_checkpoint(params, state, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
+    train.save_checkpoint(params, None, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
     return path
 
 
 MANIFEST_FRAGMENTS = FRAGMENTS + [b"param", b"embedding", b"doc_fwd.u_z", b"query_bwd.b_h", b"vocab_size", b"adam_t",
                                   b"embed_dim", b"hidden_dim", b"merge_mode", b"none", b"nan", b"1e999", b"14",
-                                  b"4", b"16", b"casreader-checkpoint-v1"]
+                                  b"4", b"16", b"casreader-checkpoint-v1", b"casreader-checkpoint-v2"]
 
 
 def reshaped(data, count: int) -> bytes:
@@ -680,7 +721,7 @@ def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data
         )
         lines = lines[:cut] + [body]
     ckpt = tmp_path_factory.mktemp("manifest-fuzz")
-    for part in ("params.bin", "adam.bin", "vocab.txt"):
+    for part in ("params.bin", "vocab.txt"):
         (ckpt / part).write_bytes((manifest_base / part).read_bytes())
     (ckpt / "manifest.txt").write_bytes(b"".join(lines))
     try:
@@ -690,4 +731,3 @@ def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data
         return
     assert not reshape or lines == original
     reader.forward([encoded_sample([1, 2, 1], [3, 1], 1)], loaded.params)
-    assert set(loaded.adam_state.m) == set(loaded.params.named())
