@@ -19,8 +19,8 @@ from .errors import ParseError, ValidationError, text_lines
 def _record_to_sample(record: dict, line: int) -> ClozeSample:
     if not isinstance(record, dict):
         raise ValidationError(f"line {line}: expected a JSON object")
-    for key, required in (("document", True), ("query", True), ("answer", True)):
-        if required and key not in record:
+    for key in ("document", "query", "answer"):
+        if key not in record:
             raise ValidationError(f"line {line}: missing field {key!r}")
     document, query, answer = record["document"], record["query"], record["answer"]
     if not isinstance(document, list) or not all(isinstance(t, str) for t in document):

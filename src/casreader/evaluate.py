@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from . import reader
-from .errors import ConfigurationError, UsageError, ValidationError
+from .errors import ConfigurationError, UsageError
 from .reader import ModelParams
 from .vocab import EncodedSample, Vocabulary, encode_sample
 
@@ -65,12 +65,7 @@ def evaluate(
         raise ConfigurationError(
             f"model expects vocabulary of size {params.vocab_size}, got {vocab.total_size}"
         )
-    encoded: list[EncodedSample] = []
-    for i, s in enumerate(samples):
-        enc = s if isinstance(s, EncodedSample) else encode_sample(vocab, s)
-        if enc.answer_missing:
-            raise ValidationError(f"sample {i}: answer absent from its document after encoding")
-        encoded.append(enc)
+    encoded = [s if isinstance(s, EncodedSample) else encode_sample(vocab, s) for s in samples]
 
     dump_fh = open(dump_attention, "w", encoding="utf-8") if dump_attention else None
     correct = 0

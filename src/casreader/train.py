@@ -36,7 +36,6 @@ from .errors import (
     CorruptionError,
     NumericError,
     UsageError,
-    ValidationError,
 )
 from .reader import ModelParams, ReaderConfig
 from .tensor import Tensor
@@ -106,29 +105,14 @@ PRESETS = {
 }
 
 
-@dataclass
-class Batch:
-    answer_ids: Array
-    samples: list[EncodedSample]
-
-
 def make_batches(
     samples: list[EncodedSample], batch_size: int, rng: np.random.Generator
-) -> list[Batch]:
-    """Shuffle and group; `reader.forward` pads each batch. Samples whose
-    answer id is missing from their document are rejected outright."""
+) -> list[list[EncodedSample]]:
+    """Shuffle and group; `reader.forward` pads each batch."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
-    for i, s in enumerate(samples):
-        if s.answer_id not in s.doc_ids:
-            raise ValidationError(f"sample {i}: answer id {s.answer_id} not in document")
     order = rng.permutation(len(samples))
-    batches = []
-    for start in range(0, len(samples), batch_size):
-        group = [samples[i] for i in order[start : start + batch_size]]
-        answer_ids = np.array([s.answer_id for s in group], dtype=np.int64)
-        batches.append(Batch(answer_ids=answer_ids, samples=group))
-    return batches
+    return [[samples[i] for i in order[start : start + batch_size]] for start in range(0, len(samples), batch_size)]
 
 
 def nll_loss(output: reader.ReaderOutput, answer_ids) -> Tensor:
@@ -330,14 +314,10 @@ def train(
                 for batch in make_batches(train_samples, config.batch_size, rng):
                     for p in named.values():
                         p.zero_grad()
-                    output = reader.forward(batch.samples, params, training=True, rng=rng)
-                    loss = nll_loss(output, batch.answer_ids)
+                    output = reader.forward(batch, params, training=True, rng=rng)
+                    loss = nll_loss(output, [s.answer_id for s in batch])
                     loss.backward()
-                    grads = {
-                        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                        for name, p in named.items()
-                    }
-                    clipped, norm = clip_gradients(grads, config.clip_threshold)
+                    clipped, norm = clip_gradients({name: p.grad for name, p in named.items()}, config.clip_threshold)
                     adam_step(named, clipped, state)
                     losses.append(float(loss.data))
                     norms.append(norm)
@@ -406,15 +386,18 @@ def save_checkpoint(
     named = params.named()
     lines = [_MANIFEST_FORMAT, f"vocab_size\t{params.vocab_size}"]
     lines += [f"{f.name}\t{_format_value(getattr(config, f.name))}" for f in fields(TrainConfig)]
-    for name, p in named.items():
-        shape = ",".join(str(d) for d in p.data.shape)
-        lines.append(f"param\t{name}\t{shape}")
+    lines += _param_lines((name, p.data.shape) for name, p in named.items())
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(out / "params.bin", "wb") as fh:
         for p in named.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     if vocab is not None:
         save_vocab(vocab, out / "vocab.txt")
+
+
+def _param_lines(pairs) -> list[str]:
+    """The manifest's tensor list: one `param<TAB>name<TAB>d0,d1` line per (name, shape)."""
+    return [f"param\t{name}\t{','.join(str(d) for d in shape)}" for name, shape in pairs]
 
 
 def _format_value(value) -> str:
@@ -469,20 +452,13 @@ def load_checkpoint(path) -> Checkpoint:
     if not lines or lines[0] not in _READABLE_FORMATS:
         raise CorruptionError(f"unsupported checkpoint format: {lines[:1]}")
     values: dict[str, str] = {}
-    specs: list[tuple[str, tuple[int, ...]]] = []
+    param_lines: list[str] = []
     for line in lines[1:]:
         if not line:
             continue
         cols = line.split("\t")
         if cols[0] == "param":
-            try:
-                _, name, shape = cols
-                dims = tuple(int(d) for d in shape.split(","))
-                if min(dims) < 0:
-                    raise ValueError(shape)
-                specs.append((name, dims))
-            except ValueError:
-                raise CorruptionError(f"malformed param line: {line!r}") from None
+            param_lines.append(line)
         elif len(cols) == 2:
             values[cols[0]] = cols[1]
         else:
@@ -497,9 +473,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError(f"manifest missing field {missing}") from None
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
-    if specs != reader.param_layout(config.reader_config(), vocab_size):
+    layout = reader.param_layout(config.reader_config(), vocab_size)
+    if param_lines != _param_lines(layout):
         raise CorruptionError("manifest parameter list does not match the model layout")
-    params = ModelParams.from_named(_read_params(src / "params.bin", specs), config.reader_config())
+    params = ModelParams.from_named(_read_params(src / "params.bin", layout), config.reader_config())
     vocab = None
     vocab_path = src / "vocab.txt"
     if vocab_path.exists():

@@ -82,9 +82,6 @@ class Vocabulary:
             return self.tokens[index]
         raise UsageError(f"id {token_id} outside vocabulary of size {self.total_size}")
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
 
 def build_vocab(tokens: Iterable[str], shortlist_size: int | None) -> Vocabulary:
     """Keep the `shortlist_size` most frequent tokens (ties: lexicographic).
@@ -121,21 +118,26 @@ class EncodedSample:
     doc_ids: np.ndarray
     query_ids: np.ndarray
     answer_id: int
-    answer_missing: bool  # answer id absent from doc_ids (never for valid samples)
     candidate_ids: list[int] | None = None
 
 
 def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
-    """Map a ClozeSample's tokens through the vocabulary."""
+    """Map a ClozeSample's tokens through the vocabulary.
+
+    The reader scores document words only, so an encoded answer missing from
+    the encoded document is a ValidationError naming it; equal tokens map to
+    equal ids, so no sample that passed `datagen.validate_sample` raises it.
+    """
     doc_ids = np.array([vocab.token_to_id(t) for t in sample.document], dtype=np.int64)
     query_ids = np.array([vocab.token_to_id(t) for t in sample.query], dtype=np.int64)
     answer_id = vocab.token_to_id(sample.answer)
+    if answer_id not in doc_ids:
+        raise ValidationError(f"answer {sample.answer!r} does not occur in its document after encoding")
     candidates = getattr(sample, "candidates", None)
     return EncodedSample(
         doc_ids=doc_ids,
         query_ids=query_ids,
         answer_id=answer_id,
-        answer_missing=answer_id not in doc_ids,
         candidate_ids=[vocab.token_to_id(c) for c in candidates] if candidates else None,
     )
 
@@ -177,6 +179,8 @@ def load_vocab(path) -> Vocabulary:
         if len(cols) != 2:
             raise ParseError(f"expected 'token<TAB>frequency', got {line!r}", line=lineno)
         token, freq = cols
+        if not token:
+            raise ParseError("empty token", line=lineno)
         if token in seen:
             raise ParseError(f"duplicate token {token!r}", line=lineno)
         if not freq.isdecimal():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casreader import data, reader, synthetic
@@ -142,6 +142,7 @@ TEXT_READERS = {
 
 
 @settings(max_examples=400, deadline=None)
+@example(name="vocab", start=1, body=b"\t5\n")  # an empty token, which save_vocab refuses
 @given(
     name=st.sampled_from(sorted(TEXT_READERS)),
     start=st.integers(0, 2),

@@ -31,7 +31,6 @@ def encoded_sample(doc, query, answer):
         doc_ids=np.asarray(doc, dtype=np.int64),
         query_ids=np.asarray(query, dtype=np.int64),
         answer_id=int(answer),
-        answer_missing=False,
     )
 
 
@@ -52,7 +51,7 @@ class TestMakeBatches:
     def test_partition_sizes(self):
         samples = toy_corpus(70)
         batches = train.make_batches(samples, 32, np.random.default_rng(0))
-        assert [len(b.samples) for b in batches] == [32, 32, 6]
+        assert [len(b) for b in batches] == [32, 32, 6]
 
     def test_deterministic_given_seed(self):
         samples = toy_corpus(10)
@@ -60,13 +59,14 @@ class TestMakeBatches:
         b = train.make_batches(samples, 4, np.random.default_rng(5))
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert [id(s) for s in x.samples] == [id(s) for s in y.samples]
-            np.testing.assert_array_equal(x.answer_ids, y.answer_ids)
+            assert [id(s) for s in x] == [id(s) for s in y]
 
     def test_rejects_answer_missing_from_document(self):
+        """Only a hand-built sample can lack its answer: the loss refuses it."""
         bad = encoded_sample([13, 14], [13, 1], 15)
-        with pytest.raises(ValidationError, match="sample 0"):
-            train.make_batches([bad], 2, np.random.default_rng(0))
+        config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1)
+        with pytest.raises(ValidationError, match="answer id 15"):
+            train.train(config, toy_corpus(3) + [bad], toy_corpus(2), vocab_size=20)
 
 
 class FixedWords:
@@ -608,8 +608,10 @@ class TestCheckpoint:
         [
             ("embed_dim\t4", "embed_dim\tfour", "'embed_dim' has malformed value"),
             ("embed_dim\t4", "embed_dim\tnone", "'embed_dim' has malformed value"),
-            ("param\tembedding\t14,4", "param\tembedding\t14,x", "malformed param line"),
-            ("param\tembedding\t14,4", "param\tembedding\t-14,4", "malformed param line"),
+            ("param\tembedding\t14,4", "param\tembedding\t14,x", "layout"),
+            ("param\tembedding\t14,4", "param\tembedding\t-14,4", "layout"),
+            ("param\tembedding\t14,4", "param", "layout"),
+            ("param\tembedding\t14,4", "param\tembedding\t014,4", "layout"),
             ("param\tdoc_fwd.w_z\t", "param\tdoc_fwd.w_q\t", "layout"),
             ("param\tdoc_fwd.w_z\t4,4\nparam\tdoc_fwd.w_r\t4,4",
              "param\tdoc_fwd.w_r\t4,4\nparam\tdoc_fwd.w_z\t4,4", "layout"),
@@ -624,7 +626,8 @@ class TestCheckpoint:
             ("lr\t0.0005", "lr\tnan", "lr must be finite and positive"),
             ("beta1\t0.9", "beta1\t1.0", r"beta1 must be in \[0, 1\)"),
         ],
-        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "renamed-param", "reordered-params",
+        ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "bare-param",
+             "zero-padded-shape", "renamed-param", "reordered-params",
              "reshaped-recurrent", "reshaped-bias", "reshaped-embedding", "oversized-shape", "negative-seed", "nan-lr", "beta1-one"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):

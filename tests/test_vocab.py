@@ -21,17 +21,17 @@ def fnv_oracle(s: str) -> int:
 class TestBuildVocab:
     def test_top_k_by_frequency(self):
         v = V.build_vocab(["a"] * 3 + ["b"] * 2 + ["c"], shortlist_size=2)
-        assert "a" in v and "b" in v and "c" not in v
+        assert "a" in v.tokens and "b" in v.tokens and "c" not in v.tokens
         assert v.token_to_id("a") == V.FIRST_REGULAR_ID
         assert v.token_to_id("b") == V.FIRST_REGULAR_ID + 1
 
     def test_tie_breaks_lexicographically(self):
         v = V.build_vocab(["b", "a", "b", "a"], shortlist_size=1)
-        assert "a" in v and "b" not in v
+        assert "a" in v.tokens and "b" not in v.tokens
 
     def test_shortlist_larger_than_vocab_keeps_all(self):
         v = V.build_vocab(["x", "y"], shortlist_size=100)
-        assert "x" in v and "y" in v
+        assert "x" in v.tokens and "y" in v.tokens
 
     def test_unbounded_shortlist(self):
         v = V.build_vocab(["x", "y", "z"], shortlist_size=None)
@@ -102,20 +102,20 @@ class TestEncodeSample:
         s = self.make_sample(["a", "b", "a"], ["c", V.PLACEHOLDER_TOKEN], "a")
         enc = V.encode_sample(v, s)
         assert enc.answer_id == v.token_to_id("a")
-        assert not enc.answer_missing
         assert list(enc.query_ids).count(V.PLACEHOLDER_ID) == 1
 
     def test_oov_answer_still_matches_document(self):
         v = V.build_vocab(["filler"], shortlist_size=1)
         s = self.make_sample(["rareword", "filler", "rareword"], [V.PLACEHOLDER_TOKEN], "rareword")
         enc = V.encode_sample(v, s)
-        assert not enc.answer_missing  # same surface hashes to the same bucket
+        assert enc.answer_id in enc.doc_ids  # same surface hashes to the same bucket
 
     def test_flag_set_when_answer_absent(self):
         # Only constructible by bypassing sample validation.
         v = V.build_vocab(["a", "b"], shortlist_size=10)
         s = self.make_sample(["a"], [V.PLACEHOLDER_TOKEN], "b")
-        assert V.encode_sample(v, s).answer_missing
+        with pytest.raises(ValidationError, match="answer 'b'"):
+            V.encode_sample(v, s)
 
 
 class TestSaveLoad:
@@ -150,6 +150,13 @@ class TestSaveLoad:
         path = tmp_path / "vocab.txt"
         path.write_text("casreader-vocab-v1\tshortlist=5\na\t3\nnotab\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 3"):
+            V.load_vocab(path)
+
+    def test_empty_token_is_parse_error_naming_line(self, tmp_path):
+        """`save_vocab` refuses an empty token, so loading one must fail too."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("casreader-vocab-v1\tshortlist=none\n\t5\ncue01\t3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2: empty token"):
             V.load_vocab(path)
 
     @pytest.mark.parametrize(
