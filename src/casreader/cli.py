@@ -115,8 +115,6 @@ def train_cmd(train_path, valid_path, vocab_path, config_path, out_dir):
 def eval_cmd(ckpt_dir, data_path, mode, restrict_candidates, dump_path, records):
     """Evaluate a checkpoint; prints an accuracy report as JSON."""
     ckpt = training.load_checkpoint(ckpt_dir)
-    if ckpt.vocab is None:
-        raise ConfigurationError(f"checkpoint {ckpt_dir} carries no vocab.txt")
     samples, _ = data.load_dataset(data_path)
     report = evaluate(
         ckpt.params,

@@ -3,8 +3,7 @@
 One sample per line: {"document": [...], "query": [...], "answer": "...",
 "candidates": [...]?, "meta": {...}?}. The query holds exactly one
 placeholder element. Loading validates each record against the sample
-invariants; strict mode aborts on the first bad line, lenient mode skips
-and reports.
+invariants and aborts on the first bad line.
 """
 
 from __future__ import annotations
@@ -47,37 +46,30 @@ def _record_to_sample(record: dict, line: int) -> ClozeSample:
     return sample
 
 
-def load_dataset(path, strict: bool = True) -> tuple[list[ClozeSample], list[tuple[int, str]]]:
-    """Parse a JSONL sample file.
+def load_dataset(path) -> tuple[list[ClozeSample], list]:
+    """Parse a JSONL sample file; the first bad line raises.
 
-    Returns (samples, skipped); `skipped` pairs line numbers with reasons
-    and is always empty in strict mode, where the first bad line raises.
+    Returns `(samples, [])`: the empty second item is kept so that callers
+    that unpack a pair (the benchmark's `perfbench/measure.py`) still fit.
     Bytes that are not UTF-8, and `\\u` escapes of lone surrogates (text
-    that no UTF-8 file can hold), raise ParseError in either mode.
+    that no UTF-8 file can hold), raise ParseError.
     """
     samples: list[ClozeSample] = []
-    skipped: list[tuple[int, str]] = []
     for lineno, line in text_lines(path):
         if not line.strip():
             continue
         try:
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as err:  # also nesting too deep, an integer too long
-                raise ParseError(f"malformed JSON: {getattr(err, 'msg', err)}", line=lineno) from None
-            sample = _record_to_sample(record, lineno)
-        except (ParseError, ValidationError) as err:
-            if strict:
-                raise
-            skipped.append((lineno, str(err)))
-            continue
+            record = json.loads(line)
+        except (ValueError, RecursionError) as err:  # also nesting too deep, an integer too long
+            raise ParseError(f"malformed JSON: {getattr(err, 'msg', err)}", line=lineno) from None
+        sample = _record_to_sample(record, lineno)
         if "\\" in line:  # decoded UTF-8 holds no surrogates; only an escape brings one in
             try:
                 json.dumps(record, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError:
                 raise ParseError("lone surrogate escape, not encodable as UTF-8", line=lineno) from None
         samples.append(sample)
-    return samples, skipped
+    return samples, []
 
 
 def save_dataset(samples: Sequence[ClozeSample], path) -> None:

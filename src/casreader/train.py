@@ -364,7 +364,7 @@ def train(
 class Checkpoint:
     params: ModelParams
     config: TrainConfig
-    vocab: Vocabulary | None
+    vocab: Vocabulary
 
 
 def save_checkpoint(
@@ -372,9 +372,9 @@ def save_checkpoint(
     unused_state: AdamState | None,
     config: TrainConfig,
     path,
-    vocab: Vocabulary | None = None,
+    vocab: Vocabulary,
 ) -> None:
-    """Write manifest.txt, params.bin (and vocab.txt when given).
+    """Write manifest.txt, params.bin and vocab.txt.
 
     Arrays are stored flat, little-endian float64, in manifest order; the
     round trip is bit-exact. `unused_state` is never read: it is the slot
@@ -384,20 +384,22 @@ def save_checkpoint(
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     named = params.named()
-    lines = [_MANIFEST_FORMAT, f"vocab_size\t{params.vocab_size}"]
-    lines += [f"{f.name}\t{_format_value(getattr(config, f.name))}" for f in fields(TrainConfig)]
-    lines += _param_lines((name, p.data.shape) for name, p in named.items())
+    shapes = ((name, p.data.shape) for name, p in named.items())
+    lines = [_MANIFEST_FORMAT] + _manifest_lines(config, params.vocab_size, shapes)
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(out / "params.bin", "wb") as fh:
         for p in named.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    if vocab is not None:
-        save_vocab(vocab, out / "vocab.txt")
+    save_vocab(vocab, out / "vocab.txt")
 
 
-def _param_lines(pairs) -> list[str]:
-    """The manifest's tensor list: one `param<TAB>name<TAB>d0,d1` line per (name, shape)."""
-    return [f"param\t{name}\t{','.join(str(d) for d in shape)}" for name, shape in pairs]
+def _manifest_lines(config: TrainConfig, vocab_size: int, shapes) -> list[str]:
+    """Every manifest line after the format line: `vocab_size`, the config fields and one
+    `param<TAB>name<TAB>d0,d1` line per (name, shape). `load_checkpoint` accepts no other body."""
+    lines = [f"vocab_size\t{vocab_size}"]
+    lines += [f"{f.name}\t{_format_value(getattr(config, f.name))}" for f in fields(TrainConfig)]
+    lines += [f"param\t{name}\t{','.join(str(d) for d in shape)}" for name, shape in shapes]
+    return lines
 
 
 def _format_value(value) -> str:
@@ -441,28 +443,22 @@ def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read what `save_checkpoint` wrote. A manifest other than the one it writes for the parsed
+    config and vocabulary size (a v1 `adam_t` line aside), or a missing file, is `CorruptionError`."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():
         raise CorruptionError(f"no manifest.txt under {src}")
     try:
-        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+        lines = manifest_path.read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as err:
         raise CorruptionError(f"manifest.txt is not valid UTF-8 at byte {err.start}") from None
-    if not lines or lines[0] not in _READABLE_FORMATS:
-        raise CorruptionError(f"unsupported checkpoint format: {lines[:1]}")
-    values: dict[str, str] = {}
-    param_lines: list[str] = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cols = line.split("\t")
-        if cols[0] == "param":
-            param_lines.append(line)
-        elif len(cols) == 2:
-            values[cols[0]] = cols[1]
-        else:
-            raise CorruptionError(f"malformed manifest line: {line!r}")
+    if lines[0] not in _READABLE_FORMATS:
+        raise CorruptionError(f"unsupported checkpoint format: {lines[0][:80]!r}")
+    body = lines[1:]
+    if lines[0] != _MANIFEST_FORMAT:
+        body = [line for line in body if not line.startswith("adam_t\t")]
+    values = dict(line.split("\t") for line in body if line.count("\t") == 1)
     try:
         config = TrainConfig(**{
             f.name: _parse_value(values, f.name, type(f.default), nullable="None" in str(f.type))
@@ -473,17 +469,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError(f"manifest missing field {missing}") from None
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
+    if vocab_size < 1:
+        raise CorruptionError(f"manifest field 'vocab_size' must be positive, got {vocab_size}")
     layout = reader.param_layout(config.reader_config(), vocab_size)
-    if param_lines != _param_lines(layout):
-        raise CorruptionError("manifest parameter list does not match the model layout")
+    if body != _manifest_lines(config, vocab_size, layout) + [""]:  # "" after the final newline
+        raise CorruptionError("manifest is not the one save_checkpoint writes for its config and model layout")
     params = ModelParams.from_named(_read_params(src / "params.bin", layout), config.reader_config())
-    vocab = None
     vocab_path = src / "vocab.txt"
-    if vocab_path.exists():
-        vocab = load_vocab(vocab_path)
-        if vocab.total_size != vocab_size:
-            raise ConfigurationError(
-                f"checkpoint expects vocabulary of size {vocab_size}, "
-                f"found {vocab.total_size} in {vocab_path.name}"
-            )
+    if not vocab_path.exists():
+        raise CorruptionError(f"no vocab.txt under {src}")
+    vocab = load_vocab(vocab_path)
+    if vocab.total_size != vocab_size:
+        raise ConfigurationError(
+            f"checkpoint expects vocabulary of size {vocab_size}, "
+            f"found {vocab.total_size} in {vocab_path.name}"
+        )
     return Checkpoint(params=params, config=config, vocab=vocab)

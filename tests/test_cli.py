@@ -251,11 +251,14 @@ class TestErrorSurface:
 
     def test_missing_checkpoint_binary_is_io_error(self, tmp_path):
         corpus, ckpt = self.trained_checkpoint(tmp_path)
-        (ckpt / "params.bin").unlink()
-        proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
-        assert proc.returncode == 5, proc.stderr
-        error = json.loads(proc.stderr)
-        assert error["error"] == "io" and error["message"].startswith("no params.bin under")
+        for part in ("vocab.txt", "params.bin"):
+            kept = (ckpt / part).read_bytes()
+            (ckpt / part).unlink()
+            proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
+            assert proc.returncode == 5, proc.stderr
+            error = json.loads(proc.stderr)
+            assert error["error"] == "io" and error["message"].startswith(f"no {part} under")
+            (ckpt / part).write_bytes(kept)
 
     @pytest.mark.parametrize(
         "args, content, code",

@@ -59,39 +59,23 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             data.load_dataset(path)
 
-    def test_lenient_mode_skips_and_counts(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        write_lines(
-            path,
-            [
-                record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a"),
-                "{broken",
-                record(["a", "b", "a"], ["no", "blank"], "a"),
-            ],
-        )
-        samples, skipped = data.load_dataset(path, strict=False)
-        assert len(samples) == 1
-        assert [line for line, _ in skipped] == [2, 3]
-
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path, strict):
+    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         valid = record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode()
         path.write_bytes(valid + b"\n" + valid.replace(b'"b"', b'"\xff"', 1) + b"\n")
         with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
-            data.load_dataset(path, strict=strict)
+            data.load_dataset(path)
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_lone_surrogate_is_parse_error_naming_line(self, tmp_path, strict):
+    def test_lone_surrogate_is_parse_error_naming_line(self, tmp_path):
         """JSON can escape a lone surrogate, which no UTF-8 file written from it could hold."""
         path = tmp_path / "d.jsonl"
         pair = record(["a", "\U0001f600", "a"], [PLACEHOLDER_TOKEN, "\U0001f600"], "a")  # escaped as a valid pair
         assert "\\ud83d\\ude00" in pair
         write_lines(path, [pair, record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "\udc80"], "a")])
         with pytest.raises(ParseError, match="line 2: lone surrogate"):
-            data.load_dataset(path, strict=strict)
+            data.load_dataset(path)
         write_lines(path, [pair])
-        samples, _ = data.load_dataset(path, strict=strict)
+        samples, _ = data.load_dataset(path)
         data.save_dataset(samples, tmp_path / "out.jsonl")
         assert data.load_dataset(tmp_path / "out.jsonl")[0] == samples
 
@@ -101,8 +85,6 @@ class TestLoadDataset:
         write_lines(path, [record(["a", "a"], [PLACEHOLDER_TOKEN], "a"), line])
         with pytest.raises(ParseError, match="line 2: malformed JSON"):
             data.load_dataset(path)
-        samples, skipped = data.load_dataset(path, strict=False)
-        assert len(samples) == 1 and [n for n, _ in skipped] == [2]
 
     def test_round_trip(self, tmp_path):
         samples = [
@@ -133,8 +115,6 @@ SURROGATE_LINE = record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "b"], "a").enc
 TEXT_READERS = {
     "dataset": (data.load_dataset, _write_dataset,
                 [b"", record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode() + b"\n", SURROGATE_LINE]),
-    "lenient-dataset": (lambda path: data.load_dataset(path, strict=False), _write_dataset,
-                        [b"", b'{"document": ["a"]}\n', SURROGATE_LINE]),
     "vocab": (load_vocab, save_vocab,
               [b"", b"casreader-vocab-v1\tshortlist=none\n", b"casreader-vocab-v1\tshortlist=3\na\t2\n"]),
     "tagged": (parse_tagged_corpus, None, [b"", b"#doc d0\n", b"#doc d0\nriver\tn\n"]),

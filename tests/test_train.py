@@ -489,7 +489,7 @@ def test_training_graph_size_does_not_grow_with_batch_size():
 
 
 class TestCheckpoint:
-    def roundtrip(self, tmp_path, with_vocab=False):
+    def roundtrip(self, tmp_path):
         from casreader.vocab import build_vocab
 
         config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=3)
@@ -498,7 +498,7 @@ class TestCheckpoint:
         state = train.AdamState.init(named, lr=config.lr)
         rng = np.random.default_rng(2)
         train.adam_step(named, {k: rng.normal(size=p.data.shape) for k, p in named.items()}, state)
-        vocab = build_vocab(["a", "b", "a"], shortlist_size=2) if with_vocab else None
+        vocab = build_vocab(["a", "b", "a"], shortlist_size=2)
         train.save_checkpoint(params, None, config, tmp_path / "ckpt", vocab=vocab)
         return params, config, train.load_checkpoint(tmp_path / "ckpt")
 
@@ -509,8 +509,8 @@ class TestCheckpoint:
         assert loaded.config == config
 
     def test_vocab_travels_with_checkpoint(self, tmp_path):
-        _, _, loaded = self.roundtrip(tmp_path, with_vocab=True)
-        assert loaded.vocab is not None and loaded.vocab.total_size == 14
+        _, _, loaded = self.roundtrip(tmp_path)
+        assert loaded.vocab.total_size == 14
 
     def test_truncated_params_names_parameter(self, tmp_path):
         self.roundtrip(tmp_path)
@@ -526,7 +526,7 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="params.bin: trailing"):
             train.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("part", ["params.bin"])
+    @pytest.mark.parametrize("part", ["params.bin", "vocab.txt"])
     def test_missing_binary_is_corruption_naming_it(self, tmp_path, part):
         self.roundtrip(tmp_path)
         (tmp_path / "ckpt" / part).unlink()
@@ -546,10 +546,28 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="params.bin: truncated at parameter 'embedding'"):
             train.load_checkpoint(tmp_path / "ckpt")
 
+    def test_negative_vocab_size_is_corruption(self, tmp_path):
+        """A negative `vocab_size` with the embedding shape to match is consistent with
+        itself; params.bin cut to what the negative shape adds up to (the GRU bytes minus
+        48) passes the size check, so only the size check on `vocab_size` catches it."""
+        from casreader.vocab import build_vocab
+
+        config = train.TrainConfig(embed_dim=2, hidden_dim=2)
+        params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(0))
+        ckpt = tmp_path / "ckpt"
+        train.save_checkpoint(params, None, config, ckpt, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
+        manifest = ckpt / "manifest.txt"
+        text = manifest.read_text().replace("vocab_size\t14\n", "vocab_size\t-3\n")
+        manifest.write_text(text.replace("embedding\t14,2", "embedding\t-3,2"))
+        blob = (ckpt / "params.bin").read_bytes()
+        (ckpt / "params.bin").write_bytes(blob[8 * 14 * 2 + 48 :])
+        with pytest.raises(CorruptionError, match="'vocab_size' must be positive"):
+            train.load_checkpoint(ckpt)
+
     def test_vocab_size_mismatch_is_configuration_error(self, tmp_path):
         from casreader.vocab import build_vocab, save_vocab
 
-        self.roundtrip(tmp_path, with_vocab=True)
+        self.roundtrip(tmp_path)
         wrong = build_vocab(["x", "y", "z", "x"], shortlist_size=3)
         save_vocab(wrong, tmp_path / "ckpt" / "vocab.txt")
         with pytest.raises(ConfigurationError, match="vocabulary"):
@@ -625,10 +643,22 @@ class TestCheckpoint:
             ("seed\t3", "seed\t-1", "seed must be non-negative"),
             ("lr\t0.0005", "lr\tnan", "lr must be finite and positive"),
             ("beta1\t0.9", "beta1\t1.0", r"beta1 must be in \[0, 1\)"),
+            # Lines this program never writes, some with values that parse: only the whole-manifest
+            # comparison with what save_checkpoint writes catches these.
+            ("seed\t3\n", "seed\t3\nseed\t5\n", "layout"),
+            ("seed\t3\n", "seed\t3\nfoo\tbar\n", "layout"),
+            ("seed\t3", "seed\t 3", "layout"),
+            ("epsilon\t1e-08", "epsilon\t1_0e-08", "layout"),
+            ("embed_dim\t4", "embed_dim\t\u0664", "layout"),
+            ("seed\t3\n", "seed\t3\n\n", "layout"),
+            ("lr\t0.0005", "lr\t5e-4", "layout"),
+            ("epsilon\t1e-08\n", "epsilon\t1e-08\nadam_t\t1\n", "layout"),
         ],
         ids=["non-numeric-value", "none-for-required-value", "non-integer-shape", "negative-shape", "bare-param",
              "zero-padded-shape", "renamed-param", "reordered-params",
-             "reshaped-recurrent", "reshaped-bias", "reshaped-embedding", "oversized-shape", "negative-seed", "nan-lr", "beta1-one"],
+             "reshaped-recurrent", "reshaped-bias", "reshaped-embedding", "oversized-shape", "negative-seed", "nan-lr",
+             "beta1-one", "duplicate-seed", "unknown-field", "padded-value", "underscored-float", "arabic-indic-digit", "blank-line",
+             "non-canonical-float", "adam-step-in-v2"],
     )
     def test_malformed_manifest_is_corruption(self, tmp_path, old, new, message):
         self.roundtrip(tmp_path)
@@ -708,7 +738,9 @@ def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data
     """Arbitrary bytes after a well-formed prefix of the manifest, or a
     parameter reshaped to the same element count, so params.bin still has
     the size the manifest asks for. Either loads into a usable model or
-    raises a CasReaderError; a reshape that changes the shape is corruption."""
+    raises a CasReaderError; a reshape that changes the shape is corruption.
+    A manifest that loads saves back to the base manifest's exact bytes: the
+    writer is the format's definition."""
     original = (manifest_base / "manifest.txt").read_bytes().splitlines(keepends=True)
     lines = list(original)
     reshape = data.draw(st.booleans(), label="reshape")
@@ -734,3 +766,5 @@ def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data
         return
     assert not reshape or lines == original
     reader.forward([encoded_sample([1, 2, 1], [3, 1], 1)], loaded.params)
+    train.save_checkpoint(loaded.params, None, loaded.config, ckpt / "again", vocab=loaded.vocab)
+    assert (ckpt / "again" / "manifest.txt").read_bytes() == (manifest_base / "manifest.txt").read_bytes()
