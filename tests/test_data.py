@@ -59,22 +59,31 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             data.load_dataset(path)
 
-    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path):
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_undecodable_line_is_parse_error_naming_line(self, tmp_path, final_newline):
+        """The bad line is the last one, with or without a line break after it."""
         path = tmp_path / "d.jsonl"
         valid = record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a").encode()
-        path.write_bytes(valid + b"\n" + valid.replace(b'"b"', b'"\xff"', 1) + b"\n")
+        end = b"\n" if final_newline else b""
+        path.write_bytes(valid + b"\n" + valid.replace(b'"b"', b'"\xff"', 1) + end)
         with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
             data.load_dataset(path)
 
-    def test_lone_surrogate_is_parse_error_naming_line(self, tmp_path):
-        """JSON can escape a lone surrogate, which no UTF-8 file written from it could hold."""
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_lone_surrogate_is_parse_error_naming_line(self, tmp_path, final_newline):
+        """JSON can escape a lone surrogate, which no UTF-8 file written from it could hold.
+
+        The escaped line is the last one, with or without a line break after it.
+        """
         path = tmp_path / "d.jsonl"
+        end = "\n" if final_newline else ""
         pair = record(["a", "\U0001f600", "a"], [PLACEHOLDER_TOKEN, "\U0001f600"], "a")  # escaped as a valid pair
         assert "\\ud83d\\ude00" in pair
-        write_lines(path, [pair, record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "\udc80"], "a")])
+        lone = record(["a", "\udc80", "a"], [PLACEHOLDER_TOKEN, "\udc80"], "a")
+        path.write_text(pair + "\n" + lone + end, encoding="utf-8")
         with pytest.raises(ParseError, match="line 2: lone surrogate"):
             data.load_dataset(path)
-        write_lines(path, [pair])
+        path.write_text(pair + end, encoding="utf-8")
         samples, _ = data.load_dataset(path)
         data.save_dataset(samples, tmp_path / "out.jsonl")
         assert data.load_dataset(tmp_path / "out.jsonl")[0] == samples
