@@ -83,7 +83,7 @@ def evaluate(
                     json.dump(
                         {
                             "doc_ids": [int(t) for t in enc.doc_ids],
-                            "alpha": out.alpha.data.tolist() if out.alpha is not None else [],
+                            "alpha": out.alpha.data.tolist(),
                             "merged": out.merged.data.tolist(),
                             "word_probs": {str(k): v for k, v in word_probs.items()},
                         },

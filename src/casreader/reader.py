@@ -5,10 +5,11 @@ yields a distribution alpha(t). A merge heuristic (sum, avg, or max over t,
 followed by a softmax) condenses those into one document-level attention s,
 and summing s over every position where a word occurs gives the word-level
 answer distribution. The single-attention `as-baseline` head skips the
-merge and attends once with the query summary [last forward state; first
-backward state] (`BatchEncoding.summary`). It reads a model trained through
-consensus attention, so it is not an attention-sum reader trained on its
-own.
+merge: it is `attention_per_step` over a one-step query, the summary [last
+forward state; first backward state] (`BatchEncoding.summary`), and that
+one attention row is both its `alpha` and its merged attention. It reads a
+model trained through consensus attention, so it is not an attention-sum
+reader trained on its own.
 
 Each stage works over the trailing axes with explicit masks, `[B x L_d]`
 for documents and `[B x L_q]` for queries; without the batch axis the same
@@ -184,10 +185,12 @@ class WordDistribution:
 
 @dataclass
 class ReaderOutput:
-    """The head's outputs for a padded batch. Iterating gives each sample's
-    unpadded outputs without the batch axis, as plain values (no graph)."""
+    """The head's outputs for a padded batch. `alpha` holds one attention row
+    per query step, or the baseline's one row, which equals `merged`.
+    Iterating gives each sample's unpadded outputs without the batch axis, as
+    plain values (no graph)."""
 
-    alpha: Tensor | None  # [B x L_q x L_d]; None for the single-attention baseline
+    alpha: Tensor  # [B x L_q x L_d]; [B x 1 x L_d] for the baseline
     merged: Tensor  # [B x L_d]
     words: WordDistribution
     doc_mask: Array  # bool [B x L_d]
@@ -202,7 +205,7 @@ class ReaderOutput:
     def sample(self, b: int) -> ReaderOutput:
         n, m = int(self.doc_mask[b].sum()), int(self.query_mask[b].sum())
         return ReaderOutput(
-            alpha=None if self.alpha is None else Tensor(self.alpha.data[b, :m, :n]),
+            alpha=Tensor(self.alpha.data[b, :m, :n]),
             merged=Tensor(self.merged.data[b, :n]),
             words=self.words.sample(b),
             doc_mask=self.doc_mask[b, :n],
@@ -268,13 +271,6 @@ def attention_sum(merged: Tensor, doc_ids, doc_mask) -> WordDistribution:
     return WordDistribution(probs=probs, token_ids=slot_keys % width, offsets=offsets)
 
 
-def as_reader_attention(doc_states: Tensor, query_final: Tensor, doc_mask) -> Tensor:
-    """Single-attention baseline: one masked softmax over document positions
-    of <h_doc[j], query_final>, for `[.. x L_d x W]` states and a `[.. x W]` query."""
-    logits = T.matmul(doc_states, T.reshape(query_final, query_final.data.shape + (1,)))
-    return T.masked_softmax(T.reshape(logits, logits.data.shape[:-1]), doc_mask)
-
-
 def _pad_batch(rows: list[Array]) -> tuple[Array, Array]:
     """Right-pad to a matrix, repeating each row's first id: masked steps send
     it exactly zero gradient, so the embedding gradient touches only ids the
@@ -318,8 +314,8 @@ def forward(
         dropout_rate=dropout_rate, rng=rng,
     )
     if mode == AS_BASELINE:
-        alpha = None
-        merged = as_reader_attention(doc_enc.states, query_enc.summary(), doc_mask)
+        alpha = attention_per_step(doc_enc.states, T.reshape(query_enc.summary(), (len(samples), 1, -1)), doc_mask)
+        merged = T.reshape(alpha, doc_mask.shape)
     else:
         alpha = attention_per_step(doc_enc.states, query_enc.states, doc_mask)
         merged = merge_attention(alpha, mode, query_mask, doc_mask)

@@ -25,6 +25,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .errors import (
     ConfigurationError,
     CorruptionError,
     NumericError,
+    ParseError,
     UsageError,
 )
 from .reader import ModelParams, ReaderConfig
@@ -443,8 +445,9 @@ def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read what `save_checkpoint` wrote. A manifest other than the one it writes for the parsed
-    config and vocabulary size (a v1 `adam_t` line aside), or a missing file, is `CorruptionError`."""
+    """Read what `save_checkpoint` wrote. The vocabulary size is `vocab.txt`'s: a manifest other
+    than the one `save_checkpoint` writes for its parsed config and that size (a v1 `adam_t` line
+    aside), a `vocab.txt` that does not parse, or a missing file is `CorruptionError`."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():
@@ -458,30 +461,29 @@ def load_checkpoint(path) -> Checkpoint:
     body = lines[1:]
     if lines[0] != _MANIFEST_FORMAT:
         body = [line for line in body if not line.startswith("adam_t\t")]
+    try:
+        vocab = load_vocab(src / "vocab.txt")
+    except FileNotFoundError:
+        raise CorruptionError(f"no vocab.txt under {src}") from None
+    except ParseError as bad:
+        raise CorruptionError(f"vocab.txt: {bad}") from None
     values = dict(line.split("\t") for line in body if line.count("\t") == 1)
     try:
         config = TrainConfig(**{
             f.name: _parse_value(values, f.name, type(f.default), nullable="None" in str(f.type))
             for f in fields(TrainConfig)
         })
-        vocab_size = _parse_value(values, "vocab_size", int)
     except KeyError as missing:
         raise CorruptionError(f"manifest missing field {missing}") from None
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
-    if vocab_size < 1:
-        raise CorruptionError(f"manifest field 'vocab_size' must be positive, got {vocab_size}")
-    layout = reader.param_layout(config.reader_config(), vocab_size)
-    if body != _manifest_lines(config, vocab_size, layout) + [""]:  # "" after the final newline
-        raise CorruptionError("manifest is not the one save_checkpoint writes for its config and model layout")
+    layout = reader.param_layout(config.reader_config(), vocab.total_size)
+    expected = _manifest_lines(config, vocab.total_size, layout) + [""]  # "" after the final newline
+    for got, want in zip_longest(body, expected, fillvalue="<end>"):
+        if got != want:
+            raise CorruptionError(
+                f"manifest has {got!r} where save_checkpoint writes {want!r} for its config, "
+                f"vocabulary and model layout"
+            )
     params = ModelParams.from_named(_read_params(src / "params.bin", layout), config.reader_config())
-    vocab_path = src / "vocab.txt"
-    if not vocab_path.exists():
-        raise CorruptionError(f"no vocab.txt under {src}")
-    vocab = load_vocab(vocab_path)
-    if vocab.total_size != vocab_size:
-        raise ConfigurationError(
-            f"checkpoint expects vocabulary of size {vocab_size}, "
-            f"found {vocab.total_size} in {vocab_path.name}"
-        )
     return Checkpoint(params=params, config=config, vocab=vocab)

@@ -23,7 +23,7 @@ from casreader import reader
 from casreader import tensor as T
 from casreader import train as tr
 from casreader.cli import cli
-from casreader.errors import ConfigurationError, CorruptionError, ParseError
+from casreader.errors import CorruptionError, ParseError
 from casreader.evaluate import evaluate
 from casreader.synthetic import SyntheticConfig, baseline_accuracy, generate_synthetic_corpus
 from casreader.tensor import Tensor
@@ -296,7 +296,7 @@ def test_criterion_7_persistence(tmp_path):
             (ckpt / "params.bin").write_bytes(blob[:-4])
             tr.load_checkpoint(ckpt)
         (ckpt / "params.bin").write_bytes(blob)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(CorruptionError):
             wrong = build_vocab(["a", "b", "c", "d", "a", "b", "c", "d"], shortlist_size=4)
             save_vocab(wrong, ckpt / "vocab.txt")
             tr.load_checkpoint(ckpt)

@@ -232,14 +232,23 @@ class TestErrorSurface:
         assert proc.returncode == 5
         assert json.loads(proc.stderr)["error"] == "io"
 
-    def test_vocab_mismatch_is_usage_class_error(self, tmp_path):
+    def test_vocab_mismatch_is_io_error(self, tmp_path):
         corpus, ckpt = self.trained_checkpoint(tmp_path)
         # Overwrite the checkpoint vocabulary with a truncated, smaller one.
         invoke_ok(CliRunner(), ["build-vocab", "--input", str(corpus / "train.jsonl"),
                            "--shortlist", "10", "--output", str(ckpt / "vocab.txt")])
         proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
-        assert proc.returncode == 2
-        assert json.loads(proc.stderr)["error"] == "usage"
+        assert proc.returncode == 5, proc.stderr
+        error = json.loads(proc.stderr)
+        assert error["error"] == "io" and "vocab_size" in error["message"]
+
+    def test_unparseable_checkpoint_vocab_is_io_error(self, tmp_path):
+        corpus, ckpt = self.trained_checkpoint(tmp_path)
+        (ckpt / "vocab.txt").write_text("garbage\n")
+        proc = self.run_cli("eval", "--checkpoint", str(ckpt), "--data", str(corpus / "test.jsonl"))
+        assert proc.returncode == 5, proc.stderr
+        error = json.loads(proc.stderr)
+        assert error["error"] == "io" and error["message"].startswith("vocab.txt:")
 
     def test_corrupt_checkpoint_is_io_error(self, tmp_path):
         corpus, ckpt = self.trained_checkpoint(tmp_path)

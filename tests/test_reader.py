@@ -150,32 +150,34 @@ class TestAttentionSum:
 
 
 class TestAsReaderAttention:
+    """The single-attention baseline is `attention_per_step` over a one-step query."""
+
     def test_zero_query_gives_uniform(self):
         h_doc = Tensor(np.random.default_rng(3).normal(size=(4, 6)))
-        merged = reader.as_reader_attention(h_doc, Tensor(np.zeros(6)), full(4))
-        np.testing.assert_allclose(merged.data, np.full(4, 0.25), atol=1e-15)
+        alpha = reader.attention_per_step(h_doc, Tensor(np.zeros((1, 6))), full(4))
+        np.testing.assert_allclose(alpha.data, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_orthonormal_rows_pick_matching_position(self):
         h_doc = Tensor(np.eye(4))
-        merged = reader.as_reader_attention(h_doc, Tensor(np.eye(4)[2]), full(4))
-        assert merged.data.argmax() == 2
-        assert merged.data[2] > max(np.delete(merged.data, 2))
+        (row,) = reader.attention_per_step(h_doc, Tensor(np.eye(4)[2:3]), full(4)).data
+        assert row.argmax() == 2
+        assert row[2] > max(np.delete(row, 2))
 
     def test_single_softmax_differs_from_consensus_double_softmax(self):
         # With m = 1 the consensus head softmaxes the attention row a second
         # time; the baseline head applies exactly one softmax.
         rng = np.random.default_rng(4)
-        h_doc = Tensor(rng.normal(size=(3, 4)))
+        h = rng.normal(size=(3, 4))
         q = rng.normal(size=4)
-        baseline = reader.as_reader_attention(h_doc, Tensor(q), full(3))
-        alpha = reader.attention_per_step(h_doc, Tensor(q.reshape(1, 4)), full(3))
+        alpha = reader.attention_per_step(Tensor(h), Tensor(q.reshape(1, 4)), full(3))
         consensus = reader.merge_attention(alpha, "sum", full(1), full(3))
-        np.testing.assert_allclose(baseline.data, alpha.data[0], atol=1e-12)
-        assert not np.allclose(consensus.data, baseline.data)
+        logits = h @ q
+        np.testing.assert_allclose(alpha.data[0], np.exp(logits) / np.exp(logits).sum(), atol=1e-12)
+        assert not np.allclose(consensus.data, alpha.data[0])
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionError):
-            reader.as_reader_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros(6)), full(2))
+            reader.attention_per_step(Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 6))), full(2))
 
 
 def pipeline_oracle(params, doc_ids, query_ids, mode):
@@ -300,7 +302,8 @@ class TestForward:
         params = tiny_params(seed=8)
         sample = FakeSample([3, 4, 5, 3], [7, 1])
         (out,) = reader.forward([sample], params, mode=reader.AS_BASELINE)
-        assert out.alpha is None
+        assert out.alpha.data.shape == (1, 4)
+        assert out.alpha.data.tobytes() == out.merged.data.tobytes()
         assert abs(out.merged.data.sum() - 1.0) < 1e-12
 
     def test_empty_batch_rejected(self):

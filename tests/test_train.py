@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from casreader import reader, train
 from casreader import tensor as T
 from casreader.errors import (
-    CasReaderError,
     ConfigurationError,
     CorruptionError,
     NumericError,
@@ -534,22 +533,19 @@ class TestCheckpoint:
             train.load_checkpoint(tmp_path / "ckpt")
 
     def test_oversized_model_fails_before_allocating(self, tmp_path):
-        """A manifest consistent with its layout but far larger than
-        params.bin is caught by the size check, before any array exists."""
-        self.roundtrip(tmp_path)
-        manifest = tmp_path / "ckpt" / "manifest.txt"
-        text = manifest.read_text()
-        huge = 10**15
-        manifest.write_text(
-            text.replace("vocab_size\t14\n", f"vocab_size\t{huge}\n").replace("embedding\t14,4", f"embedding\t{huge},4")
-        )
+        """A manifest consistent with its config and vocabulary but far larger
+        than params.bin is caught by the size check, before any array exists."""
+        _, config, _ = self.roundtrip(tmp_path)
+        huge = train.TrainConfig(**dict(config.__dict__, embed_dim=10**15))
+        lines = train._manifest_lines(huge, 14, reader.param_layout(huge.reader_config(), 14))
+        (tmp_path / "ckpt" / "manifest.txt").write_text("\n".join([train._MANIFEST_FORMAT] + lines) + "\n")
         with pytest.raises(CorruptionError, match="params.bin: truncated at parameter 'embedding'"):
             train.load_checkpoint(tmp_path / "ckpt")
 
     def test_negative_vocab_size_is_corruption(self, tmp_path):
         """A negative `vocab_size` with the embedding shape to match is consistent with
         itself; params.bin cut to what the negative shape adds up to (the GRU bytes minus
-        48) passes the size check, so only the size check on `vocab_size` catches it."""
+        48) passes the size check, so only the vocabulary size that `vocab.txt` gives catches it."""
         from casreader.vocab import build_vocab
 
         config = train.TrainConfig(embed_dim=2, hidden_dim=2)
@@ -561,16 +557,16 @@ class TestCheckpoint:
         manifest.write_text(text.replace("embedding\t14,2", "embedding\t-3,2"))
         blob = (ckpt / "params.bin").read_bytes()
         (ckpt / "params.bin").write_bytes(blob[8 * 14 * 2 + 48 :])
-        with pytest.raises(CorruptionError, match="'vocab_size' must be positive"):
+        with pytest.raises(CorruptionError, match=r"manifest has 'vocab_size\\t-3' where save_checkpoint writes"):
             train.load_checkpoint(ckpt)
 
-    def test_vocab_size_mismatch_is_configuration_error(self, tmp_path):
+    def test_vocab_size_mismatch_is_corruption(self, tmp_path):
         from casreader.vocab import build_vocab, save_vocab
 
         self.roundtrip(tmp_path)
         wrong = build_vocab(["x", "y", "z", "x"], shortlist_size=3)
         save_vocab(wrong, tmp_path / "ckpt" / "vocab.txt")
-        with pytest.raises(ConfigurationError, match="vocabulary"):
+        with pytest.raises(CorruptionError, match=r"'vocab_size\\t14' where save_checkpoint writes 'vocab_size\\t15'"):
             train.load_checkpoint(tmp_path / "ckpt")
 
     GOLDEN = Path(__file__).parent / "golden"
@@ -720,7 +716,8 @@ def manifest_base(tmp_path_factory):
 
 MANIFEST_FRAGMENTS = FRAGMENTS + [b"param", b"embedding", b"doc_fwd.u_z", b"query_bwd.b_h", b"vocab_size", b"adam_t",
                                   b"embed_dim", b"hidden_dim", b"merge_mode", b"none", b"nan", b"1e999", b"14",
-                                  b"4", b"16", b"casreader-checkpoint-v1", b"casreader-checkpoint-v2"]
+                                  b"4", b"16", b"casreader-checkpoint-v1", b"casreader-checkpoint-v2",
+                                  b"casreader-vocab-v1", b"shortlist=", b"2", b"a\t2\n", b"b\t1\n"]
 
 
 def reshaped(data, count: int) -> bytes:
@@ -735,36 +732,39 @@ def reshaped(data, count: int) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data):
-    """Arbitrary bytes after a well-formed prefix of the manifest, or a
-    parameter reshaped to the same element count, so params.bin still has
-    the size the manifest asks for. Either loads into a usable model or
-    raises a CasReaderError; a reshape that changes the shape is corruption.
-    A manifest that loads saves back to the base manifest's exact bytes: the
+    """Arbitrary bytes after a well-formed prefix of the manifest or of vocab.txt,
+    or a manifest parameter reshaped to the same element count, so params.bin
+    still has the size the manifest asks for. Either loads into a usable model
+    or raises a CorruptionError; a reshape that changes the shape is corruption.
+    A checkpoint that loads saves back to the base manifest's exact bytes: the
     writer is the format's definition."""
-    original = (manifest_base / "manifest.txt").read_bytes().splitlines(keepends=True)
-    lines = list(original)
+    original = {part: (manifest_base / part).read_bytes() for part in ("manifest.txt", "params.bin", "vocab.txt")}
+    files = dict(original)
     reshape = data.draw(st.booleans(), label="reshape")
     if reshape:
+        lines = original["manifest.txt"].splitlines(keepends=True)
         i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith(b"param\t")]))
         name, shape = lines[i].rstrip(b"\n").split(b"\t")[1:]
         lines[i] = b"param\t" + name + b"\t" + reshaped(data, math.prod(int(d) for d in shape.split(b","))) + b"\n"
+        files["manifest.txt"] = b"".join(lines)
     else:
+        part = data.draw(st.sampled_from(["manifest.txt", "vocab.txt"]), label="file")
+        lines = original[part].splitlines(keepends=True)
         cut = data.draw(st.integers(0, len(lines)), label="cut")
         body = data.draw(
             st.one_of(st.binary(max_size=200), st.lists(st.sampled_from(MANIFEST_FRAGMENTS), max_size=60).map(b"".join)),
             label="body",
         )
-        lines = lines[:cut] + [body]
+        files[part] = b"".join(lines[:cut] + [body])
     ckpt = tmp_path_factory.mktemp("manifest-fuzz")
-    for part in ("params.bin", "vocab.txt"):
-        (ckpt / part).write_bytes((manifest_base / part).read_bytes())
-    (ckpt / "manifest.txt").write_bytes(b"".join(lines))
+    for part, blob in files.items():
+        (ckpt / part).write_bytes(blob)
     try:
         loaded = train.load_checkpoint(ckpt)
-    except CasReaderError as err:
-        assert not reshape or lines != original, err
+    except CorruptionError as err:
+        assert not reshape or files != original, err
         return
-    assert not reshape or lines == original
+    assert not reshape or files == original
     reader.forward([encoded_sample([1, 2, 1], [3, 1], 1)], loaded.params)
     train.save_checkpoint(loaded.params, None, loaded.config, ckpt / "again", vocab=loaded.vocab)
-    assert (ckpt / "again" / "manifest.txt").read_bytes() == (manifest_base / "manifest.txt").read_bytes()
+    assert (ckpt / "again" / "manifest.txt").read_bytes() == original["manifest.txt"]
