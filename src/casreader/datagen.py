@@ -15,6 +15,7 @@ a configurable tag set.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -138,15 +139,11 @@ def _draw_samples(
 
 
 def _build_sample(doc: TaggedDocument, answer: str, s_idx: int, t_idx: int, occurrence_index: int) -> ClozeSample:
-    query = [tok for tok, _ in doc.sentences[s_idx]]
-    query[t_idx] = PLACEHOLDER_TOKEN
-    document: list[str] = []
-    for i, sentence in enumerate(doc.sentences):
-        for j, (tok, _) in enumerate(sentence):
-            document.append(PLACEHOLDER_TOKEN if (i, j) == (s_idx, t_idx) else tok)
+    surfaces = [[tok for tok, _ in sentence] for sentence in doc.sentences]
+    surfaces[s_idx][t_idx] = PLACEHOLDER_TOKEN
     return ClozeSample(
-        document=document,
-        query=query,
+        document=list(chain.from_iterable(surfaces)),
+        query=surfaces[s_idx],
         answer=answer,
         meta={"doc_id": doc.doc_id, "query_sentence": s_idx, "answer_occurrence": occurrence_index},
     )

@@ -24,14 +24,7 @@ class ConfigurationError(CasReaderError):
 
 
 class DimensionError(CasReaderError):
-    """Tensor or matrix shapes do not agree."""
-
-
-class EmptySupportError(CasReaderError):
-    """A softmax was requested over a fully masked vector."""
-
-    exit_code = 4
-    kind = "numeric"
+    """Tensor or matrix shapes do not agree, or a row index falls outside its table."""
 
 
 class NumericError(CasReaderError):

@@ -8,6 +8,7 @@ that records no autodiff graph.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from . import reader
@@ -67,10 +68,9 @@ def evaluate(
         )
     encoded = [s if isinstance(s, EncodedSample) else encode_sample(vocab, s) for s in samples]
 
-    dump_fh = open(dump_attention, "w", encoding="utf-8") if dump_attention else None
     correct = 0
     records: list[SampleRecordResult] = []
-    try:
+    with open(dump_attention, "w", encoding="utf-8") if dump_attention else nullcontext() as dump_fh:
         for group, output, predicted in reader.score(encoded, params, mode, restrict_candidates, batch_size):
             correct += int((predicted == [enc.answer_id for enc in group]).sum())
             if not (keep_records or dump_fh):
@@ -90,9 +90,6 @@ def evaluate(
                         dump_fh,
                     )
                     dump_fh.write("\n")
-    finally:
-        if dump_fh:
-            dump_fh.close()
     return EvalReport(
         dataset=dataset_name,
         mode=mode,
@@ -104,15 +101,10 @@ def evaluate(
 
 
 def _record(vocab, word_probs, predicted, gold_id) -> SampleRecordResult:
-    ranked = sorted(word_probs.items(), key=lambda kv: (-kv[1], kv[0]))
-    rank = None
-    for i, (tid, _) in enumerate(ranked, start=1):
-        if tid == gold_id:
-            rank = i
-            break
+    ranked = sorted(word_probs, key=lambda tid: (-word_probs[tid], tid))
     return SampleRecordResult(
         predicted=vocab.id_to_token(predicted),
         gold=vocab.id_to_token(gold_id),
-        gold_rank=rank,
-        top_words={vocab.id_to_token(tid): p for tid, p in ranked[:TOP_K]},
+        gold_rank=ranked.index(gold_id) + 1 if gold_id in word_probs else None,
+        top_words={vocab.id_to_token(tid): word_probs[tid] for tid in ranked[:TOP_K]},
     )

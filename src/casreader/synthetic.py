@@ -8,8 +8,9 @@ the documents also carry a bare distractor noun repeated exactly as often
 as the answer, so a pick-the-most-frequent-candidate baseline faces a
 coin-flip tie there, while cue adjacency and the verbatim context match
 identify the answer everywhere: the answer is the most repeated token
-co-occurring with the query's cue. Fillers are drawn without replacement
-inside each document, so no filler outnumbers the answer.
+co-occurring with the query's cue. Each document reads its fillers in order
+off one shuffle of the filler names, so no filler repeats inside a document
+or outnumbers the answer.
 
 Splits are disjoint by document and the whole corpus is a pure function of
 the seed.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -73,37 +75,24 @@ class SyntheticConfig:
         return [f"fill{i:02d}" for i in range(self.vocab_size - 2 * PAIRS)]
 
 
-class _FillerPool:
-    """Per-document filler source without replacement."""
-
-    def __init__(self, cfg: SyntheticConfig, rng: np.random.Generator):
-        fillers = cfg.fillers
-        self._names = [fillers[i] for i in rng.permutation(len(fillers))]
-        self._next = 0
-
-    def take(self, n: int) -> list[str]:
-        out = self._names[self._next : self._next + n]
-        self._next += n
-        return out
-
-
 def _pair_sentence(pair, pool, rng) -> tuple[list[str], int]:
     """cue directly followed by its noun amid fillers; returns the noun slot."""
-    sentence = pool.take(SENTENCE_LEN - 2)
+    sentence = list(islice(pool, SENTENCE_LEN - 2))
     slot = int(rng.integers(0, len(sentence) + 1))
     sentence[slot:slot] = [CUES[pair], NOUNS[pair]]
     return sentence, slot + 1
 
 
 def _bare_noun_sentence(pair, pool, rng) -> list[str]:
-    sentence = pool.take(SENTENCE_LEN - 1)
+    sentence = list(islice(pool, SENTENCE_LEN - 1))
     slot = int(rng.integers(0, len(sentence) + 1))
     sentence[slot:slot] = [NOUNS[pair]]
     return sentence
 
 
 def _build_document(cfg: SyntheticConfig, rng: np.random.Generator, doc_id: str) -> ClozeSample:
-    pool = _FillerPool(cfg, rng)
+    fillers = cfg.fillers
+    pool = iter([fillers[i] for i in rng.permutation(len(fillers))])
     pair = int(rng.integers(PAIRS))
     sentences: list[tuple[list[str], int | None]] = []
     for _ in range(ANSWER_REPEATS):
@@ -119,7 +108,7 @@ def _build_document(cfg: SyntheticConfig, rng: np.random.Generator, doc_id: str)
     for p in others[:BACKGROUND_SENTENCES]:
         sentences.append((_bare_noun_sentence(p, pool, rng), None))
     for _ in range(FILLER_SENTENCES):
-        sentences.append((pool.take(SENTENCE_LEN), None))
+        sentences.append((list(islice(pool, SENTENCE_LEN)), None))
 
     order = rng.permutation(len(sentences))
     answer_slots = [int(i) for i in order if sentences[i][1] is not None]
@@ -172,8 +161,8 @@ def frequency_baseline(sample: ClozeSample) -> str:
     Falls back to all document tokens when no candidate list is present;
     ties break to the lexicographically smallest token.
     """
-    pool = sample.candidates if sample.candidates else sample.document
-    counts = Counter(tok for tok in sample.document if tok in set(pool))
+    pool = set(sample.candidates or sample.document)
+    counts = Counter(tok for tok in sample.document if tok in pool)
     best = max(counts.values())
     return min(tok for tok, c in counts.items() if c == best)
 

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptySupportError, NumericError, UsageError
+from .errors import DimensionError, NumericError, UsageError
 
 Array = np.ndarray
 
@@ -248,7 +248,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise DimensionError("gather_rows expects a flat index sequence")
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"row index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
+        raise DimensionError(f"row index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
     out = Tensor(a.data[idx])
 
     def backward(g: Array) -> None:
@@ -331,7 +331,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     except ValueError:
         raise DimensionError(f"mask shape {np.shape(mask)} does not match logits shape {x.shape}") from None
     if not mask.any(axis=-1).all():
-        raise EmptySupportError("masked_softmax over a fully masked row")
+        raise UsageError("masked_softmax over a fully masked row")
     top = np.max(x, axis=-1, keepdims=True, where=mask, initial=-np.inf)
     e = np.exp(x - top, out=np.zeros_like(x), where=mask)
     probs = e / e.sum(axis=-1, keepdims=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -268,7 +269,6 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     params: ModelParams  # best-by-validation snapshot
-    config: TrainConfig
     best_epoch: int
     best_accuracy: float
     history: list[EpochRecord]
@@ -307,9 +307,11 @@ def train(
     best_epoch = -1
     history: list[EpochRecord] = []
     aborted = False
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with (
+        open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log_fh,
+        np.errstate(over="raise", divide="raise", invalid="raise"),
+    ):
+        try:
             for epoch in range(1, config.epochs + 1):
                 started = time.perf_counter()
                 losses, norms = [], []
@@ -341,16 +343,12 @@ def train(
                     best_accuracy = accuracy
                     best_epoch = epoch
                     best = _snapshot(params)
-    except (FloatingPointError, NumericError):
-        aborted = True
-    finally:
-        if log_fh:
-            log_fh.close()
+        except (FloatingPointError, NumericError):
+            aborted = True
     if best is None:
         raise NumericError("training diverged before completing the first epoch")
     return TrainResult(
         params=best,
-        config=config,
         best_epoch=best_epoch,
         best_accuracy=best_accuracy,
         history=history,

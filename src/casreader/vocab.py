@@ -92,15 +92,10 @@ def build_vocab(tokens: Iterable[str], shortlist_size: int | None) -> Vocabulary
     """
     if shortlist_size is not None and shortlist_size < 1:
         raise UsageError(f"shortlist_size must be >= 1 or None, got {shortlist_size}")
-    counts = Counter()
-    total = 0
-    for token in tokens:
-        total += 1
-        if token == PLACEHOLDER_TOKEN or token == PAD_TOKEN:
-            continue
-        counts[token] += 1
-    if total == 0:
+    counts = Counter(tokens)
+    if not counts:
         raise UsageError("build_vocab got an empty token stream")
+    del counts[PLACEHOLDER_TOKEN], counts[PAD_TOKEN]  # a Counter ignores a missing key
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if shortlist_size is not None:
         ranked = ranked[:shortlist_size]

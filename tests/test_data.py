@@ -1,5 +1,6 @@
 """Dataset I/O, synthetic corpus, and evaluation-report tests."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casreader import data, reader, synthetic
-from casreader.datagen import ClozeSample, dataset_stats, parse_tagged_corpus, validate_sample
+from casreader import evaluate as evaluate_module
+from casreader.datagen import ClozeSample, dataset_stats, generate_corpus, parse_tagged_corpus, validate_sample
 from casreader.errors import CasReaderError, ConfigurationError, ParseError, UsageError, ValidationError
 from casreader.evaluate import evaluate
 from casreader.vocab import PLACEHOLDER_TOKEN, build_vocab, load_vocab, save_vocab
@@ -215,6 +217,49 @@ class TestSyntheticCorpus:
         assert synthetic.frequency_baseline(s) == "noun00"  # tie -> lexicographic
 
 
+# Three documents: two with nouns to blank at sentence starts, middles and
+# ends, and one with no noun that occurs twice, which is skipped.
+TAGGED_TEXT = (
+    "#doc river\n"
+    "the\tDT\nriver\tn\nflows\tv\nnorth\tn\n\n"
+    "north\tn\nof\tIN\nthe\tDT\nriver\tn\n\n"
+    "a\tDT\nriver\tn\nbends\tv\neast\tn\n\n"
+    "east\tn\nis\tv\nnot\tRB\nnorth\tn\n"
+    "#doc market\n"
+    "traders\tn\nsell\tv\nfish\tn\n\n"
+    "fish\tn\nand\tCC\nbread\tn\nfeed\tv\ntraders\tn\n\n"
+    "bread\tn\nis\tv\ncheap\tADJ\n"
+    "#doc lone\n"
+    "sky\tn\nis\tv\nblue\tADJ\n"
+)
+
+DATA_PATH_SHA256 = {
+    "synth-train.jsonl": "ce5876e0ec087682326a192d176e6ca94dc39e86ba574fc56890102d38243cf1",
+    "synth-valid.jsonl": "9a4adcf24394e0ff85d4a5f19562c2cc03ce78ec7e688f13b907a8faa73133f8",
+    "synth-test.jsonl": "3cd054358cb92a6714931a799b4ad642d1f03a5e65aeff510758a1feb7aac862",
+    "vocab.txt": "570f8b20db352829c84b49600ab847909d175cc2940eabbb5d4a7d2c1d0d83dc",
+    "tagged.jsonl": "1ce9872754532aac615513aaa023d166dbeaae70142163f7850bae127a9e5549",
+}
+
+
+def test_data_path_bytes_are_pinned(tmp_path):
+    """The synthetic splits, the vocabulary built from the training split and
+    the samples generated from a tagged text are byte-identical to the files
+    these digests were taken from, so a reordered draw or a misplaced
+    placeholder shows even where the counts and lengths do not change."""
+    splits = synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(seed=0))
+    for split, samples in splits.items():
+        data.save_dataset(samples, tmp_path / f"synth-{split}.jsonl")
+    train_tokens = (tok for s in splits["train"] for part in (s.document, s.query) for tok in part)
+    save_vocab(build_vocab(train_tokens, None), tmp_path / "vocab.txt")
+    (tmp_path / "tagged.txt").write_text(TAGGED_TEXT, encoding="utf-8")
+    samples, skips = generate_corpus(parse_tagged_corpus(tmp_path / "tagged.txt"), seed=3, samples_per_doc=3)
+    assert [(s.doc_id, s.reason) for s in skips] == [("lone", "no-candidates")]
+    data.save_dataset(samples, tmp_path / "tagged.jsonl")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DATA_PATH_SHA256}
+    assert digests == DATA_PATH_SHA256
+
+
 def tiny_model(vocab, mode="avg", seed=0):
     config = reader.ReaderConfig(embed_dim=4, hidden_dim=4, merge_mode=mode)
     return reader.init_model_params(config, vocab.total_size, np.random.default_rng(seed))
@@ -284,6 +329,13 @@ class TestEvaluate:
         for rec in report.records:
             assert rec.gold_rank is not None and rec.gold_rank >= 1
             assert 0 < len(rec.top_words) <= 5
+
+    def test_record_ranks_ties_by_id_and_gives_no_rank_to_an_absent_gold(self):
+        vocab = build_vocab(["a", "b", "c"], shortlist_size=None)  # ids 12, 13, 14
+        probs = {14: 0.25, 13: 0.5, 12: 0.25}
+        rec = evaluate_module._record(vocab, probs, 13, 14)
+        assert (rec.gold_rank, list(rec.top_words)) == (3, ["b", "a", "c"])
+        assert evaluate_module._record(vocab, probs, 13, 2).gold_rank is None  # an OOV bucket
 
     def test_unknown_mode_is_rejected_before_the_dump_is_opened(self, tmp_path):
         samples = small_dataset()

@@ -112,7 +112,7 @@ class TestEmbedLookup:
 
     def test_out_of_range_id(self):
         fwd, bwd = make_params(2, 3, seed=1), make_params(2, 3, seed=2)
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionError, match="row index out of range for 4 rows: 4"):
             nn.encode_batch([[1, 4]], [[True, True]], Tensor(np.zeros((4, 2))), fwd, bwd)
 
 

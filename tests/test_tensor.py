@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from casreader import tensor as T
-from casreader.errors import DimensionError, EmptySupportError, UsageError
+from casreader.errors import DimensionError, UsageError
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,7 +96,7 @@ class TestMaskedSoftmax:
             assert np.all(out.data[mask] <= 1.0)
 
     def test_all_masked_raises(self):
-        with pytest.raises(EmptySupportError):
+        with pytest.raises(UsageError, match="fully masked row"):
             T.masked_softmax(T.Tensor([1.0, 2.0]), [False, False])
 
     def test_rowwise_matches_vector(self):
@@ -174,7 +174,7 @@ class TestGatherScatter:
         assert np.all(w.grad.dense()[[0, 1, 3]] == 0.0)
 
     def test_gather_rows_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionError, match="row index out of range for 2 rows: 5"):
             T.gather_rows(T.Tensor(np.zeros((2, 2))), [5])
 
     def test_gathered_leaf_gets_row_grad_bit_identical_to_dense_scatter(self):
@@ -279,7 +279,7 @@ class TestBatchedOps:
         assert T.grad_check(loss, params) < 1e-4
 
     def test_masked_softmax_needs_support_in_every_row(self):
-        with pytest.raises(EmptySupportError):
+        with pytest.raises(UsageError, match="fully masked row"):
             T.masked_softmax(T.Tensor(np.zeros((2, 2))), [[True, False], [False, False]])
 
     def test_reduce_max_over_axis_1_of_3d(self):

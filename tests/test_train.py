@@ -16,6 +16,7 @@ from casreader import tensor as T
 from casreader.errors import (
     ConfigurationError,
     CorruptionError,
+    DimensionError,
     NumericError,
     UsageError,
     ValidationError,
@@ -387,6 +388,12 @@ class TestTrainLoop:
     def test_empty_sets_rejected(self):
         with pytest.raises(UsageError):
             train.train(self.config(), [], toy_corpus(2), vocab_size=20)
+
+    def test_id_outside_the_embedding_is_a_dimension_error(self):
+        """An id the embedding has no row for is a typed error (exit 2), not a builtin IndexError."""
+        samples = [encoded_sample([13, 30, 13], [1, 14], 13)]
+        with pytest.raises(DimensionError, match="row index out of range for 20 rows: 30"):
+            train.train(train.TrainConfig(epochs=1, batch_size=1), samples, samples, vocab_size=20)
 
     @pytest.mark.parametrize("fault", ["loss", "gradient", "overflow"])
     def test_non_finite_step_aborts_with_best_snapshot(self, monkeypatch, fault):

@@ -44,6 +44,7 @@ class TestBuildVocab:
     def test_placeholder_never_enters_shortlist(self):
         v = V.build_vocab([V.PLACEHOLDER_TOKEN, "a", V.PLACEHOLDER_TOKEN], shortlist_size=5)
         assert v.tokens == ["a"]
+        assert V.build_vocab([V.PAD_TOKEN, V.PLACEHOLDER_TOKEN], shortlist_size=5).tokens == []
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)
