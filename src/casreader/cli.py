@@ -62,9 +62,7 @@ def build_vocab_cmd(input_paths, shortlist, output_path):
         for path in input_paths:
             samples, _ = data.load_dataset(path)
             for s in samples:
-                yield from s.document
-                yield from s.query
-                yield s.answer
+                yield from s.tokens()
 
     vocab = V.build_vocab(stream(), shortlist_size=shortlist or None)
     V.save_vocab(vocab, output_path)
@@ -136,15 +134,9 @@ def eval_cmd(ckpt_dir, data_path, mode, restrict_candidates, dump_path, records)
 @click.option("--train-docs", default=200, show_default=True, type=int)
 @click.option("--valid-docs", default=50, show_default=True, type=int)
 @click.option("--test-docs", default=50, show_default=True, type=int)
-def synth(out_dir, seed, vocab_size, train_docs, valid_docs, test_docs):
+def synth(out_dir, **fields):
     """Generate the synthetic verification corpus."""
-    cfg = synthetic.SyntheticConfig(
-        vocab_size=vocab_size,
-        train_docs=train_docs,
-        valid_docs=valid_docs,
-        test_docs=test_docs,
-        seed=seed,
-    )
+    cfg = synthetic.SyntheticConfig(**fields)
     splits = synthetic.generate_synthetic_corpus(cfg, out_dir=out_dir)
     summary = {split: len(samples) for split, samples in splits.items()}
     summary["baseline_test_accuracy"] = synthetic.baseline_accuracy(splits["test"])

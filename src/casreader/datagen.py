@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class ClozeSample:
     answer: str
     candidates: list[str] | None = None
     meta: dict = field(default_factory=dict)
+
+    def tokens(self) -> Iterator[str]:
+        """The document, then the query, then the answer."""
+        return chain(self.document, self.query, (self.answer,))
 
 
 def validate_sample(sample: ClozeSample) -> None:
@@ -187,43 +191,35 @@ def parse_tagged_corpus(path) -> list[TaggedDocument]:
     """Read the `#doc` / `token<TAB>TAG` / blank-line-separated format."""
     docs: list[TaggedDocument] = []
     doc_id: str | None = None
-    sentences: list[list[tuple[str, str]]] = []
-    current: list[tuple[str, str]] = []
+    sentences: list[list[tuple[str, str]]] = [[]]
 
-    def flush_sentence():
-        nonlocal current
-        if current:
-            sentences.append(current)
-            current = []
-
-    def flush_doc(lineno: int):
+    def close_doc(lineno: int):
         nonlocal sentences
-        if doc_id is None:
-            return
-        flush_sentence()
-        if not sentences:
-            raise ParseError(f"document {doc_id!r} has no sentences", line=lineno)
-        docs.append(TaggedDocument(sentences=sentences, doc_id=doc_id))
-        sentences = []
+        if doc_id is not None:
+            kept = [sentence for sentence in sentences if sentence]
+            if not kept:
+                raise ParseError(f"document {doc_id!r} has no sentences", line=lineno)
+            docs.append(TaggedDocument(sentences=kept, doc_id=doc_id))
+        sentences = [[]]
 
     lineno = 0
     for lineno, line in text_lines(path):
         line = line.rstrip("\n")
         if line == "#doc" or line[:4] == "#doc" and line[4].isspace():
-            flush_doc(lineno)
+            close_doc(lineno)
             doc_id = line[4:].strip()
             if not doc_id:
                 raise ParseError("missing document id after '#doc'", line=lineno)
         elif not line.strip():
-            flush_sentence()
+            sentences.append([])
         else:
             if doc_id is None:
                 raise ParseError("token line before any '#doc' header", line=lineno)
             cols = line.split("\t")
             if len(cols) != 2 or not cols[0] or not cols[1]:
                 raise ParseError(f"expected 'token<TAB>TAG', got {line!r}", line=lineno)
-            current.append((cols[0], cols[1]))
-    flush_doc(lineno + 1)
+            sentences[-1].append((cols[0], cols[1]))
+    close_doc(lineno + 1)
     return docs
 
 
@@ -250,11 +246,7 @@ def dataset_stats(samples: Sequence[ClozeSample]) -> DatasetStats:
         raise UsageError("dataset_stats needs at least one sample")
     doc_lens = [len(s.document) for s in samples]
     query_lens = [len(s.query) for s in samples]
-    vocab: set[str] = set()
-    for s in samples:
-        vocab.update(s.document)
-        vocab.update(s.query)
-        vocab.add(s.answer)
+    vocab = set(chain.from_iterable(s.tokens() for s in samples))
     vocab.discard(PLACEHOLDER_TOKEN)
 
     def avg(values):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -75,56 +75,39 @@ class SyntheticConfig:
         return [f"fill{i:02d}" for i in range(self.vocab_size - 2 * PAIRS)]
 
 
-def _pair_sentence(pair, pool, rng) -> tuple[list[str], int]:
-    """cue directly followed by its noun amid fillers; returns the noun slot."""
-    sentence = list(islice(pool, SENTENCE_LEN - 2))
+def _sentence(tokens, pool, rng) -> tuple[list[str], int]:
+    """`tokens` at a random slot amid fillers; returns the sentence and the
+    index of its last token."""
+    sentence = list(islice(pool, SENTENCE_LEN - len(tokens)))
     slot = int(rng.integers(0, len(sentence) + 1))
-    sentence[slot:slot] = [CUES[pair], NOUNS[pair]]
-    return sentence, slot + 1
-
-
-def _bare_noun_sentence(pair, pool, rng) -> list[str]:
-    sentence = list(islice(pool, SENTENCE_LEN - 1))
-    slot = int(rng.integers(0, len(sentence) + 1))
-    sentence[slot:slot] = [NOUNS[pair]]
-    return sentence
+    sentence[slot:slot] = tokens
+    return sentence, slot + len(tokens) - 1
 
 
 def _build_document(cfg: SyntheticConfig, rng: np.random.Generator, doc_id: str) -> ClozeSample:
     fillers = cfg.fillers
     pool = iter([fillers[i] for i in rng.permutation(len(fillers))])
     pair = int(rng.integers(PAIRS))
-    sentences: list[tuple[list[str], int | None]] = []
-    for _ in range(ANSWER_REPEATS):
-        sent, noun_pos = _pair_sentence(pair, pool, rng)
-        sentences.append((sent, noun_pos))
+    # The answer sentences come first, so `i < ANSWER_REPEATS` marks them.
+    answers = [_sentence([CUES[pair], NOUNS[pair]], pool, rng) for _ in range(ANSWER_REPEATS)]
     others = [p for p in range(PAIRS) if p != pair]
     rng.shuffle(others)
-    if rng.random() < TIE_PROB:
-        # Bare distractor repeated to tie the answer count exactly.
-        distractor, others = others[0], others[1:]
-        for _ in range(ANSWER_REPEATS):
-            sentences.append((_bare_noun_sentence(distractor, pool, rng), None))
-    for p in others[:BACKGROUND_SENTENCES]:
-        sentences.append((_bare_noun_sentence(p, pool, rng), None))
-    for _ in range(FILLER_SENTENCES):
-        sentences.append((list(islice(pool, SENTENCE_LEN)), None))
+    # Bare distractor repeated to tie the answer count exactly.
+    bare = [others.pop(0)] * ANSWER_REPEATS if rng.random() < TIE_PROB else []
+    sentences = [sent for sent, _ in answers]
+    sentences += [_sentence([NOUNS[p]], pool, rng)[0] for p in bare + others[:BACKGROUND_SENTENCES]]
+    sentences += [list(islice(pool, SENTENCE_LEN)) for _ in range(FILLER_SENTENCES)]
 
-    order = rng.permutation(len(sentences))
-    answer_slots = [int(i) for i in order if sentences[i][1] is not None]
-    query_sentence = answer_slots[int(rng.integers(len(answer_slots)))]
+    order = rng.permutation(len(sentences)).tolist()
+    answer_slots = [i for i in order if i < ANSWER_REPEATS]
+    query, noun_pos = answers[answer_slots[int(rng.integers(len(answer_slots)))]]
 
     # The document keeps every sentence intact; the query is the chosen
     # sentence with its noun blanked, so the answer stays at full count and
     # the query context has an exact match inside the document.
-    document: list[str] = []
-    query: list[str] = []
-    for idx in order:
-        sent, noun_pos = sentences[idx]
-        document.extend(sent)
-        if idx == query_sentence:
-            query = list(sent)
-            query[noun_pos] = PLACEHOLDER_TOKEN
+    document = list(chain.from_iterable(sentences[i] for i in order))
+    query = list(query)
+    query[noun_pos] = PLACEHOLDER_TOKEN
     candidates = sorted({tok for tok in document if tok.startswith("noun")})
     sample = ClozeSample(
         document=document,

@@ -270,10 +270,7 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
 
     def backward(g: Array) -> None:
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape))
 
     return _record(out, (a,), "reduce_sum", backward)
 

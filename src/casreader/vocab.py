@@ -149,6 +149,11 @@ def save_vocab(vocab: Vocabulary, path) -> None:
             fh.write(f"{token}\t{freq}\n")
 
 
+def _is_count(raw: str) -> bool:
+    """True when `raw` is a count spelled as `str(n)` spells it: ASCII digits, no leading zero."""
+    return raw.isdecimal() and str(int(raw)) == raw
+
+
 def load_vocab(path) -> Vocabulary:
     lines = text_lines(path)
     header = next(lines, (1, ""))[1].rstrip("\n")
@@ -160,8 +165,8 @@ def load_vocab(path) -> Vocabulary:
     if not parts[1].startswith("shortlist="):
         raise ParseError(f"malformed shortlist field {parts[1]!r}", line=1)
     raw = parts[1][len("shortlist="):]
-    shortlist = None if raw == "none" else int(raw) if raw.isdecimal() else -1
-    if shortlist == -1:
+    shortlist = None if raw == "none" else int(raw) if _is_count(raw) else 0
+    if shortlist == 0:  # `save_vocab` writes `none`, never 0
         raise ParseError(f"malformed shortlist value {raw!r}", line=1)
     tokens: list[str] = []
     frequencies: list[int] = []
@@ -178,7 +183,7 @@ def load_vocab(path) -> Vocabulary:
             raise ParseError("empty token", line=lineno)
         if token in seen:
             raise ParseError(f"duplicate token {token!r}", line=lineno)
-        if not freq.isdecimal():
+        if not _is_count(freq):
             raise ParseError(f"non-numeric frequency {freq!r}", line=lineno)
         seen.add(token)
         tokens.append(token)

@@ -1,6 +1,8 @@
 """Triple-generation tests: candidate selection, the blanking procedure and
 its invariants over random corpora, corpus parsing, and size statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,10 +224,20 @@ class TestParseTaggedCorpus:
         with pytest.raises(ParseError, match="line 3: not valid UTF-8"):
             dg.parse_tagged_corpus(path)
 
-    def test_empty_document_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("#doc d0\n\n#doc d1\nx\tn\n", "line 3: document 'd0' has no sentences"),
+            ("#doc d0\nx\tn\n#doc d1\n\n\n", "line 6: document 'd1' has no sentences"),
+            ("#doc\nx\tn\n", "line 1: missing document id after '#doc'"),
+            ("x\tn\n#doc d0\n", "line 1: token line before any '#doc' header"),
+        ],
+        ids=["empty-before-header", "blank-only-at-eof", "header-without-id", "token-before-header"],
+    )
+    def test_empty_document_rejected(self, tmp_path, text, message):
         path = tmp_path / "corpus.txt"
-        path.write_text("#doc d0\n\n#doc d1\nx\tn\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="d0"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             dg.parse_tagged_corpus(path)
 
 

@@ -165,11 +165,18 @@ class TestSaveLoad:
         [
             ("casreader-vocab-v1\tshortlist=5\na\t\u00b2\n", 2),
             ("casreader-vocab-v1\tshortlist=\u00b2\na\t3\n", 1),
+            ("casreader-vocab-v1\tshortlist=5\na\t\u0663\n", 2),
+            ("casreader-vocab-v1\tshortlist=\u0663\na\t3\n", 1),
+            ("casreader-vocab-v1\tshortlist=5\na\t03\n", 2),
+            ("casreader-vocab-v1\tshortlist=007\na\t3\n", 1),
+            ("casreader-vocab-v1\tshortlist=0\na\t3\n", 1),
         ],
-        ids=["frequency", "shortlist"],
+        ids=["frequency", "shortlist", "arabic-indic-frequency", "arabic-indic-shortlist",
+             "leading-zero-frequency", "leading-zero-shortlist", "zero-shortlist"],
     )
     def test_non_decimal_digit_is_parse_error(self, tmp_path, text, line):
-        """'²' passes `str.isdigit` but not `int`."""
+        """'²' passes `str.isdigit` but not `int`; '٣' and '007' pass `int` but
+        `save_vocab` never writes them, nor a shortlist of 0 (it writes `none`)."""
         path = tmp_path / "vocab.txt"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=f"line {line}"):
