@@ -151,7 +151,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def _is_count(raw: str) -> bool:
     """True when `raw` is a count spelled as `str(n)` spells it: ASCII digits, no leading zero."""
-    return raw.isdecimal() and str(int(raw)) == raw
+    return raw.isascii() and raw.isdecimal() and (raw[0] != "0" or raw == "0")
 
 
 def load_vocab(path) -> Vocabulary:
