@@ -15,9 +15,10 @@ first from one seed to the next, so slow drift on the machine falls on all
 of them alike. Only the last two lines a run prints are read: the report
 (for the environment and `src_lines`) and the result.
 
-Each file holds every run's `correct`, `attempted`, `failed` and metric
-values, the median and quartiles of each metric per workload, the seeds,
-`src_lines`, the environment and the checkout's commit. The files are
+Each file holds every run's `correct`, `attempted`, `failed`, metric values,
+perfbench's speed scale and its place in that seed's order; the median and
+quartiles of each metric per workload; the seeds, `src_lines`, the
+environment and the checkout's commit. The files are
 rewritten after every seed, so an interrupted recording keeps what it has.
 The script exits 1 when any run fails, is not `correct` or has a failed
 call.
