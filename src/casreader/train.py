@@ -5,8 +5,10 @@ the parameters only: the optimizer state is not saved.
 
 The embedding's gradient arrives as a `tensor.RowGrad` over the rows the
 batch touched; clipping reads and scales only those rows, and Adam applies
-the full update to them plus a dense zero-gradient pass that decays every
-row's moments, so the result is the dense Adam update.
+the full update to them plus a zero-gradient pass that decays the moments of
+the warm rows, those some earlier step touched. A cold row's moments are
+zero, so the dense formula leaves it as it is, and the result is the dense
+Adam update bit for bit.
 
 The answer distribution comes out of two stacked softmaxes, so every
 document word has strictly positive probability and the log-likelihood is
@@ -25,7 +27,7 @@ import json
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -171,12 +173,13 @@ class AdamState:
     beta1: float
     beta2: float
     epsilon: float
+    warm: dict[str, Array] = field(default_factory=dict)  # per `RowGrad` parameter, the rows a step touched
 
     @classmethod
     def init(cls, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, epsilon=1e-8):
         return cls(
-            m={name: np.zeros_like(p.data) for name, p in params.items()},
-            v={name: np.zeros_like(p.data) for name, p in params.items()},
+            m={name: np.zeros(p.data.shape) for name, p in params.items()},
+            v={name: np.zeros(p.data.shape) for name, p in params.items()},
             t=0,
             lr=lr,
             beta1=beta1,
@@ -205,9 +208,11 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Grad], state: AdamStat
     so the result is bit-identical to evaluating it with temporaries.
 
     A `RowGrad` still gets the dense update: the touched rows of p, m and v
-    are set aside, every row takes the update with g = 0 (the formula's
+    are set aside, the warm rows take the update with g = 0 (the formula's
     operations minus the five that would only add zeros), and the set-aside
-    rows then take the full update and are written back.
+    rows then take the full update, are written back and become warm. A cold
+    row has m = v = +0.0, for which the formula's step is +0.0 and
+    `p - 0.0` is p, so skipping it changes no bit.
     """
     state.t += 1
     c1, c2 = 1 - state.beta1 ** state.t, 1 - state.beta2 ** state.t
@@ -219,22 +224,39 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, Grad], state: AdamStat
             )
         m, v = state.m[name], state.v[name]
         if isinstance(g, T.RowGrad):
+            warm = state.warm.get(name)
+            if warm is None:  # any earlier step was dense and touched every row
+                warm = state.warm[name] = np.full(len(p.data), state.t > 1)
             w_rows, m_rows, v_rows = p.data[g.rows], m[g.rows], v[g.rows]
-            _adam_blocks(p.data, None, m, v, state, c1, c2)
+            _adam_blocks(p.data, None, m, v, state, c1, c2, np.flatnonzero(warm))
             _adam_blocks(w_rows, g.values, m_rows, v_rows, state, c1, c2)
             p.data[g.rows], m[g.rows], v[g.rows] = w_rows, m_rows, v_rows
+            warm[g.rows] = True
         else:
             _adam_blocks(p.data, g, m, v, state, c1, c2)
+            state.warm.pop(name, None)
 
 
-def _adam_blocks(p: Array, g: Array | None, m: Array, v: Array, state: AdamState, c1: float, c2: float) -> None:
-    """`adam_step`'s formula over blocks of rows, in place; `g=None` means a zero gradient."""
+def _adam_blocks(
+    p: Array, g: Array | None, m: Array, v: Array, state: AdamState, c1: float, c2: float, rows: Array | None = None
+) -> None:
+    """`adam_step`'s formula over blocks of rows, in place; `g=None` means a zero gradient.
+
+    `rows`, sorted, limits a zero-gradient pass to those rows, `per` of them
+    at a time: a block whose rows lie within `2 * per` table rows is updated
+    in place over that span (the cold rows in it take the exact zero
+    update), any other block is gathered and written back.
+    """
     b1, b2 = state.beta1, state.beta2
-    rows = max(1, _ADAM_BLOCK // math.prod(p.shape[1:]))
-    step_buf = np.empty((min(rows, len(p)),) + p.shape[1:])
+    per = max(1, _ADAM_BLOCK // math.prod(p.shape[1:]))
+    if rows is None:
+        blocks = [slice(lo, lo + per) for lo in range(0, len(p), per)]
+    else:
+        blocks = [rows[lo : lo + per] for lo in range(0, len(rows), per)]
+        blocks = [slice(b[0], b[-1] + 1) if b[-1] - b[0] < 2 * per else b for b in blocks]
+    step_buf = np.empty((min(2 * per, len(p)),) + p.shape[1:])
     denom_buf = np.empty_like(step_buf)
-    for lo in range(0, len(p), rows):
-        block = slice(lo, lo + rows)
+    for block in blocks:
         w, mb, vb = p[block], m[block], v[block]
         step, denom = step_buf[: len(w)], denom_buf[: len(w)]
         np.multiply(mb, b1, out=mb)
@@ -254,6 +276,8 @@ def _adam_blocks(p: Array, g: Array | None, m: Array, v: Array, state: AdamState
         np.add(denom, state.epsilon, out=denom)
         np.divide(step, denom, out=step)
         np.subtract(w, step, out=w)
+        if not isinstance(block, slice):  # a gathered block is a copy
+            p[block], m[block], v[block] = w, mb, vb
 
 
 @dataclass
@@ -268,7 +292,7 @@ class EpochRecord:
 
 @dataclass
 class TrainResult:
-    params: ModelParams  # best-by-validation snapshot
+    params: ModelParams  # the best-by-validation epoch's: a snapshot, or the trained tensors if it was the last
     best_epoch: int
     best_accuracy: float
     history: list[EpochRecord]
@@ -295,7 +319,8 @@ def train(
     log_path=None,
 ) -> TrainResult:
     """Full training loop; keeps the checkpoint with the best validation
-    accuracy (ties resolve to the earlier epoch)."""
+    accuracy (ties resolve to the earlier epoch). An earlier best epoch is
+    kept as a snapshot; a best last epoch hands over the trained tensors."""
     if not train_samples or not valid_samples:
         raise UsageError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
@@ -316,15 +341,16 @@ def train(
                 started = time.perf_counter()
                 losses, norms = [], []
                 for batch in make_batches(train_samples, config.batch_size, rng):
-                    for p in named.values():
-                        p.zero_grad()
                     output = reader.forward(batch, params, training=True, rng=rng)
                     loss = nll_loss(output, [s.answer_id for s in batch])
                     loss.backward()
                     clipped, norm = clip_gradients({name: p.grad for name, p in named.items()}, config.clip_threshold)
                     adam_step(named, clipped, state)
+                    for p in named.values():
+                        p.zero_grad()
                     losses.append(float(loss.data))
                     norms.append(norm)
+                    del output, loss, clipped  # so the next forward starts with no graph or gradient alive
                 accuracy = _validation_accuracy(params, valid_samples)
                 record = EpochRecord(
                     epoch=epoch,
@@ -342,7 +368,7 @@ def train(
                 if accuracy > best_accuracy:
                     best_accuracy = accuracy
                     best_epoch = epoch
-                    best = _snapshot(params)
+                    best = params if epoch == config.epochs else _snapshot(params)
         except (FloatingPointError, NumericError):
             aborted = True
     if best is None:

@@ -4,6 +4,7 @@ descent, determinism, and bit-exact checkpoint persistence."""
 
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -220,15 +221,19 @@ class TestInPlaceOptimizer:
 
 
 class TestRowSparseOptimizer:
-    def test_matches_dense_formula_over_changing_rows(self):
+    # 3001 rows fill two Adam blocks. At 20,000 rows of 8 a block holds 2048 rows,
+    # so the warm-row pass both updates spans in place and gathers scattered rows.
+    @pytest.mark.parametrize("table", [(3001, 7), (20_000, 8)])
+    def test_matches_dense_formula_over_changing_rows(self, table):
         rng = np.random.default_rng(9)
-        shapes = {"emb": (3001, 7), "w": (6, 6), "b": (6,)}  # emb spans two Adam blocks
+        shapes = {"emb": table, "w": (6, 6), "b": (6,)}
         start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         params = {k: Tensor(a.copy(), requires_grad=True) for k, a in start.items()}
         state = train.AdamState.init(params, lr=3e-3)
         ref = {k: a.copy() for k, a in start.items()}
         ref_m = {k: np.zeros(shape) for k, shape in shapes.items()}
         ref_v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        touched = np.zeros(table[0], dtype=bool)
         clipped_steps = 0
         for step in range(1, 21):
             scale = 4.0 if step % 3 == 0 else 1 / 64
@@ -238,8 +243,14 @@ class TestRowSparseOptimizer:
                 # row-sparse and dense norms, and hence the clip scale, agree bit for bit.
                 return rng.integers(-64, 65, size=shape) / 64 * scale
 
-            rows = np.unique(rng.integers(0, 3001, size=int(rng.integers(1, 400))))
-            grads = {"emb": T.RowGrad(rows, dyadic((len(rows), 7)), shapes["emb"])}
+            if step == 4:  # a dense run of rows among scattered ones
+                rows = np.arange(table[0] // 4, table[0] // 2)
+            elif step == 12:  # every row, after which every row is warm
+                rows = np.arange(table[0])
+            else:
+                rows = np.unique(rng.integers(0, table[0], size=int(rng.integers(1, 400))))
+            touched[rows] = True
+            grads = {"emb": T.RowGrad(rows, dyadic((len(rows), table[1])), table)}
             grads.update({k: dyadic(shapes[k]) for k in ("w", "b")})
             dense = {k: g.dense() if isinstance(g, T.RowGrad) else g for k, g in grads.items()}
             clipped, norm = train.clip_gradients(grads, 10.0)
@@ -251,7 +262,25 @@ class TestRowSparseOptimizer:
                 np.testing.assert_array_equal(params[k].data, ref[k])
                 np.testing.assert_array_equal(state.m[k], ref_m[k])
                 np.testing.assert_array_equal(state.v[k], ref_v[k])
+            np.testing.assert_array_equal(state.warm["emb"], touched)
         assert 0 < clipped_steps < 20
+
+    def test_dense_steps_between_row_grads_keep_the_dense_formula(self):
+        """A dense gradient warms every row, also for the row-sparse steps after it."""
+        rng = np.random.default_rng(13)
+        start = rng.normal(size=(50, 3))
+        params = {"emb": Tensor(start.copy(), requires_grad=True)}
+        state = train.AdamState.init(params, lr=3e-3)
+        ref, ref_m, ref_v = {"emb": start.copy()}, {"emb": np.zeros((50, 3))}, {"emb": np.zeros((50, 3))}
+        steps = [T.RowGrad(np.array([1, 7]), np.ones((2, 3)), (50, 3)), np.full((50, 3), -0.5),
+                 T.RowGrad(np.array([40]), np.ones((1, 3)), (50, 3)), T.RowGrad(np.array([2]), np.ones((1, 3)), (50, 3))]
+        for step, g in enumerate(steps, start=1):
+            train.adam_step(params, {"emb": g}, state)
+            dense = g.dense() if isinstance(g, T.RowGrad) else g
+            reference_clip_and_adam(ref, {"emb": dense}, ref_m, ref_v, step, 1e6, 3e-3)  # no clipping
+            np.testing.assert_array_equal(params["emb"].data, ref["emb"])
+            np.testing.assert_array_equal(state.m["emb"], ref_m["emb"])
+            np.testing.assert_array_equal(state.v["emb"], ref_v["emb"])
 
     def test_clip_norm_within_rounding_of_dense(self):
         rng = np.random.default_rng(10)
@@ -384,6 +413,43 @@ class TestTrainLoop:
         best = max(accs)
         assert result.best_epoch == accs.index(best) + 1
         assert result.best_accuracy == best
+
+    @pytest.mark.parametrize(
+        "accuracies, best_epoch", [([0.25, 0.75, 0.5], 2), ([0.5, 0.5, 0.25], 1), ([0.25, 0.5, 0.75], 3)]
+    )
+    def test_returns_the_best_epochs_parameters_without_gradients(self, monkeypatch, accuracies, best_epoch):
+        """An earlier best epoch comes back as its snapshot, a best last epoch as the trained tensors;
+        the run of `best_epoch` epochs, whose last epoch is its best, has the same parameters."""
+        corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
+        scripted = []
+        monkeypatch.setattr(train, "_validation_accuracy", lambda params, samples: scripted.pop(0))
+        results = []
+        for epochs in (3, best_epoch):
+            scripted[:] = accuracies[:epochs]
+            results.append(train.train(self.config(epochs=epochs), corpus, valid, vocab_size=20))
+        full, short = results
+        assert (full.best_epoch, full.best_accuracy) == (best_epoch, accuracies[best_epoch - 1])
+        assert len(full.history) == 3 and not full.aborted
+        for k, p in full.params.named().items():
+            np.testing.assert_array_equal(p.data, short.params.named()[k].data)
+        assert all(p.grad is None for r in results for p in r.params.named().values())
+
+    def test_each_step_frees_the_previous_steps_graph(self, monkeypatch):
+        """When a forward starts, no earlier training step's output is alive. A `Tensor` takes no weak
+        reference, so the test watches its array, which lives at least as long as the tensor."""
+        real_forward = reader.forward
+        outputs = []
+
+        def watched_forward(samples, params, training=False, **kw):
+            assert all(ref() is None for ref in outputs)
+            out = real_forward(samples, params, training=training, **kw)
+            if training:
+                outputs.append(weakref.ref(out.words.probs.data))
+            return out
+
+        monkeypatch.setattr(reader, "forward", watched_forward)
+        train.train(self.config(epochs=2), toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7), vocab_size=20)
+        assert len(outputs) == 6
 
     def test_empty_sets_rejected(self):
         with pytest.raises(UsageError):
