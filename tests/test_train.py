@@ -223,7 +223,7 @@ class TestInPlaceOptimizer:
 class TestRowSparseOptimizer:
     # 3001 rows fill two Adam blocks. At 20,000 rows of 8 a block holds 2048 rows,
     # so the warm-row pass both updates spans in place and gathers scattered rows.
-    @pytest.mark.parametrize("table", [(3001, 7), (20_000, 8)])
+    @pytest.mark.parametrize("table", [(3001, 7), (20_000, 8)], ids=["3001x7", "20000x8"])
     def test_matches_dense_formula_over_changing_rows(self, table):
         rng = np.random.default_rng(9)
         shapes = {"emb": table, "w": (6, 6), "b": (6,)}
