@@ -52,7 +52,7 @@ def generate(input_path, output_path, seed, samples_per_doc, noun_tags, skip_log
 
 @cli.command("build-vocab")
 @click.option("--input", "input_paths", required=True, multiple=True, type=click.Path())
-@click.option("--shortlist", default=100_000, show_default=True, type=int,
+@click.option("--shortlist", default=V.DEFAULT_SHORTLIST, show_default=True, type=int,
               help="Shortlist size; 0 keeps the full vocabulary.")
 @click.option("--output", "output_path", required=True, type=click.Path())
 def build_vocab_cmd(input_paths, shortlist, output_path):

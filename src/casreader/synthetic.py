@@ -28,7 +28,7 @@ import numpy as np
 from .data import save_dataset
 from .datagen import ClozeSample, validate_sample
 from .errors import UsageError
-from .vocab import PLACEHOLDER_TOKEN
+from .vocab import DEFAULT_SHORTLIST, PLACEHOLDER_TOKEN
 
 
 # The corpus shape is fixed: 12 cue/noun pairs, four-token sentences, the
@@ -46,9 +46,8 @@ NOUNS = [f"noun{i:02d}" for i in range(PAIRS)]
 # cue and noun tokens.
 MIN_VOCAB_SIZE = 49
 # Every document shuffles all `vocab_size - 24` filler names, so time and
-# memory per document grow with the size. The cap is the default shortlist,
-# the most tokens a default-configured vocabulary keeps.
-MAX_VOCAB_SIZE = 100_000
+# memory per document grow with the size; the cap is the default shortlist.
+MAX_VOCAB_SIZE = DEFAULT_SHORTLIST
 
 
 @dataclass

@@ -44,7 +44,7 @@ from .errors import (
 )
 from .reader import ModelParams, ReaderConfig
 from .tensor import Tensor
-from .vocab import EncodedSample, Vocabulary, load_vocab, save_vocab
+from .vocab import DEFAULT_SHORTLIST, EncodedSample, Vocabulary, load_vocab, save_vocab
 
 Array = np.ndarray
 
@@ -67,7 +67,7 @@ class TrainConfig:
     seed: int = 0
     # Recorded in the manifest only: training never reads it, since `train` sizes
     # the model by the vocabulary it is given (`build-vocab --shortlist`).
-    shortlist_size: int | None = 100_000
+    shortlist_size: int | None = DEFAULT_SHORTLIST
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -106,7 +106,7 @@ class TrainConfig:
 # The paper's full-corpus news setting; a `--config` file names it with
 # `"preset"` and may override any field next to it.
 PRESETS = {
-    "news-full": TrainConfig(embed_dim=256, hidden_dim=256, dropout_rate=0.1, shortlist_size=100_000),
+    "news-full": TrainConfig(embed_dim=256, hidden_dim=256, dropout_rate=0.1),
 }
 
 
@@ -469,9 +469,9 @@ def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read what `save_checkpoint` wrote. The vocabulary size is `vocab.txt`'s: a manifest other
-    than the one `save_checkpoint` writes for its parsed config and that size (a v1 `adam_t` line
-    aside), a `vocab.txt` that does not parse, or a missing file is `CorruptionError`."""
+    """Read what `save_checkpoint` wrote, or a v1 checkpoint, whose `adam_t` line and `adam.bin` go unread.
+    The vocabulary size is `vocab.txt`'s. Any manifest but the one `save_checkpoint` writes for it and the
+    parsed config, an unparseable `vocab.txt`, a wrong-size `params.bin` or a missing file is `CorruptionError`."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():

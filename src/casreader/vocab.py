@@ -23,6 +23,8 @@ PLACEHOLDER_ID = 1
 NUM_OOV_BUCKETS = 10
 OOV_BASE_ID = 2
 FIRST_REGULAR_ID = OOV_BASE_ID + NUM_OOV_BUCKETS  # 12
+# The shortlist `build-vocab` keeps unless told otherwise.
+DEFAULT_SHORTLIST = 100_000
 
 PAD_TOKEN = "⟨pad⟩"
 PLACEHOLDER_TOKEN = "⟨X⟩"
@@ -138,15 +140,15 @@ def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
+    # Tab-separated lines cannot carry tokens with tab or newline characters;
+    # refuse before opening, so a failed save leaves any earlier file as it was.
+    for token in vocab.tokens:
+        if not token or any(c in token for c in "\t\r\n"):
+            raise ValidationError(f"token {token!r} is not representable in the vocabulary format")
     shortlist = "none" if vocab.shortlist_size is None else str(vocab.shortlist_size)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_VOCAB_FORMAT}\tshortlist={shortlist}\n")
-        for token, freq in zip(vocab.tokens, vocab.frequencies):
-            # Tab-separated lines cannot carry tokens with tab or newline
-            # characters; refuse rather than write a file that cannot load.
-            if not token or any(c in token for c in "\t\r\n"):
-                raise ValidationError(f"token {token!r} is not representable in the vocabulary format")
-            fh.write(f"{token}\t{freq}\n")
+        fh.writelines(f"{token}\t{freq}\n" for token, freq in zip(vocab.tokens, vocab.frequencies))
 
 
 def _is_count(raw: str) -> bool:

@@ -212,3 +212,4 @@ class TestSaveLoad:
         v = V.build_vocab(["ok", "bad\ttoken", "ok"], shortlist_size=None)
         with pytest.raises(ValidationError, match="not representable"):
             V.save_vocab(v, tmp_path / "v.txt")
+        assert not (tmp_path / "v.txt").exists()

@@ -3,21 +3,23 @@ print one sha256 per file written.
 
     python tools/quickstart_digest.py --src CHECKOUT --out DIR
 
-Every command runs as `python -m casreader.cli` with `CHECKOUT/src` first on
-`PYTHONPATH`, inside DIR, which must be missing or empty. The commands are:
+The recipe is read from the README beside this script, not copied: the
+config is the `<<'EOF'` heredoc of the first `sh` block under `## Quick
+start`, and the steps are that block's `casreader …` lines, each named after
+its subcommand. On top of the recipe the script adds:
 
-- `synth --seed 0` and `build-vocab --shortlist 0`, as in the README;
-- `train` with the README's config plus dropout 0.2, so the dropout draws
-  are covered too;
-- `eval` as in the README, then `--records`, and `--restrict-candidates`
-  with `--dump-attention`, in each of the four modes;
+- `dropout_rate` 0.2 in the config, so the dropout draws are covered too;
+- `eval --records`, and `eval --restrict-candidates --dump-attention`, in
+  each of the four modes;
 - `generate --skip-log` over a small fixed tagged corpus, and `stats` on the
   synthetic test split and the generated samples.
 
-Each command's stdout is kept as `stdout/<step>.json`. Every
-`"wall_time_s": <number>` is masked before hashing, so two checkouts that
-compute the same thing print the same lines: compare them with `diff`. The
-script exits 1, printing the command's stderr, when a command fails.
+Every command runs as `python -m casreader.cli` with `CHECKOUT/src` first on
+`PYTHONPATH`, inside DIR, which must be missing or empty. Each command's
+stdout is kept as `stdout/<step>.json`. Every `"wall_time_s": <number>` is
+masked before hashing, so two checkouts that compute the same thing print
+the same lines: compare them with `diff`. The script exits 1, printing the
+command's stderr, when a command fails.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 MODES = ("sum", "avg", "max", "as-baseline")
 
-CONFIG = {"embed_dim": 16, "hidden_dim": 16, "epochs": 30, "seed": 7, "merge_mode": "avg",
-          "shortlist_size": None, "dropout_rate": 0.2}
+README = Path(__file__).parent.parent / "README.md"
+CONFIG_OVERRIDES = {"dropout_rate": 0.2}
 
 # Two documents with nouns to blank at sentence starts, middles and ends, and
 # one without a noun that occurs twice, which `generate` skips.
@@ -55,15 +58,30 @@ TAGGED = (
 WALL_TIME = re.compile(rb'"wall_time_s": [-+0-9.eE]+')
 
 
-def steps() -> list[tuple[str, list[str]]]:
-    """(name, CLI arguments) in run order."""
-    out = [
-        ("synth", ["synth", "--out", "corpus", "--seed", "0"]),
-        ("build-vocab", ["build-vocab", "--input", "corpus/train.jsonl", "--shortlist", "0", "--output", "vocab.txt"]),
-        ("train", ["train", "--train", "corpus/train.jsonl", "--valid", "corpus/valid.jsonl",
-                   "--vocab", "vocab.txt", "--config", "config.json", "--out", "ckpt"]),
-        ("eval", ["eval", "--checkpoint", "ckpt", "--data", "corpus/test.jsonl", "--mode", "avg"]),
-    ]
+def sh_blocks(markdown: str) -> list[str]:
+    """The bodies of the fenced `sh` blocks of a Markdown text, in order."""
+    return re.findall(r"^```sh\n(.*?)^```$", markdown, re.M | re.S)
+
+
+def sh_commands(block: str) -> list[list[str]]:
+    """The CLI arguments of each `casreader …` line of an `sh` block, with
+    `\\`-continued lines joined."""
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("casreader ")]
+
+
+def quick_start(readme: Path = README) -> tuple[dict, list[tuple[str, list[str]]]]:
+    """The config and the (subcommand, CLI arguments) steps of the first `sh`
+    block under `## Quick start`."""
+    section = readme.read_text(encoding="utf-8").split("\n## Quick start", 1)[1]
+    block = sh_blocks(section)[0]
+    config = json.loads(re.search(r"<<'EOF'\n(.*?)^EOF$", block, re.M | re.S).group(1))
+    return config, [(args[0], args) for args in sh_commands(block)]
+
+
+def steps(recipe: list[tuple[str, list[str]]]) -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) in run order: the quick start's, then the variants."""
+    out = list(recipe)
     for mode in MODES:
         base = ["eval", "--checkpoint", "ckpt", "--data", "corpus/test.jsonl", "--mode", mode]
         out.append((f"eval-records-{mode}", base + ["--records"]))
@@ -90,11 +108,12 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         parser.error(f"{out} is not empty")
-    (out / "config.json").write_text(json.dumps(CONFIG) + "\n", encoding="utf-8")
+    config, recipe = quick_start()
+    (out / "config.json").write_text(json.dumps({**config, **CONFIG_OVERRIDES}) + "\n", encoding="utf-8")
     (out / "tagged.txt").write_text(TAGGED, encoding="utf-8")
     (out / "stdout").mkdir()
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(package), os.environ.get("PYTHONPATH")])))
-    for name, cli_args in steps():
+    for name, cli_args in steps(recipe):
         run = subprocess.run([sys.executable, "-m", "casreader.cli", *cli_args],
                              cwd=out, env=env, capture_output=True)
         if run.returncode != 0:
