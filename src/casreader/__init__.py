@@ -1,15 +1,11 @@
 """Consensus-attention cloze reading comprehension at desk scale.
 
-Modules: `tensor` (autodiff engine), `nn` (GRU encoder blocks), `reader`
-(attention head), `datagen` (triple generation), `vocab` (shortlist
-vocabulary), `train` (optimization and checkpoints), `data` (JSONL I/O),
-`synthetic` (verification corpus), `evaluate` (accuracy), `cli`
-(command-line surface).
+README.md's layout table names each module and its job.
 """
 
 from .datagen import ClozeSample, TaggedDocument
 from .errors import CasReaderError
-from .reader import ModelParams, ReaderConfig
+from .reader import ModelParams
 from .tensor import Tensor, grad_check
 from .train import TrainConfig
 from .vocab import Vocabulary
@@ -18,7 +14,6 @@ __all__ = [
     "CasReaderError",
     "ClozeSample",
     "ModelParams",
-    "ReaderConfig",
     "TaggedDocument",
     "Tensor",
     "TrainConfig",

@@ -61,7 +61,7 @@ def evaluate(
     """
     if not samples:
         raise UsageError("evaluate needs a non-empty dataset")
-    mode = params.config.head_mode(mode)
+    mode = reader.head_mode(params.config, mode)
     if params.vocab_size != vocab.total_size:
         raise ConfigurationError(
             f"model expects vocabulary of size {params.vocab_size}, got {vocab.total_size}"

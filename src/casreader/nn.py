@@ -199,24 +199,6 @@ def gru_scan(x: Tensor, mask, params: GruParams, reverse: bool) -> Tensor:
     return T._record(result, (x, *weights), "gru_scan", backward)
 
 
-@dataclass
-class BatchEncoding:
-    """Bi-GRU outputs for a padded batch. `states` is batch-major; `fwd` and
-    `bwd` keep the scan's time-major rows (row t*batch + b)."""
-
-    states: Tensor  # [batch x len x 2*hidden], [fwd; bwd] per position, dropout applied
-    fwd: Tensor  # [len*batch x hidden]
-    bwd: Tensor  # [len*batch x hidden]
-    mask: Array  # bool [batch x len]
-
-    def summary(self) -> Tensor:
-        """[last forward state; first backward state] of each sequence, `[batch x 2*hidden]`, without dropout."""
-        batch = len(self.mask)
-        rows = np.arange(batch)
-        last_forward = T.gather_rows(self.fwd, (self.mask.sum(axis=1) - 1) * batch + rows)
-        return T.concat_cols(last_forward, T.gather_rows(self.bwd, rows))
-
-
 def encode_batch(
     id_matrix: Array,
     mask: Array,
@@ -225,8 +207,9 @@ def encode_batch(
     bwd: GruParams,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> BatchEncoding:
-    """Embed and bi-GRU encode a right-padded id batch.
+) -> Tensor:
+    """Embed and bi-GRU encode a padded id batch into its states, `[batch x
+    len x 2*hidden]` with [fwd; bwd] per position.
 
     `mask` must be True exactly at real positions. Dropout at a positive
     rate applies to the concatenated states; it draws its mask in time-major
@@ -242,8 +225,7 @@ def encode_batch(
     fwd_out = gru_scan(x, mask, fwd, reverse=False)
     bwd_out = gru_scan(x, mask, bwd, reverse=True)
     states = dropout(T.concat_cols(fwd_out, bwd_out), dropout_rate, rng)
-    states = T.transpose(T.reshape(states, (n, len(mask), -1)), (1, 0, 2))
-    return BatchEncoding(states=states, fwd=fwd_out, bwd=bwd_out, mask=mask)
+    return T.transpose(T.reshape(states, (n, len(mask), -1)), (1, 0, 2))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:

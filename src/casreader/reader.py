@@ -6,10 +6,10 @@ followed by a softmax) condenses those into one document-level attention s,
 and summing s over every position where a word occurs gives the word-level
 answer distribution. The single-attention `as-baseline` head skips the
 merge: it is `attention_per_step` over a one-step query, the summary [last
-forward state; first backward state] (`BatchEncoding.summary`), and that
-one attention row is both its `alpha` and its merged attention. It reads a
-model trained through consensus attention, so it is not an attention-sum
-reader trained on its own.
+forward state; first backward state] of the post-dropout states the other
+heads read (`query_summary`), and that one attention row is both its `alpha`
+and its merged attention. It reads a model trained through consensus
+attention, so it is not an attention-sum reader trained on its own.
 
 Each stage works over the trailing axes with explicit masks, `[B x L_d]`
 for documents and `[B x L_q]` for queries; without the batch axis the same
@@ -29,7 +29,7 @@ the parameters that records no graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .errors import ConfigurationError, DimensionError, UsageError, ValidationEr
 from .nn import GruParams
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .train import TrainConfig
+
 Array = np.ndarray
 
 MERGE_MODES = ("sum", "avg", "max")
@@ -47,27 +50,12 @@ EVAL_MODES = MERGE_MODES + (AS_BASELINE,)
 GRU_DIRECTIONS = ("doc_fwd", "doc_bwd", "query_fwd", "query_bwd")
 
 
-@dataclass
-class ReaderConfig:
-    embed_dim: int
-    hidden_dim: int
-    dropout_rate: float = 0.0
-    merge_mode: str = "avg"
-
-    def __post_init__(self):
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ConfigurationError("embed_dim and hidden_dim must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.merge_mode not in MERGE_MODES:
-            raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
-
-    def head_mode(self, mode: str | None) -> str:
-        """The head `mode` names, by default the merge the model was trained with."""
-        mode = self.merge_mode if mode is None else mode
-        if mode not in EVAL_MODES:
-            raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-        return mode
+def head_mode(config: TrainConfig, mode: str | None) -> str:
+    """The head `mode` names, by default the merge the model was trained with."""
+    mode = config.merge_mode if mode is None else mode
+    if mode not in EVAL_MODES:
+        raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    return mode
 
 
 @dataclass
@@ -79,7 +67,7 @@ class ModelParams:
     doc_bwd: GruParams
     query_fwd: GruParams
     query_bwd: GruParams
-    config: ReaderConfig
+    config: TrainConfig
 
     @property
     def vocab_size(self) -> int:
@@ -93,7 +81,7 @@ class ModelParams:
         return out
 
     @classmethod
-    def from_named(cls, named: dict[str, Tensor], config: ReaderConfig) -> ModelParams:
+    def from_named(cls, named: dict[str, Tensor], config: TrainConfig) -> ModelParams:
         """Inverse of `named`: a view over the given tensors, which are not copied."""
 
         def gru(direction: str) -> GruParams:
@@ -106,14 +94,14 @@ class ModelParams:
         )
 
 
-def param_layout(config: ReaderConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
+def param_layout(config: TrainConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...]]]:
     """Every trainable tensor's name and shape, in `named` (checkpoint) order."""
     e, h = config.embed_dim, config.hidden_dim
     gru = [(f.name, {"w": (h, e), "u": (h, h), "b": (h,)}[f.name[0]]) for f in fields(GruParams)]
     return [("embedding", (vocab_size, e))] + [(f"{d}.{name}", shape) for d in GRU_DIRECTIONS for name, shape in gru]
 
 
-def init_model_params(config: ReaderConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
+def init_model_params(config: TrainConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters drawn in `param_layout` order: the embedding and the
     input maps uniform in [-0.1, 0.1], the recurrent maps orthogonal, the
     biases zero. A size numpy refuses to allocate is a ConfigurationError."""
@@ -282,6 +270,17 @@ def _pad_batch(rows: list[Array]) -> tuple[Array, Array]:
     return ids, mask
 
 
+def query_summary(states: Tensor, mask) -> Tensor:
+    """The `as-baseline` query `[B x 1 x 2H]`: each row's [last forward state; first
+    backward state] of the right-padded `[B x L x 2H]` `states`, copied bit for bit,
+    since each sum has exactly one nonzero term."""
+    batch, _, width = states.data.shape
+    pick = np.zeros(states.data.shape)
+    pick[np.arange(batch), np.sum(mask, axis=1) - 1, : width // 2] = 1.0
+    pick[:, 0, width // 2 :] = 1.0
+    return T.reshape(T.reduce_sum(T.mul(states, pick), axis=1), (batch, 1, width))
+
+
 def forward(
     samples,
     params: ModelParams,
@@ -297,7 +296,7 @@ def forward(
     """
     if not samples:
         raise UsageError("forward needs at least one sample")
-    mode = params.config.head_mode(mode)
+    mode = head_mode(params.config, mode)
     doc_rows = [np.asarray(s.doc_ids, dtype=np.int64) for s in samples]
     query_rows = [np.asarray(s.query_ids, dtype=np.int64) for s in samples]
     if any(len(r) == 0 for r in doc_rows) or any(len(r) == 0 for r in query_rows):
@@ -305,19 +304,19 @@ def forward(
     doc_ids, doc_mask = _pad_batch(doc_rows)
     query_ids, query_mask = _pad_batch(query_rows)
     dropout_rate = params.config.dropout_rate if training else 0.0
-    doc_enc = nn.encode_batch(
+    doc_states = nn.encode_batch(
         doc_ids, doc_mask, params.embedding, params.doc_fwd, params.doc_bwd,
         dropout_rate=dropout_rate, rng=rng,
     )
-    query_enc = nn.encode_batch(
+    query_states = nn.encode_batch(
         query_ids, query_mask, params.embedding, params.query_fwd, params.query_bwd,
         dropout_rate=dropout_rate, rng=rng,
     )
     if mode == AS_BASELINE:
-        alpha = attention_per_step(doc_enc.states, T.reshape(query_enc.summary(), (len(samples), 1, -1)), doc_mask)
+        alpha = attention_per_step(doc_states, query_summary(query_states, query_mask), doc_mask)
         merged = T.reshape(alpha, doc_mask.shape)
     else:
-        alpha = attention_per_step(doc_enc.states, query_enc.states, doc_mask)
+        alpha = attention_per_step(doc_states, query_states, doc_mask)
         merged = merge_attention(alpha, mode, query_mask, doc_mask)
     words = attention_sum(merged, doc_ids, doc_mask)
     return ReaderOutput(alpha=alpha, merged=merged, words=words, doc_mask=doc_mask, query_mask=query_mask)

@@ -42,7 +42,7 @@ from .errors import (
     ParseError,
     UsageError,
 )
-from .reader import ModelParams, ReaderConfig
+from .reader import MERGE_MODES, ModelParams
 from .tensor import Tensor
 from .vocab import DEFAULT_SHORTLIST, EncodedSample, Vocabulary, load_vocab, save_vocab
 
@@ -74,8 +74,8 @@ class TrainConfig:
 
     def __post_init__(self):
         """Each field must have its default's type (an int is taken for a
-        float; only an `| None` field takes None). `ReaderConfig` checks the
-        model's fields; the rest are checked here."""
+        float; only an `| None` field takes None). The model's fields are
+        checked before the training fields."""
         for f in fields(self):
             value, kind = getattr(self, f.name), type(f.default)
             if value is None and "None" in str(f.type):
@@ -87,7 +87,12 @@ class TrainConfig:
                     setattr(self, f.name, float(value))
                 except OverflowError:
                     raise ConfigurationError(f"{f.name} is out of range") from None
-        self.reader_config()
+        if self.embed_dim < 1 or self.hidden_dim < 1:
+            raise ConfigurationError("embed_dim and hidden_dim must be positive")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.merge_mode not in MERGE_MODES:
+            raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
         if min(self.batch_size, self.epochs) < 1:
             raise ConfigurationError("batch_size and epochs must be positive")
         for name in ("lr", "clip_threshold", "epsilon"):
@@ -99,8 +104,8 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
-    def reader_config(self) -> ReaderConfig:
-        return ReaderConfig(**{f.name: getattr(self, f.name) for f in fields(ReaderConfig)})
+    def reader_config(self) -> TrainConfig:
+        return self  # The model reads this config itself; the one caller left is perfbench/inputs.py:143.
 
 
 # The paper's full-corpus news setting; a `--config` file names it with
@@ -324,7 +329,7 @@ def train(
     if not train_samples or not valid_samples:
         raise UsageError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
-    params = reader.init_model_params(config.reader_config(), vocab_size, rng)
+    params = reader.init_model_params(config, vocab_size, rng)
     named = params.named()
     state = AdamState.init(named, config.lr, config.beta1, config.beta2, config.epsilon)
     best: ModelParams | None = None
@@ -400,23 +405,28 @@ def save_checkpoint(
     path,
     vocab: Vocabulary,
 ) -> None:
-    """Write manifest.txt, params.bin and vocab.txt.
+    """Write vocab.txt, manifest.txt and params.bin.
 
     Arrays are stored flat, little-endian float64, in manifest order; the
     round trip is bit-exact. `unused_state` is never read: it is the slot
     where the optimizer state was passed when checkpoints held it, kept so
     that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
+    Parameters whose layout is not `reader.param_layout(config, vocab.total_size)`,
+    which `load_checkpoint` would reject, are a ConfigurationError and write nothing.
     """
+    named = params.named()
+    layout = reader.param_layout(config, vocab.total_size)
+    for got, want in zip_longest([(name, p.data.shape) for name, p in named.items()], layout):
+        if got != want:
+            raise ConfigurationError(f"parameter {got} does not fit the config and vocabulary, which need {want}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    named = params.named()
-    shapes = ((name, p.data.shape) for name, p in named.items())
-    lines = [_MANIFEST_FORMAT] + _manifest_lines(config, params.vocab_size, shapes)
+    save_vocab(vocab, out / "vocab.txt")  # first: it refuses an unsaveable vocabulary before writing
+    lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)
     (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(out / "params.bin", "wb") as fh:
         for p in named.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    save_vocab(vocab, out / "vocab.txt")
 
 
 def _manifest_lines(config: TrainConfig, vocab_size: int, shapes) -> list[str]:
@@ -501,7 +511,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptionError(f"manifest missing field {missing}") from None
     except ConfigurationError as bad:
         raise CorruptionError(f"manifest value rejected: {bad}") from None
-    layout = reader.param_layout(config.reader_config(), vocab.total_size)
+    layout = reader.param_layout(config, vocab.total_size)
     expected = _manifest_lines(config, vocab.total_size, layout) + [""]  # "" after the final newline
     for got, want in zip_longest(body, expected, fillvalue="<end>"):
         if got != want:
@@ -509,5 +519,5 @@ def load_checkpoint(path) -> Checkpoint:
                 f"manifest has {got!r} where save_checkpoint writes {want!r} for its config, "
                 f"vocabulary and model layout"
             )
-    params = ModelParams.from_named(_read_params(src / "params.bin", layout), config.reader_config())
+    params = ModelParams.from_named(_read_params(src / "params.bin", layout), config)
     return Checkpoint(params=params, config=config, vocab=vocab)

@@ -140,10 +140,10 @@ def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    # Tab-separated lines cannot carry tokens with tab or newline characters;
-    # refuse before opening, so a failed save leaves any earlier file as it was.
+    # Tab-separated lines cannot carry tabs or newlines, and a reserved token would load as a
+    # dead regular id; refuse before opening, so a failed save leaves any earlier file as it was.
     for token in vocab.tokens:
-        if not token or any(c in token for c in "\t\r\n"):
+        if not token or any(c in token for c in "\t\r\n") or token in (PAD_TOKEN, PLACEHOLDER_TOKEN):
             raise ValidationError(f"token {token!r} is not representable in the vocabulary format")
     shortlist = "none" if vocab.shortlist_size is None else str(vocab.shortlist_size)
     with open(path, "w", encoding="utf-8") as fh:
@@ -172,7 +172,7 @@ def load_vocab(path) -> Vocabulary:
         raise ParseError(f"malformed shortlist value {raw!r}", line=1)
     tokens: list[str] = []
     frequencies: list[int] = []
-    seen: set[str] = set()
+    seen = {PAD_TOKEN, PLACEHOLDER_TOKEN}
     for lineno, line in lines:
         line = line.rstrip("\n")
         if not line:
@@ -184,7 +184,8 @@ def load_vocab(path) -> Vocabulary:
         if not token:
             raise ParseError("empty token", line=lineno)
         if token in seen:
-            raise ParseError(f"duplicate token {token!r}", line=lineno)
+            kind = "reserved" if token in (PAD_TOKEN, PLACEHOLDER_TOKEN) else "duplicate"
+            raise ParseError(f"{kind} token {token!r}", line=lineno)
         if not _is_count(freq):
             raise ParseError(f"non-numeric frequency {freq!r}", line=lineno)
         seen.add(token)

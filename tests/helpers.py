@@ -12,7 +12,7 @@ a training-log record, the fields the tests compare across runs.
 
 import numpy as np
 
-from casreader import nn, reader
+from casreader import nn, reader, train
 from casreader.tensor import Tensor
 
 FRAGMENTS = [b"\t", b"\n", b"\r", b" ", b"#doc", b"[", b"]", b"{", b"}", b'"', b":", b",", b"a", b"0", b"-1",
@@ -50,7 +50,7 @@ def generic_params(vocab_size, embed_dim, hidden_dim, rng, mode="avg"):
     return reader.ModelParams(
         embedding=u(vocab_size, embed_dim),
         doc_fwd=gru(), doc_bwd=gru(), query_fwd=gru(), query_bwd=gru(),
-        config=reader.ReaderConfig(embed_dim, hidden_dim, merge_mode=mode),
+        config=train.TrainConfig(embed_dim=embed_dim, hidden_dim=hidden_dim, merge_mode=mode),
     )
 
 

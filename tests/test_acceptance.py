@@ -270,7 +270,7 @@ def test_criterion_7_persistence(tmp_path):
 
         # Checkpoint round trip, bit for bit.
         config = tr.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=9)
-        params = reader.init_model_params(config.reader_config(), vocab.total_size, np.random.default_rng(3))
+        params = reader.init_model_params(config, vocab.total_size, np.random.default_rng(3))
         named = params.named()
         state = tr.AdamState.init(named, lr=config.lr)
         rng = np.random.default_rng(4)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casreader import data, reader, synthetic
+from casreader import data, reader, synthetic, train
 from casreader import evaluate as evaluate_module
 from casreader.datagen import ClozeSample, dataset_stats, generate_corpus, parse_tagged_corpus, validate_sample
 from casreader.errors import CasReaderError, ConfigurationError, ParseError, UsageError, ValidationError
@@ -261,7 +261,7 @@ def test_data_path_bytes_are_pinned(tmp_path):
 
 
 def tiny_model(vocab, mode="avg", seed=0):
-    config = reader.ReaderConfig(embed_dim=4, hidden_dim=4, merge_mode=mode)
+    config = train.TrainConfig(embed_dim=4, hidden_dim=4, merge_mode=mode)
     return reader.init_model_params(config, vocab.total_size, np.random.default_rng(seed))
 
 

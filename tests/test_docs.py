@@ -1,8 +1,10 @@
-"""README checks that need no run: every command line it shows parses
-against the real CLI, and `tools/quickstart_digest.py` reads a recipe it can
-run from the README's quick start."""
+"""README checks that need no run: its layout table has one row per module,
+every command line it shows parses against the real CLI, and
+`tools/quickstart_digest.py` reads a recipe it can run from the README's
+quick start."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,12 @@ def digest():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_readme_layout_table_names_every_module():
+    rows = re.findall(r"^\| `casreader\.(\w+)` \|", (ROOT / "README.md").read_text(encoding="utf-8"), re.M)
+    modules = [p.stem for p in (ROOT / "src" / "casreader").glob("*.py") if p.stem != "__init__"]
+    assert sorted(rows) == sorted(modules)
 
 
 def test_every_readme_command_line_parses_against_the_cli(digest):

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from casreader import nn, reader
+from casreader import nn, reader, train
 from casreader import tensor as T
 from casreader.errors import ConfigurationError, DimensionError, UsageError
 from casreader.tensor import Tensor
@@ -36,7 +36,7 @@ def gru_oracle(x: np.ndarray, h: np.ndarray, p: nn.GruParams) -> np.ndarray:
 
 def make_params(input_dim, hidden_dim, seed):
     """One GRU direction at the training init: a one-word model's `doc_fwd`."""
-    config = reader.ReaderConfig(input_dim, hidden_dim)
+    config = train.TrainConfig(embed_dim=input_dim, hidden_dim=hidden_dim)
     return reader.init_model_params(config, 1, np.random.default_rng(seed)).doc_fwd
 
 
@@ -75,7 +75,7 @@ def encode_rows(x, mask, fwd, bwd, **kw):
     batch, steps, dim = x.shape
     emb = Tensor(x.reshape(-1, dim))
     ids = np.arange(batch * steps).reshape(batch, steps)
-    return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw).states.data
+    return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw).data
 
 
 def scan_oracle(x, mask, p, reverse):
@@ -233,8 +233,8 @@ class TestBigruEncode:
         params = {"emb": Tensor(rng.uniform(-1, 1, (8, 2)), requires_grad=True), **fwd.named("fwd"), **bwd.named("bwd")}
 
         def loss(p):
-            enc = nn.encode_batch(ids, mask, p["emb"], gru_from(p, "fwd"), gru_from(p, "bwd"))
-            return T.reduce_sum(T.mul(enc.states, Tensor(weights)))
+            states = nn.encode_batch(ids, mask, p["emb"], gru_from(p, "fwd"), gru_from(p, "bwd"))
+            return T.reduce_sum(T.mul(states, Tensor(weights)))
 
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
 
@@ -343,10 +343,10 @@ class TestBatchEncoding:
         fwd, bwd = make_params(3, 4, seed=29), make_params(3, 4, seed=30)
         ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [6, 7, 8, 9]])
         mask = np.array([[True, True, True, False], [True, True, False, False], [True] * 4])
-        states = nn.encode_batch(ids, mask, emb, fwd, bwd).states.data  # [row x step x 2H]
+        states = nn.encode_batch(ids, mask, emb, fwd, bwd).data  # [row x step x 2H]
         for row, length in enumerate(mask.sum(axis=1)):
             alone = nn.encode_batch(ids[row : row + 1, :length], np.ones((1, length), dtype=bool), emb, fwd, bwd)
-            np.testing.assert_allclose(states[row, :length], alone.states.data[0], atol=1e-13, rtol=0)
+            np.testing.assert_allclose(states[row, :length], alone.data[0], atol=1e-13, rtol=0)
 
     def test_training_dropout_draws_one_block_per_step(self):
         """Whole-state dropout consumes the rng like one [batch x 2*hidden] draw per step, in step order."""
@@ -416,7 +416,7 @@ class TestDropout:
         samples = [EncodedSample(np.array([3, 4, 3, 5]), np.array([4, 1]), 3, False)]
         outputs = []
         for rate in (0.0, 0.5):
-            config = reader.ReaderConfig(3, 2, dropout_rate=rate)
+            config = train.TrainConfig(embed_dim=3, hidden_dim=2, dropout_rate=rate)
             params = reader.init_model_params(config, 6, np.random.default_rng(0))
             rng = np.random.default_rng(42)
             outputs.append(reader.forward(samples, params, training=False, rng=rng).merged.data)

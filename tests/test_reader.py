@@ -36,7 +36,7 @@ class FakeSample:
 
 
 def tiny_params(vocab_size=12, embed_dim=2, hidden_dim=2, seed=0, mode="avg", dropout=0.0):
-    config = reader.ReaderConfig(embed_dim, hidden_dim, dropout_rate=dropout, merge_mode=mode)
+    config = train.TrainConfig(embed_dim=embed_dim, hidden_dim=hidden_dim, dropout_rate=dropout, merge_mode=mode)
     return reader.init_model_params(config, vocab_size, np.random.default_rng(seed))
 
 
@@ -211,7 +211,7 @@ def pipeline_oracle(params, doc_ids, query_ids, mode):
 
 class TestModelParamsLayout:
     def params(self):
-        return reader.init_model_params(reader.ReaderConfig(3, 2), 7, np.random.default_rng(0))
+        return reader.init_model_params(train.TrainConfig(embed_dim=3, hidden_dim=2), 7, np.random.default_rng(0))
 
     def test_from_named_inverts_named(self):
         params = self.params()
@@ -239,7 +239,7 @@ class TestModelParamsLayout:
         """Bit for bit: the embedding, then per direction three uniform input
         maps, three orthogonal recurrent maps and three zero biases."""
         params = reader.init_model_params(
-            reader.ReaderConfig(embed_dim, hidden_dim), vocab_size, np.random.default_rng(11)
+            train.TrainConfig(embed_dim=embed_dim, hidden_dim=hidden_dim), vocab_size, np.random.default_rng(11)
         )
         rng = np.random.default_rng(11)
 
@@ -261,7 +261,7 @@ class TestModelParamsLayout:
     @pytest.mark.parametrize("embed_dim", [2**50, 10**18], ids=["memory-error", "value-error"])
     def test_size_numpy_refuses_is_configuration_error(self, embed_dim):
         """Both sizes fail in numpy before anything is allocated."""
-        config = reader.ReaderConfig(embed_dim, 2)
+        config = train.TrainConfig(embed_dim=embed_dim, hidden_dim=2)
         with pytest.raises(ConfigurationError, match=rf"\[7 x {embed_dim}\] embedding"):
             reader.init_model_params(config, 7, np.random.default_rng(0))
 
@@ -452,7 +452,7 @@ class TestBatchedHead:
         samples = mixed_batch(rng)
 
         def states(ids, fwd, bwd):  # one sequence encoded on its own, [n x 2H]
-            return nn.encode_batch(ids[None], full(len(ids))[None], params.embedding, fwd, bwd).states.data[0]
+            return nn.encode_batch(ids[None], full(len(ids))[None], params.embedding, fwd, bwd).data[0]
 
         for sample, out in zip(samples, reader.forward(samples, params, mode=mode)):
             h_doc = states(sample.doc_ids, params.doc_fwd, params.doc_bwd)
@@ -483,9 +483,9 @@ class TestBatchedHead:
         params = tiny_params(vocab_size=10, embed_dim=3, hidden_dim=4, seed=31)
         ids = np.array([[1, 2, 3], [4, 5, 4]])
         mask = np.array([[True] * 3, [True, True, False]])
-        enc = nn.encode_batch(ids, mask, params.embedding, params.query_fwd, params.query_bwd)
-        summary = enc.summary().data
-        states = enc.states.data  # [row x step x 2H]
+        states = nn.encode_batch(ids, mask, params.embedding, params.query_fwd, params.query_bwd).data
+        summary = reader.query_summary(Tensor(states), mask).data  # [row x 1 x 2H]
+        assert summary.shape == (2, 1, 8)
         for row, last in ((0, 2), (1, 1)):
-            np.testing.assert_array_equal(summary[row, :4], states[row, last, :4])
-            np.testing.assert_array_equal(summary[row, 4:], states[row, 0, 4:])
+            np.testing.assert_array_equal(summary[row, 0, :4], states[row, last, :4])
+            np.testing.assert_array_equal(summary[row, 0, 4:], states[row, 0, 4:])

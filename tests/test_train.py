@@ -4,6 +4,7 @@ descent, determinism, and bit-exact checkpoint persistence."""
 
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -306,7 +307,7 @@ class TestRowSparseOptimizer:
             doc = rng.integers(1, 5000, size=doc_len)
             samples.append(encoded_sample(doc, rng.integers(1, 5000, size=query_len), doc[0]))
         params = reader.init_model_params(
-            reader.ReaderConfig(6, 5, merge_mode="avg"), 5000, np.random.default_rng(0)
+            train.TrainConfig(embed_dim=6, hidden_dim=5, merge_mode="avg"), 5000, np.random.default_rng(0)
         )
         output = reader.forward(samples, params, training=False)
         train.nll_loss(output, [s.answer_id for s in samples]).backward()
@@ -336,7 +337,7 @@ class TestTrainingDynamics:
         samples = toy_corpus(8, rng_seed=4)
         for rep in range(5):
             params = reader.init_model_params(
-                reader.ReaderConfig(8, 8, merge_mode="avg"), 20, np.random.default_rng(100 + rep)
+                train.TrainConfig(embed_dim=8, hidden_dim=8, merge_mode="avg"), 20, np.random.default_rng(100 + rep)
             )
             before = one_training_step(params, samples, lr=1e-4)
             output = reader.forward(samples, params, training=False)
@@ -346,7 +347,7 @@ class TestTrainingDynamics:
     def test_validation_is_side_effect_free(self):
         samples = toy_corpus(6, rng_seed=5)
         params = reader.init_model_params(
-            reader.ReaderConfig(8, 8, merge_mode="avg"), 20, np.random.default_rng(7)
+            train.TrainConfig(embed_dim=8, hidden_dim=8, merge_mode="avg"), 20, np.random.default_rng(7)
         )
         before = {k: p.data.copy() for k, p in params.named().items()}
         acc1 = train._validation_accuracy(params, samples)
@@ -379,9 +380,19 @@ class TestTrainConfig:
         for preset in train.PRESETS.values():
             assert train.TrainConfig(**preset.__dict__) == preset
 
-    def test_reader_config_checks_are_configuration_errors(self):
-        with pytest.raises(ConfigurationError, match="embed_dim"):
-            reader.ReaderConfig(0, 4)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("embed_dim", 0, "embed_dim and hidden_dim must be positive"),
+            ("hidden_dim", 0, "embed_dim and hidden_dim must be positive"),
+            ("dropout_rate", 1.0, "dropout_rate must be in [0, 1), got 1.0"),
+            ("merge_mode", "mean", "merge_mode must be one of ('sum', 'avg', 'max'), got 'mean'"),
+        ],
+        ids=["embed_dim", "hidden_dim", "dropout_rate", "merge_mode"],
+    )
+    def test_model_field_checks_are_configuration_errors(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            train.TrainConfig(**{field: value})
 
 
 class TestTrainLoop:
@@ -544,7 +555,7 @@ def training_graph_size(doc_len, batch_size=4):
         encoded_sample(np.concatenate([[15], rng.integers(12, 20, doc_len - 1 - i % 3)]), [13, 1, 14][: 1 + i % 3], 15)
         for i in range(batch_size)
     ]
-    config = reader.ReaderConfig(6, 5, dropout_rate=0.1, merge_mode="avg")
+    config = train.TrainConfig(embed_dim=6, hidden_dim=5, dropout_rate=0.1, merge_mode="avg")
     params = reader.init_model_params(config, 20, np.random.default_rng(0))
     output = reader.forward(samples, params, training=True, rng=rng)
     return len(T._topo_order(train.nll_loss(output, [s.answer_id for s in samples])))
@@ -565,7 +576,7 @@ class TestCheckpoint:
         from casreader.vocab import build_vocab
 
         config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=3)
-        params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(1))
+        params = reader.init_model_params(config, 14, np.random.default_rng(1))
         named = params.named()
         state = train.AdamState.init(named, lr=config.lr)
         rng = np.random.default_rng(2)
@@ -610,7 +621,7 @@ class TestCheckpoint:
         than params.bin is caught by the size check, before any array exists."""
         _, config, _ = self.roundtrip(tmp_path)
         huge = train.TrainConfig(**dict(config.__dict__, embed_dim=10**15))
-        lines = train._manifest_lines(huge, 14, reader.param_layout(huge.reader_config(), 14))
+        lines = train._manifest_lines(huge, 14, reader.param_layout(huge, 14))
         (tmp_path / "ckpt" / "manifest.txt").write_text("\n".join([train._MANIFEST_FORMAT] + lines) + "\n")
         with pytest.raises(CorruptionError, match="params.bin: truncated at parameter 'embedding'"):
             train.load_checkpoint(tmp_path / "ckpt")
@@ -622,7 +633,7 @@ class TestCheckpoint:
         from casreader.vocab import build_vocab
 
         config = train.TrainConfig(embed_dim=2, hidden_dim=2)
-        params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(0))
+        params = reader.init_model_params(config, 14, np.random.default_rng(0))
         ckpt = tmp_path / "ckpt"
         train.save_checkpoint(params, None, config, ckpt, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
         manifest = ckpt / "manifest.txt"
@@ -632,6 +643,37 @@ class TestCheckpoint:
         (ckpt / "params.bin").write_bytes(blob[8 * 14 * 2 + 48 :])
         with pytest.raises(CorruptionError, match=r"manifest has 'vocab_size\\t-3' where save_checkpoint writes"):
             train.load_checkpoint(ckpt)
+
+    def test_save_refuses_params_that_do_not_fit(self, tmp_path):
+        """Params sized for another vocabulary, or under another config, would
+        make a checkpoint that `load_checkpoint` rejects: saving writes nothing."""
+        from casreader.vocab import build_vocab
+
+        vocab = build_vocab(["a", "b", "c", "d", "e"], shortlist_size=None)  # 17 ids
+        config = train.TrainConfig(embed_dim=8, hidden_dim=3)
+        for embed_dim, vocab_size, got, want in [
+            (8, 15, ("embedding", (15, 8)), ("embedding", (17, 8))),
+            (4, 17, ("embedding", (17, 4)), ("embedding", (17, 8))),
+        ]:
+            params = reader.init_model_params(
+                train.TrainConfig(embed_dim=embed_dim, hidden_dim=3), vocab_size, np.random.default_rng(0)
+            )
+            message = f"parameter {got} does not fit the config and vocabulary, which need {want}"
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                train.save_checkpoint(params, None, config, tmp_path / "ckpt", vocab=vocab)
+            assert not (tmp_path / "ckpt").exists()
+
+    def test_save_refuses_an_unsaveable_vocabulary_before_writing(self, tmp_path):
+        """A token `save_vocab` refuses used to leave a manifest and params.bin without
+        the vocab.txt that `load_checkpoint` needs."""
+        from casreader.vocab import Vocabulary
+
+        vocab = Vocabulary(tokens=["ok", "bad\ttoken"], frequencies=[2, 1], shortlist_size=None)
+        config = train.TrainConfig(embed_dim=2, hidden_dim=2)
+        params = reader.init_model_params(config, vocab.total_size, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="not representable"):
+            train.save_checkpoint(params, None, config, tmp_path / "ckpt", vocab=vocab)
+        assert list((tmp_path / "ckpt").iterdir()) == []
 
     def test_vocab_size_mismatch_is_corruption(self, tmp_path):
         from casreader.vocab import build_vocab, save_vocab
@@ -651,7 +693,7 @@ class TestCheckpoint:
         config = train.TrainConfig(
             embed_dim=4, hidden_dim=3, merge_mode="max", lr=1e-3 / 3, shortlist_size=None
         )
-        params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(0))
+        params = reader.init_model_params(config, 14, np.random.default_rng(0))
         train.save_checkpoint(params, None, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
         return config
 
@@ -762,7 +804,7 @@ def test_benchmark_eval_checkpoint_call_shape(tmp_path):
     splits = synthetic.generate_synthetic_corpus(synthetic.SyntheticConfig(train_docs=4, valid_docs=1, test_docs=6))
     vocab = build_vocab((t for s in splits["train"] for t in s.document + s.query), shortlist_size=100_000)
     config = train.TrainConfig(**dict(train.PRESETS["news-full"].__dict__, embed_dim=4, hidden_dim=4, seed=4))
-    params = reader.init_model_params(config.reader_config(), vocab.total_size, rng)
+    params = reader.init_model_params(config, vocab.total_size, rng)
     named = params.named()
     state = train.AdamState.init(named, config.lr, config.beta1, config.beta2, config.epsilon)
     train.save_checkpoint(params, state, config, tmp_path / "checkpoint", vocab=vocab)
@@ -782,7 +824,7 @@ def manifest_base(tmp_path_factory):
 
     path = tmp_path_factory.mktemp("manifest-base")
     config = train.TrainConfig(embed_dim=4, hidden_dim=4, epochs=1, seed=3)
-    params = reader.init_model_params(config.reader_config(), 14, np.random.default_rng(1))
+    params = reader.init_model_params(config, 14, np.random.default_rng(1))
     train.save_checkpoint(params, None, config, path, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
     return path
 

@@ -140,12 +140,17 @@ class TestSaveLoad:
             V.load_vocab(path)
 
     def test_duplicate_token_names_token(self, tmp_path):
+        """A reserved token duplicates its reserved id: `token_to_id` would never
+        return the regular id it loaded at."""
         path = tmp_path / "vocab.txt"
-        path.write_text(
-            "casreader-vocab-v1\tshortlist=5\na\t3\na\t2\n", encoding="utf-8"
-        )
-        with pytest.raises(ParseError, match="'a'"):
-            V.load_vocab(path)
+        for lines, message in [
+            ("a\t3\na\t2\n", "line 3: duplicate token 'a'"),
+            ("a\t3\n⟨X⟩\t5\n", "line 3: reserved token '⟨X⟩'"),
+            ("⟨pad⟩\t5\n", "line 2: reserved token '⟨pad⟩'"),
+        ]:
+            path.write_text("casreader-vocab-v1\tshortlist=5\n" + lines, encoding="utf-8")
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                V.load_vocab(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -209,7 +214,9 @@ class TestSaveLoad:
         assert V.load_vocab(path) == v
 
     def test_unrepresentable_token_rejected_at_save(self, tmp_path):
-        v = V.build_vocab(["ok", "bad\ttoken", "ok"], shortlist_size=None)
-        with pytest.raises(ValidationError, match="not representable"):
-            V.save_vocab(v, tmp_path / "v.txt")
-        assert not (tmp_path / "v.txt").exists()
+        """Tokens with a tab, and the reserved tokens `build_vocab` never keeps."""
+        for bad in ("bad\ttoken", V.PAD_TOKEN, V.PLACEHOLDER_TOKEN):
+            v = V.Vocabulary(tokens=["ok", bad], frequencies=[2, 1], shortlist_size=None)
+            with pytest.raises(ValidationError, match="not representable"):
+                V.save_vocab(v, tmp_path / "v.txt")
+            assert not (tmp_path / "v.txt").exists()
