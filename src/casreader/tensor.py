@@ -218,23 +218,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (a,), "reshape", backward)
 
 
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise DimensionError(
-            f"concat_cols expects matrices with equal row counts, got {a.data.shape} and {b.data.shape}"
-        )
-    split = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, g[:, :split])
-        if b.requires_grad:
-            _accumulate(b, g[:, split:])
-
-    return _record(out, (a, b), "concat_cols", backward)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of `a`; the backward rule scatter-adds into those rows only.
 

@@ -1,8 +1,9 @@
 """Neural-layer tests: the fused bi-GRU scan against a scalar-loop oracle,
 masking and initializer contracts, dropout statistics and its rng stream,
-finite-difference gradients."""
+finite-difference gradients, and the two-thread scan against the inline one."""
 
 import math
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +13,7 @@ from casreader import nn, reader, train
 from casreader import tensor as T
 from casreader.errors import ConfigurationError, DimensionError, UsageError
 from casreader.tensor import Tensor
+from helpers import Sample, generic_params
 
 
 def gru_oracle(x: np.ndarray, h: np.ndarray, p: nn.GruParams) -> np.ndarray:
@@ -56,6 +58,21 @@ def gru_from(named, prefix):
     return nn.GruParams(**{f.name: named[f"{prefix}.{f.name}"] for f in fields(nn.GruParams)})
 
 
+def frozen(p):
+    """The same weight arrays as `p`, in tensors that need no gradient."""
+    return nn.GruParams(**{f.name: Tensor(getattr(p, f.name).data) for f in fields(nn.GruParams)})
+
+
+def scan_node(x, mask, p, reverse, other=None):
+    """The two-direction node with `p` scanning in the named direction and
+    `other` (by default a no-gradient copy of `p`) in the other one; returns
+    the node and the column slice of `p`'s states."""
+    other = frozen(p) if other is None else other
+    hidden = p.hidden_dim
+    out = nn.bigru_scan(x, mask, *((other, p) if reverse else (p, other)))
+    return out, slice(hidden, 2 * hidden) if reverse else slice(0, hidden)
+
+
 def zero_params(input_dim, hidden_dim):
     def t(shape):
         return Tensor(np.zeros(shape))
@@ -73,9 +90,14 @@ def encode_rows(x, mask, fwd, bwd, **kw):
     Returns the states as [batch x len x 2*hidden].
     """
     batch, steps, dim = x.shape
-    emb = Tensor(x.reshape(-1, dim))
+    return encode_rows_tensor(Tensor(x.reshape(-1, dim)), mask, fwd, bwd, **kw).data
+
+
+def encode_rows_tensor(emb, mask, fwd, bwd, **kw):
+    """`encode_rows` on a `[batch*len x dim]` table that may need a gradient; returns the states tensor."""
+    batch, steps = np.shape(mask)
     ids = np.arange(batch * steps).reshape(batch, steps)
-    return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw).data
+    return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw)
 
 
 def scan_oracle(x, mask, p, reverse):
@@ -159,15 +181,18 @@ class TestGruCell:
         p = make_params(3, 4, seed=7)
         x = rng.uniform(-1, 1, (5, 2, 3))  # [len x batch x dim]
         mask = np.array([[True] * 5, [True, True, False, True, False]])
-        batched = nn.gru_scan(Tensor(x.reshape(10, 3)), mask, p, reverse=True).data.reshape(5, 2, 4)
+        batched, cols = scan_node(Tensor(x.reshape(10, 3)), mask, p, reverse=True)
+        batched = batched.data[:, cols].reshape(5, 2, 4)
         for b in range(2):
-            single = nn.gru_scan(Tensor(x[:, b]), mask[b : b + 1], p, reverse=True)
-            np.testing.assert_allclose(batched[:, b], single.data, atol=1e-13, rtol=0)
+            single, cols = scan_node(Tensor(x[:, b]), mask[b : b + 1], p, reverse=True)
+            np.testing.assert_allclose(batched[:, b], single.data[:, cols], atol=1e-13, rtol=0)
 
     def test_dimension_mismatch(self):
         p = make_params(3, 4, seed=8)
         with pytest.raises(DimensionError):
-            nn.gru_scan(Tensor(np.zeros((4, 5))), np.ones((2, 2), dtype=bool), p, reverse=False)
+            nn.bigru_scan(Tensor(np.zeros((4, 5))), np.ones((2, 2), dtype=bool), p, p)
+        with pytest.raises(DimensionError, match=r"\(3, 4\) and \(3, 5\)"):
+            nn.bigru_scan(Tensor(np.zeros((4, 3))), np.ones((2, 2), dtype=bool), p, make_params(3, 5, seed=9))
 
 
 class TestBigruEncode:
@@ -240,16 +265,20 @@ class TestBigruEncode:
 
 
 class TestGruScan:
+    """`bigru_scan`, one direction at a time: the direction under test scans
+    with the given params, the other with fixed ones."""
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_finite_differences(self, reverse):
         rng = np.random.default_rng(26)
         mask = np.array([[True] * 4, [True, True, True, False], [True, False, True, False]])
-        weights = rng.uniform(0.5, 1.5, (12, 3))
+        weights = rng.uniform(0.5, 1.5, (12, 6))  # both blocks: x's gradient sums both directions'
         x = Tensor(rng.uniform(-1, 1, (12, 2)), requires_grad=True)
         params = {"x": x, **random_params(2, 3, rng).named("g")}
+        other = frozen(random_params(2, 3, rng))
 
         def loss(p):
-            out = nn.gru_scan(p["x"], mask, gru_from(p, "g"), reverse=reverse)
+            out, _ = scan_node(p["x"], mask, gru_from(p, "g"), reverse, other)
             return T.reduce_sum(T.mul(out, Tensor(weights)))
 
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
@@ -270,7 +299,8 @@ class TestGruScan:
         mask[3, 1:] = False  # a single real step
         x = rng.uniform(-2, 2, (steps, batch, dim))  # time-major, as the scan reads it
         p = random_params(dim, hidden, rng)  # entries ~1: gates far from the linear regime
-        out = nn.gru_scan(Tensor(x.reshape(-1, dim)), mask, p, reverse=reverse).data.reshape(steps, batch, hidden)
+        out, cols = scan_node(Tensor(x.reshape(-1, dim)), mask, p, reverse, frozen(random_params(dim, hidden, rng)))
+        out = out.data[:, cols].reshape(steps, batch, hidden)
         for b in range(batch):
             expected = scan_oracle(x[:, b], mask[b], p, reverse)
             np.testing.assert_allclose(out[:, b], expected, atol=self.ORACLE_ATOL, rtol=0)
@@ -279,22 +309,22 @@ class TestGruScan:
         """At zero pre-activation z is exactly 1/2: the first state is exactly tanh(b_h)/2."""
         p = zero_params(2, 4)
         p.b_h.data[:] = [0.3, -0.7, 1.1, 0.0]
-        out = nn.gru_scan(Tensor(np.ones((3, 2))), np.ones((3, 1), dtype=bool), p, reverse=False)
-        np.testing.assert_array_equal(out.data[0], 0.5 * np.tanh(p.b_h.data))
+        out = nn.bigru_scan(Tensor(np.ones((3, 2))), np.ones((3, 1), dtype=bool), p, p)
+        np.testing.assert_array_equal(out.data[0], np.tile(0.5 * np.tanh(p.b_h.data), 2))
 
     @pytest.mark.parametrize("hidden", [1, 4])  # at 1, u.T is itself C-ordered: a copy must still be made
     @pytest.mark.parametrize("reverse", [False, True])
     def test_inputs_are_bit_unchanged(self, reverse, hidden):
-        """The scan writes only its own buffers: never into x or a parameter."""
+        """The scan writes only its own buffers: never into x or a parameter,
+        whose arrays the other direction here shares."""
         rng = np.random.default_rng(33)
         mask = np.array([[True] * 5, [True, False, False, True, False]])
         x = Tensor(rng.uniform(-1, 1, (10, 3)), requires_grad=True)
         p = random_params(3, hidden, rng)
         tensors = [x, *(getattr(p, f.name) for f in fields(nn.GruParams))]
         before = [t.data.copy() for t in tensors]
-        nn.gru_scan(x, mask, p, reverse=reverse).backward(rng.uniform(-1, 1, (10, hidden)))
-        frozen = nn.GruParams(**{f.name: Tensor(getattr(p, f.name).data) for f in fields(nn.GruParams)})
-        nn.gru_scan(Tensor(x.data), mask, frozen, reverse=reverse)
+        scan_node(x, mask, p, reverse)[0].backward(rng.uniform(-1, 1, (10, 2 * hidden)))
+        scan_node(Tensor(x.data), mask, frozen(p), reverse)
         for t, data in zip(tensors, before):
             np.testing.assert_array_equal(t.data, data)
 
@@ -305,35 +335,47 @@ class TestGruScan:
         mask = np.array([[True] * 5, [True, False, False, True, False], [True, True, False, False, False]])
         x = Tensor(rng.uniform(-1, 1, (15, 3)), requires_grad=True)
         params = random_params(3, 4, rng)
-        graded = nn.gru_scan(x, mask, params, reverse=reverse)
-        frozen = nn.GruParams(**{f.name: Tensor(getattr(params, f.name).data) for f in fields(nn.GruParams)})
-        plain = nn.gru_scan(Tensor(x.data), mask, frozen, reverse=reverse)
-        assert graded._op == "gru_scan"
+        graded, _ = scan_node(x, mask, params, reverse)
+        plain, _ = scan_node(Tensor(x.data), mask, frozen(params), reverse)
+        assert graded._op == "bigru_scan"
         np.testing.assert_array_equal(plain.data, graded.data)
         assert not plain.requires_grad and plain._op == "leaf" and plain._parents == ()
 
+    def test_second_backward_is_refused(self):
+        """BPTT overwrites the saved gate values, so a second pass would be wrong: it raises instead."""
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True)
+        out = nn.bigru_scan(x, np.ones((2, 3), dtype=bool), random_params(2, 3, rng), random_params(2, 3, rng))
+        out.backward(np.ones((6, 6)))
+        with pytest.raises(UsageError, match="runs once"):
+            out.backward(np.ones((6, 6)))
+
     def test_no_grad_keeps_no_per_step_buffers(self):
-        """Without a gradient the scan's peak allocation drops by the
-        h_prev/zr/cand arrays BPTT reads: 4*hidden floats per step and row."""
+        """Without a gradient the node's peak allocation drops by what BPTT
+        reads: each direction's z/r/h~ arrays (3*hidden floats per step and
+        row), and the forward direction's state history, which BPTT keeps
+        alive while the reverse direction scans (hidden more): 7*hidden
+        floats per step and row. The shape is below the two-thread gate."""
         import tracemalloc
 
         batch, steps, hidden = 4, 200, 32
         rng = np.random.default_rng(31)
         mask = np.ones((batch, steps), dtype=bool)
         x = rng.uniform(-1, 1, (steps * batch, 8))
-        params = random_params(8, hidden, rng)
-        frozen = nn.GruParams(**{f.name: Tensor(getattr(params, f.name).data) for f in fields(nn.GruParams)})
+        params = random_params(8, hidden, rng), random_params(8, hidden, rng)
+        assert not nn._concurrent(batch, hidden)
 
-        def peak_bytes(x, p):
+        def peak_bytes(x, fwd, bwd):
             tracemalloc.start()
             try:
-                nn.gru_scan(x, mask, p, reverse=False)
+                nn.bigru_scan(x, mask, fwd, bwd)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        saved = steps * batch * 4 * hidden * 8
-        assert peak_bytes(Tensor(x, requires_grad=True), params) - peak_bytes(Tensor(x), frozen) > 0.9 * saved
+        saved = steps * batch * 7 * hidden * 8
+        with_grad = peak_bytes(Tensor(x, requires_grad=True), *params)
+        assert with_grad - peak_bytes(Tensor(x), *map(frozen, params)) > 0.9 * saved
 
 
 class TestBatchEncoding:
@@ -363,6 +405,124 @@ class TestBatchEncoding:
             keep = (want_rng.random((batch, 2 * hidden)) >= rate) / (1.0 - rate)
             np.testing.assert_array_equal(dropped[:, t], plain[:, t] * keep)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Opens the two-thread gate for every shape."""
+    monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: True)
+
+
+class TestTwoThreads:
+    """The two-thread scan against the inline one, its context and its threads."""
+
+    @staticmethod
+    def encode_and_grads(x, mask, fwd, bwd, tensors):
+        """Training-mode states and the gradients of `tensors` under a fixed
+        random output gradient."""
+        for t in tensors:
+            t.zero_grad()
+        states = encode_rows_tensor(x, mask, fwd, bwd, dropout_rate=0.25, rng=np.random.default_rng(3))
+        states.backward(np.random.default_rng(4).uniform(-1, 1, states.data.shape))
+        return [states.data, *(T._dense_grad(t).copy() for t in tensors)]
+
+    @pytest.mark.parametrize("padding", ["left", "right"])
+    def test_states_and_gradients_are_bit_identical(self, monkeypatch, padding):
+        rng = np.random.default_rng(50)
+        batch, steps, dim, hidden = 4, 9, 3, 5
+        x = Tensor(rng.uniform(-1, 1, (batch * steps, dim)), requires_grad=True)
+        fwd, bwd = random_params(dim, hidden, rng), random_params(dim, hidden, rng)
+        tensors = [x, *fwd.named("f").values(), *bwd.named("b").values()]
+        mask = np.arange(steps) < np.array([steps, 6, 1, 4])[:, None]
+        mask = mask[:, ::-1] if padding == "left" else mask
+        inline = self.encode_and_grads(x, mask, fwd, bwd, tensors)
+        monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: True)
+        threaded = self.encode_and_grads(x, mask, fwd, bwd, tensors)
+        for a, b in zip(inline, threaded):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    def test_reader_gradients_are_bit_identical(self, monkeypatch, mode):
+        params = generic_params(15, 3, 3, np.random.default_rng(51))
+        rng = np.random.default_rng(52)
+        samples = []
+        for _ in range(5):
+            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
+            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        named = params.named()
+
+        def run():
+            for t in named.values():
+                t.zero_grad()
+            output = reader.forward(samples, params, training=True, rng=np.random.default_rng(53), mode=mode)
+            loss = train.nll_loss(output, [s.answer_id for s in samples])
+            loss.backward()
+            return [loss.data, *(T._dense_grad(t).copy() for t in named.values())]
+
+        inline = run()
+        monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: True)
+        for a, b in zip(inline, run()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_overflow_in_the_reverse_direction_raises_under_errstate(self, two_threads):
+        """numpy's errstate is a context variable: the worker scans in a copy
+        of the caller's context, so an overflow there raises as it would inline."""
+        fwd, bwd = zero_params(2, 3), zero_params(2, 3)
+        bwd.w_h.data[:] = 0.6e308  # a projection of 1.2e308 for an all-ones input,
+        bwd.b_h.data[:] = 1e308  # and adding the bias overflows
+        x = np.ones((1, 4, 2))
+        with np.errstate(over="ignore"):  # and so does ignoring it: the worker does not warn
+            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, bwd)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, bwd)
+        with np.errstate(over="raise"):  # the forward direction alone is fine
+            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, zero_params(2, 3))
+
+    def test_no_thread_outlives_a_forward_and_backward(self, two_threads, monkeypatch):
+        """Each pass starts its own worker and joins it: one more thread runs
+        while the directions scan, and none is left after the backward."""
+        real_scan, running = nn._scan, []
+
+        def counted_scan(*args):
+            scan = real_scan(*args)
+
+            def run():
+                running.append(threading.active_count())
+                return scan()
+
+            return run
+
+        monkeypatch.setattr(nn, "_scan", counted_scan)
+        rng = np.random.default_rng(54)
+        x = Tensor(rng.uniform(-1, 1, (12, 2)), requires_grad=True)
+        before = threading.active_count()
+        out = nn.bigru_scan(x, np.ones((3, 4), dtype=bool), random_params(2, 3, rng), random_params(2, 3, rng))
+        out.backward(np.ones((12, 6)))
+        assert running == [before + 1] * 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "batch, hidden, cpus, env, expected",
+        [
+            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, True),  # paper-scale train, BLAS pinned
+            (16, 256, 2, {"OMP_NUM_THREADS": "1"}, True),  # paper-scale eval
+            (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # the desk recipe: too little work per step
+            (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable CPU
+            (8, 256, 2, {}, False),  # BLAS may use every CPU already
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True),
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, False),
+        ],
+    )
+    @pytest.mark.parametrize("errstate_in_context", [True, False])
+    def test_gate(self, monkeypatch, batch, hidden, cpus, env, expected, errstate_in_context):
+        """Before numpy 2.0 a worker thread cannot see the caller's errstate, so the gate stays closed."""
+        monkeypatch.setattr(nn, "_ERRSTATE_IN_CONTEXT", errstate_in_context)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert nn._concurrent(batch, hidden) is (expected and errstate_in_context)
 
 
 class TestInitializers:

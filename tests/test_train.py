@@ -5,6 +5,7 @@ descent, determinism, and bit-exact checkpoint persistence."""
 import json
 import math
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casreader import reader, train
+from casreader import nn, reader, train
 from casreader import tensor as T
 from casreader.errors import (
     ConfigurationError,
@@ -502,6 +503,41 @@ class TestTrainLoop:
         for k, p in result.params.named().items():
             np.testing.assert_array_equal(p.data, clean.params.named()[k].data)
 
+    def test_overflow_on_the_scan_worker_aborts_with_best_snapshot(self, monkeypatch):
+        """An overflow in the reverse direction's scan, on its worker thread,
+        raises inside train's errstate and aborts like any other."""
+        corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
+        clean = train.train(self.config(epochs=1), corpus, valid, vocab_size=20)
+        monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: True)
+        real_scan, real_adam = nn._scan, train.adam_step
+        steps, overflowed_on = [], []
+
+        def counted_adam(*args):
+            steps.append(1)
+            return real_adam(*args)
+
+        def poisoned_scan(x, keep, params, reverse, out, needs_grad):
+            scan = real_scan(x, keep, params, reverse, out, needs_grad)
+
+            def run():
+                if reverse and len(steps) == 4:  # the second step of epoch 2 (batch 8 over 24 samples)
+                    overflowed_on.append(threading.current_thread())
+                    np.multiply(np.float64(1e308), 10.0)
+                return scan()
+
+            return run
+
+        monkeypatch.setattr(train, "adam_step", counted_adam)
+        monkeypatch.setattr(nn, "_scan", poisoned_scan)
+        result = train.train(self.config(epochs=3), corpus, valid, vocab_size=20)
+        assert len(overflowed_on) == 1 and overflowed_on[0] is not threading.main_thread()
+        assert result.aborted and len(steps) == 4
+        assert [r.epoch for r in result.history] == [1]
+        assert result.best_epoch == 1
+        assert deterministic_fields(result.history[0]) == deterministic_fields(clean.history[0])
+        for k, p in result.params.named().items():
+            np.testing.assert_array_equal(p.data, clean.params.named()[k].data)
+
     def test_gradient_telemetry_matches_step_norms_and_changes_nothing(self, monkeypatch, tmp_path):
         corpus, valid = toy_corpus(24, rng_seed=6), toy_corpus(8, rng_seed=7)
         config = self.config(epochs=3, clip_threshold=4e-4)
@@ -563,12 +599,12 @@ def training_graph_size(doc_len, batch_size=4):
 
 def test_training_graph_size_does_not_grow_with_document_length():
     sizes = [training_graph_size(n) for n in (10, 20, 40)]
-    assert sizes == [64] * 3
+    assert sizes == [60] * 3
 
 
 def test_training_graph_size_does_not_grow_with_batch_size():
     sizes = [training_graph_size(20, batch_size=b) for b in (1, 4, 16)]
-    assert sizes == [64] * 3
+    assert sizes == [60] * 3
 
 
 class TestCheckpoint:
