@@ -470,13 +470,13 @@ class TestTwoThreads:
         fwd, bwd = zero_params(2, 3), zero_params(2, 3)
         bwd.w_h.data[:] = 0.6e308  # a projection of 1.2e308 for an all-ones input,
         bwd.b_h.data[:] = 1e308  # and adding the bias overflows
-        x = np.ones((1, 4, 2))
-        with np.errstate(over="ignore"):  # and so does ignoring it: the worker does not warn
-            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, bwd)
+        x, mask = np.ones((1, 4, 2)), np.ones((1, 4), dtype=bool)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, bwd)
+            encode_rows(x, mask, fwd, bwd)
         with np.errstate(over="raise"):  # the forward direction alone is fine
-            encode_rows(x, np.ones((1, 4), dtype=bool), fwd, zero_params(2, 3))
+            encode_rows(x, mask, fwd, zero_params(2, 3))
+        with np.errstate(over="ignore"):  # and the worker keeps quiet when told to, where a warning would fail
+            encode_rows(x, mask, fwd, bwd)
 
     def test_no_thread_outlives_a_forward_and_backward(self, two_threads, monkeypatch):
         """Each pass starts its own worker and joins it: one more thread runs
@@ -502,27 +502,26 @@ class TestTwoThreads:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
-        "batch, hidden, cpus, env, expected",
+        "batch, hidden, cpus, env, errstate_in_context, expected",
         [
-            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, True),  # paper-scale train, BLAS pinned
-            (16, 256, 2, {"OMP_NUM_THREADS": "1"}, True),  # paper-scale eval
-            (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # the desk recipe: too little work per step
-            (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable CPU
-            (8, 256, 2, {}, False),  # BLAS may use every CPU already
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True),
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, False),
+            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, True, True),  # paper-scale train, BLAS pinned
+            (16, 256, 2, {"OMP_NUM_THREADS": "1"}, True, True),  # paper-scale eval
+            (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # the desk recipe: too little work per step
+            (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # one usable CPU
+            (8, 256, 2, {}, True, False),  # BLAS may use every CPU already
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, True),
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, True, False),
+            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, False, False),  # numpy < 2.0: a worker starts at the default
         ],
     )
-    @pytest.mark.parametrize("errstate_in_context", [True, False])
-    def test_gate(self, monkeypatch, batch, hidden, cpus, env, expected, errstate_in_context):
-        """Before numpy 2.0 a worker thread cannot see the caller's errstate, so the gate stays closed."""
+    def test_gate(self, monkeypatch, batch, hidden, cpus, env, errstate_in_context, expected):
         monkeypatch.setattr(nn, "_ERRSTATE_IN_CONTEXT", errstate_in_context)
         for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert nn._concurrent(batch, hidden) is (expected and errstate_in_context)
+        assert nn._concurrent(batch, hidden) is expected
 
 
 class TestInitializers:
