@@ -23,10 +23,10 @@ unmasked rows.
 The two directions share nothing until their states are joined. Above a
 gate (`_concurrent`: a step's recurrent work of at least `_CONCURRENT_WORK`
 multiply-adds, an `errstate` a worker thread inherits, which numpy has from
-2.0 on, and two usable CPUs for each BLAS thread) the reverse direction's
-scan and its BPTT run on a worker thread beside the forward direction's;
-below it they run one after the other. Either way every bit of the result
-is the same. BLAS threading is left to the environment
+2.0 on, BLAS pinned to one thread and two usable CPUs) the reverse
+direction's scan and its BPTT run on a worker thread beside the forward
+direction's; below it they run one after the other. Either way every bit of
+the result is the same. BLAS threading is left to the environment
 (`OPENBLAS_NUM_THREADS` and the like); the gate only reads it.
 """
 
@@ -107,53 +107,46 @@ def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> Array:
 def _concurrent(batch: int, hidden: int) -> bool:
     """Whether the two directions of a scan run on two threads: a step's
     recurrent work pays for a thread, a worker sees the caller's `errstate`,
-    and the process may use two CPUs for each thread BLAS may start, so the
-    two directions' products do not compete for cores."""
-    if batch * hidden * 3 * hidden < _CONCURRENT_WORK or not _ERRSTATE_IN_CONTEXT:
+    the environment pins BLAS to one thread and the process may use two
+    CPUs. Only that case was measured; with BLAS unpinned on two CPUs, two
+    threads were up to 1.4x slower than one."""
+    if batch * hidden * 3 * hidden < _CONCURRENT_WORK or not _ERRSTATE_IN_CONTEXT or not _blas_pinned_to_one():
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return cpus >= 2 * _blas_threads(cpus)
+    return cpus >= 2
 
 
-def _blas_threads(cpus: int) -> int:
-    """The threads BLAS may use as the environment pins them (OpenBLAS and
-    MKL read their own variable before OpenMP's); unpinned, every CPU."""
+def _blas_pinned_to_one() -> bool:
+    """Whether the first thread variable BLAS reads (OpenBLAS and MKL read
+    their own before OpenMP's) that holds a positive count says 1."""
     for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+            return int(value) == 1
+    return False
 
 
-def _both(
-    concurrent: bool, first: Callable[[], Callable[[], A]], second: Callable[[], Callable[[], B]]
-) -> tuple[A, B]:
-    """`(first()(), second()())`: each argument allocates its buffers and
-    returns the work that fills them. When `concurrent`, both allocate on
-    the calling thread and `second`'s work runs on a worker thread, in a copy
-    of the caller's context (which carries numpy's `errstate`); the worker
-    is joined before this returns. Allocating here keeps the large buffers
-    out of the worker's malloc arena, whose free memory the calling thread
-    could not reuse."""
+def _both(concurrent: bool, first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
+    """`(first(), second())`. When `concurrent`, `second` runs on a worker
+    thread in a copy of the caller's context, which carries numpy's
+    `errstate`, and the worker is joined before this returns."""
     if not concurrent:
-        return first()(), second()()
-    work = second()
+        return first(), second()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        later = pool.submit(contextvars.copy_context().run, work)
-        return first()(), later.result()
+        later = pool.submit(contextvars.copy_context().run, second)
+        return first(), later.result()
 
 
 def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, needs_grad: bool):
-    """Allocate one direction's buffers and return its scan, which writes the
-    masked states into `out`, a `[len x batch x hidden]` block of the node's
-    output. The scan returns the direction's BPTT, or None when `needs_grad`
-    is false. BPTT takes the matching block of the output gradient,
-    allocates, and returns the work that yields the nine weight gradients
-    and the input gradient (None when `x` needs none). It overwrites the
-    saved gate buffers, so it runs at most once."""
+    """Scan one direction and write its masked states into `out`, a
+    `[len x batch x hidden]` block of the node's output. Returns the
+    direction's BPTT, or None when `needs_grad` is false. BPTT takes the
+    matching block of the output gradient and returns the nine weight
+    gradients and the input gradient (None when `x` needs none). It
+    overwrites the saved gate buffers, so it runs at most once."""
     steps, batch, hidden = out.shape
     w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = (getattr(params, f.name).data for f in fields(GruParams))
     w = np.concatenate([w_z, w_r, w_h])  # [3H x E]
@@ -171,81 +164,75 @@ def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, 
     rh = np.empty((batch, hidden))
     chunk = min(steps, max(1, _PROJECTION_CHUNK // (batch * 3 * hidden)))
     proj_rows = np.empty((chunk * batch, 3 * hidden))
+    starts = range(0, steps, chunk)
+    for start in reversed(starts) if reverse else starts:
+        stop = min(start + chunk, steps)
+        proj = np.matmul(x.data[start * batch : stop * batch], w.T, out=proj_rows[: (stop - start) * batch])
+        proj += bias
+        proj = proj.reshape(stop - start, batch, 3 * hidden)
+        proj[:, :, : 2 * hidden] *= 0.5
+        p_z, p_r, p_h = proj[:, :, :hidden], proj[:, :, hidden : 2 * hidden], proj[:, :, 2 * hidden :]
+        for t in range(stop - 1, start - 1, -1) if reverse else range(start, stop):
+            s, i = t % saved, t - start
+            hp, hn, z, r, c = prev[t], new[t], zs[s], rs[s], cs[s]
+            for gate, u_t, p in ((z, uz_t, p_z), (r, ur_t, p_r)):
+                np.matmul(hp, u_t, out=gate)
+                gate += p[i]
+                np.tanh(gate, out=gate)
+                gate *= 0.5
+                gate += 0.5
+            np.multiply(r, hp, out=rh)
+            np.matmul(rh, uh_t, out=c)
+            c += p_h[i]
+            np.tanh(c, out=c)
+            np.subtract(c, hp, out=hn)
+            hn *= z
+            hn *= keep[t]
+            hn += hp
+    np.multiply(new, keep, out=out)
+    if not needs_grad:
+        return None
 
-    def scan():
-        starts = range(0, steps, chunk)
-        for start in reversed(starts) if reverse else starts:
-            stop = min(start + chunk, steps)
-            proj = np.matmul(x.data[start * batch : stop * batch], w.T, out=proj_rows[: (stop - start) * batch])
-            proj += bias
-            proj = proj.reshape(stop - start, batch, 3 * hidden)
-            proj[:, :, : 2 * hidden] *= 0.5
-            p_z, p_r, p_h = proj[:, :, :hidden], proj[:, :, hidden : 2 * hidden], proj[:, :, 2 * hidden :]
-            for t in range(stop - 1, start - 1, -1) if reverse else range(start, stop):
-                s, i = t % saved, t - start
-                hp, hn, z, r, c = prev[t], new[t], zs[s], rs[s], cs[s]
-                for gate, u_t, p in ((z, uz_t, p_z), (r, ur_t, p_r)):
-                    np.matmul(hp, u_t, out=gate)
-                    gate += p[i]
-                    np.tanh(gate, out=gate)
-                    gate *= 0.5
-                    gate += 0.5
-                np.multiply(r, hp, out=rh)
-                np.matmul(rh, uh_t, out=c)
-                c += p_h[i]
-                np.tanh(c, out=c)
-                np.subtract(c, hp, out=hn)
-                hn *= z
-                hn *= keep[t]
-                hn += hp
-        np.multiply(new, keep, out=out)
-        return bptt if needs_grad else None
-
-    def bptt(g: Array):
+    def bptt(g: Array) -> tuple[list[Array], Array | None]:
         # Pre-activation grads [z, r, h~], first as their factors off the recurrence.
         gates = np.empty((steps, batch, 3 * hidden))
-        dx = np.empty(x.data.shape) if x.requires_grad else None
+        g_z, g_r, g_h = gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 2 * hidden :]
+        kz = np.multiply(zs, keep, out=zs)  # z is read no more
+        np.multiply(cs, cs, out=g_h)
+        np.subtract(1.0, g_h, out=g_h)
+        g_h *= kz  # z (1 - c^2) keep
+        np.subtract(cs, prev, out=g_z)
+        g_z *= kz
+        carry = np.subtract(1.0, kz, out=kz)  # (1 - z) keep + (1 - keep)
+        g_z *= carry  # (c - h_prev) z (1 - z) keep: carry is 1 - z where keep is 1, g_z is 0 where it is 0
+        np.subtract(1.0, rs, out=g_r)
+        g_r *= rs
+        g_r *= prev  # h_prev r (1 - r)
+        gk = np.multiply(g, keep, out=cs)  # h~ is read no more
+        dh = np.zeros((batch, hidden))
+        d, d_rh, tmp = (np.empty((batch, hidden)) for _ in range(3))
+        for t in range(steps) if reverse else range(steps - 1, -1, -1):
+            np.add(dh, gk[t], out=d)
+            g_z[t] *= d
+            g_h[t] *= d
+            np.matmul(g_h[t], u_h, out=d_rh)
+            g_r[t] *= d_rh
+            np.multiply(d, carry[t], out=dh)
+            np.multiply(d_rh, rs[t], out=tmp)
+            dh += tmp
+            np.matmul(g_z[t], u_z, out=tmp)
+            dh += tmp
+            np.matmul(g_r[t], u_r, out=tmp)
+            dh += tmp
+        flat = gates.reshape(steps * batch, 3 * hidden)
+        h_prev = prev.reshape(steps * batch, hidden)
+        r_prev = np.multiply(rs, prev, out=rs).reshape(steps * batch, hidden)
+        dw = np.split(flat.T @ x.data, 3)
+        du = np.split(flat[:, : 2 * hidden].T @ h_prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
+        db = np.split(flat.sum(axis=0), 3)
+        return [*dw, *du, *db], flat @ w if x.requires_grad else None
 
-        def run() -> tuple[list[Array], Array | None]:
-            g_z, g_r, g_h = gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 2 * hidden :]
-            kz = np.multiply(zs, keep, out=zs)  # z is read no more
-            np.multiply(cs, cs, out=g_h)
-            np.subtract(1.0, g_h, out=g_h)
-            g_h *= kz  # z (1 - c^2) keep
-            np.subtract(cs, prev, out=g_z)
-            g_z *= kz
-            carry = np.subtract(1.0, kz, out=kz)  # (1 - z) keep + (1 - keep)
-            g_z *= carry  # (c - h_prev) z (1 - z) keep: carry is 1 - z where keep is 1, g_z is 0 where it is 0
-            np.subtract(1.0, rs, out=g_r)
-            g_r *= rs
-            g_r *= prev  # h_prev r (1 - r)
-            gk = np.multiply(g, keep, out=cs)  # h~ is read no more
-            dh = np.zeros((batch, hidden))
-            d, d_rh, tmp = (np.empty((batch, hidden)) for _ in range(3))
-            for t in range(steps) if reverse else range(steps - 1, -1, -1):
-                np.add(dh, gk[t], out=d)
-                g_z[t] *= d
-                g_h[t] *= d
-                np.matmul(g_h[t], u_h, out=d_rh)
-                g_r[t] *= d_rh
-                np.multiply(d, carry[t], out=dh)
-                np.multiply(d_rh, rs[t], out=tmp)
-                dh += tmp
-                np.matmul(g_z[t], u_z, out=tmp)
-                dh += tmp
-                np.matmul(g_r[t], u_r, out=tmp)
-                dh += tmp
-            flat = gates.reshape(steps * batch, 3 * hidden)
-            h_prev = prev.reshape(steps * batch, hidden)
-            r_prev = np.multiply(rs, prev, out=rs).reshape(steps * batch, hidden)
-            dw = np.split(flat.T @ x.data, 3)
-            du = np.split(flat[:, : 2 * hidden].T @ h_prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
-            db = np.split(flat.sum(axis=0), 3)
-            return [*dw, *du, *db], None if dx is None else np.matmul(flat, w, out=dx)
-
-        return run
-
-    return scan
+    return bptt
 
 
 def bigru_scan(x: Tensor, mask, fwd: GruParams, bwd: GruParams) -> Tensor:

@@ -484,13 +484,8 @@ class TestTwoThreads:
         real_scan, running = nn._scan, []
 
         def counted_scan(*args):
-            scan = real_scan(*args)
-
-            def run():
-                running.append(threading.active_count())
-                return scan()
-
-            return run
+            running.append(threading.active_count())
+            return real_scan(*args)
 
         monkeypatch.setattr(nn, "_scan", counted_scan)
         rng = np.random.default_rng(54)
@@ -509,8 +504,9 @@ class TestTwoThreads:
             (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # the desk recipe: too little work per step
             (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # one usable CPU
             (8, 256, 2, {}, True, False),  # BLAS may use every CPU already
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, True),
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, True, False),
+            (8, 256, 4, {}, True, False),
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, False),  # OpenBLAS's own wins
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, True, True),  # 0 is no count
             (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, False, False),  # numpy < 2.0: a worker starts at the default
         ],
     )
@@ -520,7 +516,11 @@ class TestTwoThreads:
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        # Both ways of counting CPUs: by affinity, and as platforms without that call count them.
+        monkeypatch.delattr(nn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: cpus)
+        assert nn._concurrent(batch, hidden) is expected
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert nn._concurrent(batch, hidden) is expected
 
 

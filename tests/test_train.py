@@ -517,15 +517,10 @@ class TestTrainLoop:
             return real_adam(*args)
 
         def poisoned_scan(x, keep, params, reverse, out, needs_grad):
-            scan = real_scan(x, keep, params, reverse, out, needs_grad)
-
-            def run():
-                if reverse and len(steps) == 4:  # the second step of epoch 2 (batch 8 over 24 samples)
-                    overflowed_on.append(threading.current_thread())
-                    np.multiply(np.float64(1e308), 10.0)
-                return scan()
-
-            return run
+            if reverse and len(steps) == 4:  # the second step of epoch 2 (batch 8 over 24 samples)
+                overflowed_on.append(threading.current_thread())
+                np.multiply(np.float64(1e308), 10.0)
+            return real_scan(x, keep, params, reverse, out, needs_grad)
 
         monkeypatch.setattr(train, "adam_step", counted_adam)
         monkeypatch.setattr(nn, "_scan", poisoned_scan)
