@@ -10,24 +10,8 @@ The GRU uses the standard update/reset gate formulation:
     h~ = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * h~
 
-Both directions of the encoder are one autodiff node (`bigru_scan`) with
-backpropagation through time inside it, so the recorded graph does not grow
-with sequence length. Its step loop computes the sigmoid as
-`0.5*tanh(a/2) + 0.5`, multiplies by C-ordered copies of the transposed
-recurrent matrices, writes into preallocated buffers and keeps every state
-in one history array whose shifted view is the previous state. Padding is
-handled by carrying the hidden state through masked positions unchanged
-while emitting all-zero output rows, so left- and right-padding agree on the
-unmasked rows.
-
-The two directions share nothing until their states are joined. Above a
-gate (`_concurrent`: a step's recurrent work of at least `_CONCURRENT_WORK`
-multiply-adds, an `errstate` a worker thread inherits, which numpy has from
-2.0 on, BLAS pinned to one thread and two usable CPUs) the reverse
-direction's scan and its BPTT run on a worker thread beside the forward
-direction's; below it they run one after the other. Either way every bit of
-the result is the same. BLAS threading is left to the environment
-(`OPENBLAS_NUM_THREADS` and the like); the gate only reads it.
+`bigru_scan` holds the scan's kernel, padding, memory and bit-identity
+facts; `_concurrent` decides when its two directions run on two threads.
 """
 
 from __future__ import annotations
@@ -53,9 +37,6 @@ B = TypeVar("B")
 # BLAS thread, a 100-step forward and backward took 0.55-0.7 of the inline
 # time from 2^19.6 up, broke about even from 2^18 to 2^19 and lost below.
 _CONCURRENT_WORK = 1 << 19
-# numpy keeps `errstate` in a context variable from 2.0 on, which a worker can
-# inherit; before, each thread had its own and a worker's started at the default.
-_ERRSTATE_IN_CONTEXT = int(np.__version__.split(".")[0]) >= 2
 # Elements of input projection computed at once: backward never reads the
 # projection, so neither direction holds all of it.
 _PROJECTION_CHUNK = 1 << 18
@@ -105,12 +86,12 @@ def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> Array:
 
 
 def _concurrent(batch: int, hidden: int) -> bool:
-    """Whether the two directions of a scan run on two threads: a step's
-    recurrent work pays for a thread, a worker sees the caller's `errstate`,
-    the environment pins BLAS to one thread and the process may use two
-    CPUs. Only that case was measured; with BLAS unpinned on two CPUs, two
-    threads were up to 1.4x slower than one."""
-    if batch * hidden * 3 * hidden < _CONCURRENT_WORK or not _ERRSTATE_IN_CONTEXT or not _blas_pinned_to_one():
+    """Whether the two directions of a scan run on two threads: only when a
+    step's recurrent work reaches `_CONCURRENT_WORK`, the environment pins
+    BLAS to one thread (BLAS threading is left to it; this only reads it) and
+    the process may use two CPUs. Only that case was measured; with BLAS
+    unpinned on two CPUs, two threads were up to 1.4x slower than one."""
+    if batch * hidden * 3 * hidden < _CONCURRENT_WORK or not _blas_pinned_to_one():
         return False
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -241,7 +222,9 @@ def bigru_scan(x: Tensor, mask, fwd: GruParams, bwd: GruParams) -> Tensor:
     `x` holds the inputs in time-major row order (row t*batch + b is step t
     of sequence b) and `mask` is bool [batch x len]. The output has the
     same row order with `2*hidden` columns, [fwd; bwd]. Masked steps carry
-    the state through untouched and emit all-zero rows.
+    the state through untouched and emit all-zero rows, so left- and
+    right-padding agree on the unmasked rows. Backpropagation through time
+    runs inside the node, so the recorded graph does not grow with `len`.
 
     Each direction projects its inputs with the z/r/h maps stacked, a chunk
     of about `_PROJECTION_CHUNK` elements at a time; the loop over t only

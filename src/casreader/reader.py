@@ -333,6 +333,8 @@ def score(
     `restrict_candidates` limits each prediction to the sample's
     `candidate_ids`.
     """
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     frozen = ModelParams.from_named({name: Tensor(p.data) for name, p in params.named().items()}, params.config)
     for start in range(0, len(samples), batch_size):
         group = samples[start : start + batch_size]

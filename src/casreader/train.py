@@ -393,8 +393,7 @@ def train(
 
 @dataclass
 class Checkpoint:
-    params: ModelParams
-    config: TrainConfig
+    params: ModelParams  # its config is `params.config`
     vocab: Vocabulary
 
 
@@ -480,8 +479,9 @@ def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[
 
 def load_checkpoint(path) -> Checkpoint:
     """Read what `save_checkpoint` wrote, or a v1 checkpoint, whose `adam_t` line and `adam.bin` go unread.
-    The vocabulary size is `vocab.txt`'s. Any manifest but the one `save_checkpoint` writes for it and the
-    parsed config, an unparseable `vocab.txt`, a wrong-size `params.bin` or a missing file is `CorruptionError`."""
+    The config is the returned `params.config` and the vocabulary size is `vocab.txt`'s. Any manifest but
+    the one `save_checkpoint` writes for them, an unparseable `vocab.txt`, a wrong-size `params.bin` or a
+    missing file is `CorruptionError`."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():
@@ -520,4 +520,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"vocabulary and model layout"
             )
     params = ModelParams.from_named(_read_params(src / "params.bin", layout), config)
-    return Checkpoint(params=params, config=config, vocab=vocab)
+    return Checkpoint(params=params, vocab=vocab)

@@ -280,9 +280,9 @@ def test_criterion_7_persistence(tmp_path):
         loaded_ckpt = tr.load_checkpoint(ckpt)
         for name, p in named.items():
             assert p.data.tobytes() == loaded_ckpt.params.named()[name].data.tobytes()
-        assert loaded_ckpt.config == config
+        assert loaded_ckpt.params.config == config
         ckpt2 = tmp_path / "ckpt2"
-        tr.save_checkpoint(loaded_ckpt.params, None, loaded_ckpt.config, ckpt2, vocab=loaded_ckpt.vocab)
+        tr.save_checkpoint(loaded_ckpt.params, None, loaded_ckpt.params.config, ckpt2, vocab=loaded_ckpt.vocab)
         assert (ckpt2 / "params.bin").read_bytes() == (ckpt / "params.bin").read_bytes()
         assert (ckpt2 / "manifest.txt").read_bytes() == (ckpt / "manifest.txt").read_bytes()
 

@@ -497,21 +497,19 @@ class TestTwoThreads:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize(
-        "batch, hidden, cpus, env, errstate_in_context, expected",
+        "batch, hidden, cpus, env, expected",
         [
-            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, True, True),  # paper-scale train, BLAS pinned
-            (16, 256, 2, {"OMP_NUM_THREADS": "1"}, True, True),  # paper-scale eval
-            (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # the desk recipe: too little work per step
-            (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, True, False),  # one usable CPU
-            (8, 256, 2, {}, True, False),  # BLAS may use every CPU already
-            (8, 256, 4, {}, True, False),
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, False),  # OpenBLAS's own wins
-            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, True, True),  # 0 is no count
-            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, False, False),  # numpy < 2.0: a worker starts at the default
+            (8, 256, 2, {"OPENBLAS_NUM_THREADS": "1"}, True),  # paper-scale train, BLAS pinned
+            (16, 256, 2, {"OMP_NUM_THREADS": "1"}, True),  # paper-scale eval
+            (32, 16, 2, {"OPENBLAS_NUM_THREADS": "1"}, False),  # the desk recipe: too little work per step
+            (8, 256, 1, {"OPENBLAS_NUM_THREADS": "1"}, False),  # one usable CPU
+            (8, 256, 2, {}, False),  # BLAS may use every CPU already
+            (8, 256, 4, {}, False),
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),  # OpenBLAS's own wins
+            (8, 256, 4, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, True),  # 0 is no count
         ],
     )
-    def test_gate(self, monkeypatch, batch, hidden, cpus, env, errstate_in_context, expected):
-        monkeypatch.setattr(nn, "_ERRSTATE_IN_CONTEXT", errstate_in_context)
+    def test_gate(self, monkeypatch, batch, hidden, cpus, env, expected):
         for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():

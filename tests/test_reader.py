@@ -361,6 +361,11 @@ class TestPredict:
             np.testing.assert_array_equal(predicted, expected)
         assert batches[0][2][1] == 9
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_score_refuses_a_batch_size_below_one(self, batch_size):
+        with pytest.raises(UsageError, match=f"batch_size must be >= 1, got {batch_size}"):
+            next(reader.score([FakeSample([3, 4], [7])], tiny_params(seed=11), batch_size=batch_size))
+
 
 class TestProperties:
     def test_row_stochasticity_random_models(self):

@@ -620,7 +620,7 @@ class TestCheckpoint:
         params, config, loaded = self.roundtrip(tmp_path)
         for k, p in params.named().items():
             np.testing.assert_array_equal(p.data, loaded.params.named()[k].data)
-        assert loaded.config == config
+        assert loaded.params.config == config
 
     def test_vocab_travels_with_checkpoint(self, tmp_path):
         _, _, loaded = self.roundtrip(tmp_path)
@@ -731,7 +731,7 @@ class TestCheckpoint:
     def test_golden_manifest_v2(self, tmp_path):
         config = self.golden_checkpoint(tmp_path / "ckpt")
         assert (tmp_path / "ckpt" / "manifest.txt").read_bytes() == (self.GOLDEN / "manifest_v2.txt").read_bytes()
-        assert train.load_checkpoint(tmp_path / "ckpt").config == config
+        assert train.load_checkpoint(tmp_path / "ckpt").params.config == config
 
     def test_golden_manifest_v1(self, tmp_path):
         """A v1 checkpoint (its manifest has an `adam_t` line) loads to the
@@ -754,7 +754,7 @@ class TestCheckpoint:
 
         def report(path):
             loaded = train.load_checkpoint(path)
-            assert loaded.config == config
+            assert loaded.params.config == config
             return evaluate(loaded.params, loaded.vocab, samples, keep_records=True).as_dict()
 
         expected = report(tmp_path / "v2")
@@ -912,5 +912,5 @@ def test_manifest_raises_only_typed_errors(manifest_base, tmp_path_factory, data
         return
     assert not reshape or files == original
     reader.forward([encoded_sample([1, 2, 1], [3, 1], 1)], loaded.params)
-    train.save_checkpoint(loaded.params, None, loaded.config, ckpt / "again", vocab=loaded.vocab)
+    train.save_checkpoint(loaded.params, None, loaded.params.config, ckpt / "again", vocab=loaded.vocab)
     assert (ckpt / "again" / "manifest.txt").read_bytes() == original["manifest.txt"]
