@@ -15,7 +15,7 @@ import click
 from . import data, datagen, synthetic
 from . import train as training
 from . import vocab as V
-from .errors import CasReaderError, ConfigurationError, CorruptionError, ParseError, UsageError, text_lines
+from .errors import CasReaderError, ConfigurationError, CorruptionError, ParseError, UsageError, read_text
 from .evaluate import evaluate
 from .reader import EVAL_MODES
 
@@ -156,7 +156,7 @@ def _load_config(config_path) -> training.TrainConfig:
     if config_path is None:
         return training.TrainConfig()
     try:
-        raw = json.loads("".join(line for _, line in text_lines(config_path)))
+        raw = json.loads(read_text(config_path))
     except json.JSONDecodeError as err:
         raise ParseError(f"config is not valid JSON: {err.msg}", line=err.lineno) from None
     except (ValueError, RecursionError) as err:  # nesting too deep, an integer too long

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the package, and `text_lines`, which
-reads the line-oriented text inputs and types an undecodable byte.
+"""Exception hierarchy shared across the package, and the file helpers the
+readers and writers share: `text_lines` and `read_text` read text inputs and
+type an undecodable byte, and `replacing` writes a file by replace.
 
 Each class owns its CLI exit code and the `kind` the CLI prints beside it,
 so batch callers can tell usage mistakes (2), bad data (3), numeric
 blow-ups (4) and I/O damage (5) apart.
 """
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class CasReaderError(Exception):
@@ -73,10 +78,52 @@ def text_lines(path):
             return
         except UnicodeDecodeError:
             pass
+    raise _undecodable(path)
+
+
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file as text mode reads it, so CRLF and a bare CR both
+    read as LF; bytes that are not UTF-8 raise `text_lines`' ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+
+
+def _undecodable(path) -> ParseError:
+    """The ParseError for a file that failed to decode, naming its first undecodable line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):  # text mode's line breaks
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                raise ParseError("not valid UTF-8", line=lineno) from None
-    raise ParseError("not valid UTF-8")
+                return ParseError("not valid UTF-8", line=lineno)
+    return ParseError("not valid UTF-8")
+
+
+@contextmanager
+def replacing(path, mode: str = "w"):
+    """Open a temporary beside `path` for writing in `mode` ("w" for UTF-8 text or "wb").
+    On a clean exit it is flushed, fsynced and `os.replace`d onto `path`, and the
+    directory is fsynced; on an error it is deleted and `path` is left as it was.
+
+    `path` is never rewritten in place, so a reader sees the old file or the new one,
+    and a process that has the old file mapped keeps the old bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
@@ -41,6 +43,7 @@ from .errors import (
     NumericError,
     ParseError,
     UsageError,
+    replacing,
 )
 from .reader import MERGE_MODES, ModelParams
 from .tensor import Tensor
@@ -404,11 +407,15 @@ def save_checkpoint(
     path,
     vocab: Vocabulary,
 ) -> None:
-    """Write vocab.txt, manifest.txt and params.bin.
+    """Write vocab.txt, params.bin and manifest.txt, in that order.
 
     Arrays are stored flat, little-endian float64, in manifest order; the
-    round trip is bit-exact. `unused_state` is never read: it is the slot
-    where the optimizer state was passed when checkpoints held it, kept so
+    round trip is bit-exact. Each file is written to a temporary in the same
+    directory, fsynced and renamed over the old one (`errors.replacing`), never
+    rewritten in place, so a process that has an earlier params.bin mapped
+    keeps its bytes. manifest.txt goes last and is the commit point: a save
+    cut short leaves no new manifest. `unused_state` is never read: it is the
+    slot where the optimizer state was passed when checkpoints held it, kept so
     that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
     Parameters whose layout is not `reader.param_layout(config, vocab.total_size)`,
     which `load_checkpoint` would reject, are a ConfigurationError and write nothing.
@@ -421,11 +428,12 @@ def save_checkpoint(
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     save_vocab(vocab, out / "vocab.txt")  # first: it refuses an unsaveable vocabulary before writing
-    lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(out / "params.bin", "wb") as fh:
+    with replacing(out / "params.bin", "wb") as fh:
         for p in named.values():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)
+    with replacing(out / "manifest.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _manifest_lines(config: TrainConfig, vocab_size: int, shapes) -> list[str]:
@@ -455,25 +463,30 @@ def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool =
 
 
 def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[str, Tensor]:
-    """Read params.bin, one flat array per layout entry in layout order. Its
-    size is checked before anything is allocated; a missing file is corruption."""
+    """Map params.bin copy-on-write and hand out one view of the mapping per layout
+    entry, in layout order: pages are read when first touched, and writing into an
+    array never reaches the file. Its size is checked before anything is mapped; a
+    missing file is corruption."""
     try:
-        size = path.stat().st_size
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise CorruptionError(f"no {path.name} under {path.parent}") from None
-    want = 0
-    for name, shape in layout:
-        want += 8 * math.prod(shape)
-        if want > size:
-            raise CorruptionError(f"{path.name}: truncated at parameter {name!r} ({size} bytes)")
-    if size > want:
-        raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents ({size} > {want} bytes)")
-    named: dict[str, Tensor] = {}
-    with open(path, "rb") as fh:
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        want = 0
         for name, shape in layout:
-            array = np.empty(shape, dtype="<f8")
-            fh.readinto(array)
-            named[name] = Tensor(array, requires_grad=True)
+            want += 8 * math.prod(shape)
+            if want > size:
+                raise CorruptionError(f"{path.name}: truncated at parameter {name!r} ({size} bytes)")
+        if size > want:
+            raise CorruptionError(f"{path.name}: trailing bytes beyond manifest contents ({size} > {want} bytes)")
+        flat = np.frombuffer(mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY), dtype="<f8")
+    named: dict[str, Tensor] = {}
+    start = 0
+    for name, shape in layout:
+        end = start + math.prod(shape)
+        named[name] = Tensor(flat[start:end].reshape(shape), requires_grad=True)
+        start = end
     return named
 
 
@@ -481,7 +494,12 @@ def load_checkpoint(path) -> Checkpoint:
     """Read what `save_checkpoint` wrote, or a v1 checkpoint, whose `adam_t` line and `adam.bin` go unread.
     The config is the returned `params.config` and the vocabulary size is `vocab.txt`'s. Any manifest but
     the one `save_checkpoint` writes for them, an unparseable `vocab.txt`, a wrong-size `params.bin` or a
-    missing file is `CorruptionError`."""
+    missing file is `CorruptionError`.
+
+    The parameters are views of one copy-on-write mapping of params.bin, so loading costs what the caller
+    touches, and writing into them changes only this process's copy. `save_checkpoint` replaces files and
+    never rewrites them; a checkpoint's files must not be rewritten in place while a process holds them, as
+    the untouched pages of the mapping would then read the new bytes."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():

@@ -10,13 +10,14 @@ attention aggregation can then exploit.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, text_lines
+from .errors import ParseError, UsageError, ValidationError, read_text, replacing
 
 PAD_ID = 0
 PLACEHOLDER_ID = 1
@@ -58,7 +59,7 @@ class Vocabulary:
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._ids = {tok: FIRST_REGULAR_ID + i for i, tok in enumerate(self.tokens)}
+        self._ids = dict(zip(self.tokens, range(FIRST_REGULAR_ID, FIRST_REGULAR_ID + len(self.tokens))))
 
     @property
     def total_size(self) -> int:
@@ -140,13 +141,16 @@ def encode_sample(vocab: Vocabulary, sample) -> EncodedSample:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
+    """Write `vocab` to `path` by replace (`errors.replacing`): a temporary in the same
+    directory is fsynced and renamed onto `path`, never rewritten in place, so a failed
+    save leaves any earlier file as it was."""
     # Tab-separated lines cannot carry tabs or newlines, and a reserved token would load as a
-    # dead regular id; refuse before opening, so a failed save leaves any earlier file as it was.
+    # dead regular id; refuse before writing anything.
     for token in vocab.tokens:
         if not token or any(c in token for c in "\t\r\n") or token in (PAD_TOKEN, PLACEHOLDER_TOKEN):
             raise ValidationError(f"token {token!r} is not representable in the vocabulary format")
     shortlist = "none" if vocab.shortlist_size is None else str(vocab.shortlist_size)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f"{_VOCAB_FORMAT}\tshortlist={shortlist}\n")
         fh.writelines(f"{token}\t{freq}\n" for token, freq in zip(vocab.tokens, vocab.frequencies))
 
@@ -156,9 +160,16 @@ def _is_count(raw: str) -> bool:
     return raw.isascii() and raw.isdecimal() and (raw[0] != "0" or raw == "0")
 
 
+# Non-blank body lines joined by "\n", each a token with no tab and a count as `_is_count` spells it.
+_ROWS = re.compile(r"(?:[^\t\n]+\t(?:0|[1-9][0-9]*)(?:\n[^\t\n]+\t(?:0|[1-9][0-9]*))*)?")
+
+
 def load_vocab(path) -> Vocabulary:
-    lines = text_lines(path)
-    header = next(lines, (1, ""))[1].rstrip("\n")
+    """Read what `save_vocab` wrote, in one pass over the text. Lines end at LF, CRLF or a
+    bare CR, as text mode reads them, and nowhere else (a token may hold a form feed or a
+    U+2028, which `str.splitlines` would break at); blank lines are skipped. Any other
+    departure from the format is a ParseError naming its first line."""
+    header, _, body = read_text(path).partition("\n")
     parts = header.split("\t")
     if len(parts) != 2 or parts[0] != _VOCAB_FORMAT:
         raise ParseError(
@@ -170,25 +181,34 @@ def load_vocab(path) -> Vocabulary:
     shortlist = None if raw == "none" else int(raw) if _is_count(raw) else 0
     if shortlist == 0:  # `save_vocab` writes `none`, never 0
         raise ParseError(f"malformed shortlist value {raw!r}", line=1)
-    tokens: list[str] = []
-    frequencies: list[int] = []
+    rows = body.strip("\n")
+    if "\n\n" in rows:  # blank lines, which are skipped
+        rows = "\n".join(filter(None, rows.split("\n")))
+    if not _ROWS.fullmatch(rows):
+        raise _first_error(body)
+    cols = rows.replace("\t", "\n").split("\n") if rows else []
+    vocab = Vocabulary(tokens=cols[0::2], frequencies=list(map(int, cols[1::2])), shortlist_size=shortlist)
+    if 2 * len(vocab._ids) != len(cols) or PAD_TOKEN in vocab._ids or PLACEHOLDER_TOKEN in vocab._ids:
+        raise _first_error(body)
+    return vocab
+
+
+def _first_error(body: str) -> ParseError:
+    """The ParseError for the first line after the header that breaks the format."""
     seen = {PAD_TOKEN, PLACEHOLDER_TOKEN}
-    for lineno, line in lines:
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(body.split("\n"), start=2):
         if not line:
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise ParseError(f"expected 'token<TAB>frequency', got {line!r}", line=lineno)
+            return ParseError(f"expected 'token<TAB>frequency', got {line!r}", line=lineno)
         token, freq = cols
         if not token:
-            raise ParseError("empty token", line=lineno)
+            return ParseError("empty token", line=lineno)
         if token in seen:
             kind = "reserved" if token in (PAD_TOKEN, PLACEHOLDER_TOKEN) else "duplicate"
-            raise ParseError(f"{kind} token {token!r}", line=lineno)
+            return ParseError(f"{kind} token {token!r}", line=lineno)
         if not _is_count(freq):
-            raise ParseError(f"non-numeric frequency {freq!r}", line=lineno)
+            return ParseError(f"non-numeric frequency {freq!r}", line=lineno)
         seen.add(token)
-        tokens.append(token)
-        frequencies.append(int(freq))
-    return Vocabulary(tokens=tokens, frequencies=frequencies, shortlist_size=shortlist)
+    raise AssertionError("_first_error called on a well-formed vocabulary")
