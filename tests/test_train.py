@@ -7,6 +7,7 @@ import math
 import re
 import threading
 import weakref
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -713,6 +714,68 @@ class TestCheckpoint:
         wrong = build_vocab(["x", "y", "z", "x"], shortlist_size=3)
         save_vocab(wrong, tmp_path / "ckpt" / "vocab.txt")
         with pytest.raises(CorruptionError, match=r"'vocab_size\\t14' where save_checkpoint writes 'vocab_size\\t15'"):
+            train.load_checkpoint(tmp_path / "ckpt")
+
+    def test_loaded_checkpoint_is_a_private_copy(self, tmp_path):
+        """Loaded parameters map params.bin copy-on-write: writing into them leaves the file
+        as it was, and a later save into the same directory replaces the file, so arrays
+        loaded before it keep their values."""
+        _, config, loaded = self.roundtrip(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        blob = (ckpt / "params.bin").read_bytes()
+        loaded.params.embedding.data[:] = 7.0
+        assert (ckpt / "params.bin").read_bytes() == blob
+        held = train.load_checkpoint(ckpt).params.named()
+        before = {name: p.data.copy() for name, p in held.items()}
+        other = reader.init_model_params(config, 14, np.random.default_rng(9))
+        train.save_checkpoint(other, None, config, ckpt, vocab=loaded.vocab)
+        for name, p in held.items():
+            np.testing.assert_array_equal(p.data, before[name])
+        np.testing.assert_array_equal(train.load_checkpoint(ckpt).params.embedding.data, other.embedding.data)
+
+    def test_save_replaces_files(self, tmp_path):
+        """A save over a checkpoint leaves its three files and no temporaries; one refused
+        for an unsaveable token leaves the earlier checkpoint byte-identical and loadable."""
+        from casreader.vocab import Vocabulary
+
+        params, config, loaded = self.roundtrip(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        train.save_checkpoint(params, None, config, ckpt, vocab=loaded.vocab)
+        files = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        assert sorted(files) == ["manifest.txt", "params.bin", "vocab.txt"]
+        bad = Vocabulary(tokens=["a", "b\tc"], frequencies=[2, 1], shortlist_size=2)
+        with pytest.raises(ValidationError, match="not representable"):
+            train.save_checkpoint(params, None, config, ckpt, vocab=bad)
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+        assert train.load_checkpoint(ckpt).vocab == loaded.vocab
+
+    def test_failed_write_leaves_the_manifest_and_no_temporary(self, tmp_path, monkeypatch):
+        """The manifest is written last: a save that fails while writing params.bin leaves
+        the earlier params.bin and manifest.txt and deletes its temporary."""
+        _, config, loaded = self.roundtrip(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        files = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        other = reader.init_model_params(config, 14, np.random.default_rng(9))
+        real_replacing = train.replacing
+
+        @contextmanager
+        def replacing(path, mode="w"):
+            with real_replacing(path, mode) as fh:
+                if path.name == "params.bin":
+                    fh.write(b"partial")
+                    raise OSError(28, "No space left on device")
+                yield fh
+
+        monkeypatch.setattr(train, "replacing", replacing)
+        with pytest.raises(OSError, match="No space left"):
+            train.save_checkpoint(other, None, config, ckpt, vocab=loaded.vocab)
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+
+    def test_empty_params_is_truncated(self, tmp_path):
+        """An empty file cannot be mapped; the size check names it first."""
+        self.roundtrip(tmp_path)
+        (tmp_path / "ckpt" / "params.bin").write_bytes(b"")
+        with pytest.raises(CorruptionError, match=r"^params.bin: truncated at parameter 'embedding' \(0 bytes\)$"):
             train.load_checkpoint(tmp_path / "ckpt")
 
     GOLDEN = Path(__file__).parent / "golden"

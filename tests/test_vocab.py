@@ -1,6 +1,7 @@
 """Vocabulary tests: shortlist ranking, the total token-to-id mapping with
 hashed OOV buckets, sample encoding, and the exact save/load round trip."""
 
+import re
 from functools import reduce
 
 import numpy as np
@@ -220,3 +221,48 @@ class TestSaveLoad:
             with pytest.raises(ValidationError, match="not representable"):
                 V.save_vocab(v, tmp_path / "v.txt")
             assert not (tmp_path / "v.txt").exists()
+
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path):
+        """CRLF and a bare CR end a line as LF does, and blank lines are skipped; the
+        separators `str.splitlines` also breaks at stay inside a token."""
+        v = V.build_vocab(["a", "b", "b", "c", "c", "c"], shortlist_size=None)
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        V.save_vocab(v, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert V.load_vocab(crlf) == V.load_vocab(lf) == v
+        crlf.write_bytes(b"\n\n" + lf.read_bytes().replace(b"\n", b"\n\n\r") + b"\n")
+        with pytest.raises(ParseError, match="^line 1: expected vocabulary header"):
+            V.load_vocab(crlf)  # a blank first line is no header
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\n\n\r") + b"\n")
+        assert V.load_vocab(crlf) == v
+        inside = V.Vocabulary(
+            tokens=[f"x{sep}y" for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"],
+            frequencies=list(range(8, 0, -1)), shortlist_size=None,
+        )
+        V.save_vocab(inside, lf)
+        assert V.load_vocab(lf) == inside
+
+    def test_blank_lines_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        for lines, message in [
+            ("a\t3\n\n\nb\tx\n", "line 5: non-numeric frequency 'x'"),
+            ("\na\t3\r\n\r\na\t2\n", "line 5: duplicate token 'a'"),
+            ("a\t3\n\nb\t2\t1\n", "line 4: expected 'token<TAB>frequency', got 'b\\t2\\t1'"),
+            ("a\t3\n\n\t1\nb\n", "line 4: empty token"),
+        ]:
+            path.write_text("casreader-vocab-v1\tshortlist=none\n" + lines, encoding="utf-8", newline="")
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                V.load_vocab(path)
+        path.write_text("casreader-vocab-v1\tshortlist=none\n\n\n", encoding="utf-8")
+        assert V.load_vocab(path) == V.Vocabulary(tokens=[], frequencies=[], shortlist_size=None)
+
+    def test_save_replaces_the_file(self, tmp_path):
+        """The old file is renamed over, not rewritten: an open handle keeps the old
+        bytes, and nothing but `vocab.txt` is left beside it."""
+        path = tmp_path / "vocab.txt"
+        V.save_vocab(V.build_vocab(["a"], shortlist_size=None), path)
+        with open(path, encoding="utf-8") as old:
+            V.save_vocab(V.build_vocab(["b", "c"], shortlist_size=None), path)
+            assert old.read() == "casreader-vocab-v1\tshortlist=none\na\t1\n"
+        assert V.load_vocab(path).tokens == ["b", "c"]
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]

@@ -15,7 +15,11 @@ runs by seed and prints:
   wins at least nine tenths of them, ties counting for neither, and its
   median is better than the parent's by more than the parent's IQR;
 - whether the change's median is worse than the parent's by more than the
-  metric's relative bound.
+  metric's relative bound;
+- each record's spread, its IQR over its median, and whether the metric is
+  unresolved: either spread exceeds the bound, so a move inside the bound
+  cannot be told from noise, unless every run of the change reads better
+  than every run of the parent.
 
 It also prints, per workload, how many runs of each record were not
 `correct` or had a failed call. Medians and quartiles are those
@@ -42,7 +46,7 @@ def untraced(record: dict, workload: str) -> list[dict]:
 
 
 def compare_metric(parent_runs: list[dict], change_runs: list[dict], name: str, better: str, bound: float) -> dict:
-    """Pairs by seed, wins, medians, the parent's IQR and the two verdicts for one metric."""
+    """Pairs by seed, wins, medians, the parent's IQR, both spreads and the three verdicts for one metric."""
     sign = 1 if better == "higher" else -1
     change_by_seed = {r["seed"]: r["metrics"][name] for r in change_runs}
     pairs = []
@@ -54,11 +58,15 @@ def compare_metric(parent_runs: list[dict], change_runs: list[dict], name: str, 
     losses = sum(verdict == "worse" for *_, verdict in pairs)
     before, after = summarise(parent_runs)[name], summarise(change_runs)[name]
     gain = sign * (after["median"] - before["median"])
+    spreads = [s["iqr"] / s["median"] for s in (before, after)]
+    all_better = min(sign * r["metrics"][name] for r in change_runs) > max(sign * r["metrics"][name] for r in parent_runs)
     return {
         "pairs": pairs, "wins": wins, "losses": losses,
         "parent_median": before["median"], "change_median": after["median"], "parent_iqr": before["iqr"],
+        "spreads": spreads,
         "gain": len(pairs) >= GAIN_PAIRS and wins >= GAIN_SHARE * len(pairs) and gain > before["iqr"],
         "beyond_bound": -gain > bound * before["median"],
+        "unresolved": max(spreads) > bound and not all_better,
     }
 
 
@@ -89,6 +97,8 @@ def main() -> int:
                   f"parent IQR {row['parent_iqr']:.6g}")
             print(f"    gain claimable: {'yes' if row['gain'] else 'no'}; "
                   f"worse beyond bound: {'yes' if row['beyond_bound'] else 'no'}")
+            print(f"    spread (IQR/median) parent {row['spreads'][0]:.0%}, change {row['spreads'][1]:.0%}; "
+                  f"unresolved: {'yes' if row['unresolved'] else 'no'}")
     return 0
 
 
