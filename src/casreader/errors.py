@@ -103,27 +103,48 @@ def _undecodable(path) -> ParseError:
 
 
 @contextmanager
-def replacing(path, mode: str = "w"):
-    """Open a temporary beside `path` for writing in `mode` ("w" for UTF-8 text or "wb").
-    On a clean exit it is flushed, fsynced and `os.replace`d onto `path`, and the
-    directory is fsynced; on an error it is deleted and `path` is left as it was.
+def replacing(*targets):
+    """Write each `(path, mode)` of `targets` by replace, all or none ("w" for UTF-8 text or "wb").
 
-    `path` is never rewritten in place, so a reader sees the old file or the new one,
-    and a process that has the old file mapped keeps the old bytes.
+    Yields one open temporary per target, beside its path. On a clean exit every temporary
+    is flushed and fsynced before any is renamed; then each is `os.replace`d onto its path,
+    in order, and the directories are fsynced. An error in the body or while fsyncing the
+    temporaries deletes them and changes no path. With several targets the last is the commit point: it
+    is removed (and the removal made durable) before the first rename and renamed last, so
+    a write cut short between renames leaves no commit point, never new files beside an old one.
+
+    No path is rewritten in place, so a reader sees the old file or the new one, and a
+    process that has the old file mapped keeps the old bytes.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    paths = [Path(path) for path, _ in targets]
+    temps = [path.with_name(f".{path.name}.tmp") for path in paths]
+    handles = []
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
-            yield fh
+        for tmp, (_, mode) in zip(temps, targets):
+            handles.append(open(tmp, mode, encoding=None if "b" in mode else "utf-8"))
+        yield handles
+        for fh in handles:
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+            fh.close()
+        if len(paths) > 1:
+            paths[-1].unlink(missing_ok=True)
+            _fsync_directories(paths)
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for fh in handles:
+            fh.close()
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
         raise
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    _fsync_directories(paths)
+
+
+def _fsync_directories(paths) -> None:
+    for parent in dict.fromkeys(path.parent for path in paths):
+        directory = os.open(parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)

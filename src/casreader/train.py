@@ -47,7 +47,7 @@ from .errors import (
 )
 from .reader import MERGE_MODES, ModelParams
 from .tensor import Tensor
-from .vocab import DEFAULT_SHORTLIST, EncodedSample, Vocabulary, load_vocab, save_vocab
+from .vocab import DEFAULT_SHORTLIST, EncodedSample, Vocabulary, load_vocab, write_vocab
 
 Array = np.ndarray
 
@@ -407,18 +407,22 @@ def save_checkpoint(
     path,
     vocab: Vocabulary,
 ) -> None:
-    """Write vocab.txt, params.bin and manifest.txt, in that order.
+    """Write vocab.txt, params.bin and manifest.txt, all or none.
 
     Arrays are stored flat, little-endian float64, in manifest order; the
-    round trip is bit-exact. Each file is written to a temporary in the same
-    directory, fsynced and renamed over the old one (`errors.replacing`), never
-    rewritten in place, so a process that has an earlier params.bin mapped
-    keeps its bytes. manifest.txt goes last and is the commit point: a save
-    cut short leaves no new manifest. `unused_state` is never read: it is the
-    slot where the optimizer state was passed when checkpoints held it, kept so
-    that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
+    round trip is bit-exact. The three files are written through `errors.replacing`:
+    each goes to a temporary in the same directory, and only once all three are
+    written and fsynced is the old manifest.txt removed and the temporaries renamed
+    over vocab.txt, params.bin and then manifest.txt, the commit point. A save that
+    fails while writing leaves an earlier checkpoint as it was; one cut short
+    between renames leaves no manifest, which `load_checkpoint` reports, never new
+    files under an old manifest. No file is rewritten in place, so a process that
+    has an earlier params.bin mapped keeps its bytes. `unused_state` is never read:
+    it is the slot where the optimizer state was passed when checkpoints held it,
+    kept so that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
     Parameters whose layout is not `reader.param_layout(config, vocab.total_size)`,
-    which `load_checkpoint` would reject, are a ConfigurationError and write nothing.
+    which `load_checkpoint` would reject, are a ConfigurationError and write nothing;
+    so is a vocabulary `vocab.write_vocab` refuses, a ValidationError.
     """
     named = params.named()
     layout = reader.param_layout(config, vocab.total_size)
@@ -427,13 +431,13 @@ def save_checkpoint(
             raise ConfigurationError(f"parameter {got} does not fit the config and vocabulary, which need {want}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    save_vocab(vocab, out / "vocab.txt")  # first: it refuses an unsaveable vocabulary before writing
-    with replacing(out / "params.bin", "wb") as fh:
-        for p in named.values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)
-    with replacing(out / "manifest.txt") as fh:
-        fh.write("\n".join(lines) + "\n")
+    files = (out / "vocab.txt", "w"), (out / "params.bin", "wb"), (out / "manifest.txt", "w")
+    with replacing(*files) as [vocab_fh, params_fh, manifest_fh]:
+        write_vocab(vocab, vocab_fh)  # first: it refuses an unsaveable vocabulary before writing
+        for p in named.values():
+            params_fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        manifest_fh.write("\n".join(lines) + "\n")
 
 
 def _manifest_lines(config: TrainConfig, vocab_size: int, shapes) -> list[str]:
@@ -498,8 +502,11 @@ def load_checkpoint(path) -> Checkpoint:
 
     The parameters are views of one copy-on-write mapping of params.bin, so loading costs what the caller
     touches, and writing into them changes only this process's copy. `save_checkpoint` replaces files and
-    never rewrites them; a checkpoint's files must not be rewritten in place while a process holds them, as
-    the untouched pages of the mapping would then read the new bytes."""
+    never rewrites them. Anything that rewrites params.bin in place while a process holds its parameters
+    (`cp` or `rsync --inplace` over it, a truncation, a casreader version that saved in place) changes what
+    that process reads: pages it has not touched yet show the new bytes, mixing two sets of weights, and a
+    page cut off by a truncation kills it with SIGBUS, with no Python error and no exit code 5. Copy a
+    checkpoint under a temporary name and rename it into place instead."""
     src = Path(path)
     manifest_path = src / "manifest.txt"
     if not manifest_path.exists():

@@ -144,24 +144,28 @@ def save_vocab(vocab: Vocabulary, path) -> None:
     """Write `vocab` to `path` by replace (`errors.replacing`): a temporary in the same
     directory is fsynced and renamed onto `path`, never rewritten in place, so a failed
     save leaves any earlier file as it was."""
+    with replacing((path, "w")) as [fh]:
+        write_vocab(vocab, fh)
+
+
+def write_vocab(vocab: Vocabulary, fh) -> None:
+    """Write `vocab` in the vocabulary format to the text handle `fh`. A token the format
+    cannot hold is a ValidationError before anything is written."""
     # Tab-separated lines cannot carry tabs or newlines, and a reserved token would load as a
-    # dead regular id; refuse before writing anything.
+    # dead regular id.
     for token in vocab.tokens:
         if not token or any(c in token for c in "\t\r\n") or token in (PAD_TOKEN, PLACEHOLDER_TOKEN):
             raise ValidationError(f"token {token!r} is not representable in the vocabulary format")
     shortlist = "none" if vocab.shortlist_size is None else str(vocab.shortlist_size)
-    with replacing(path) as fh:
-        fh.write(f"{_VOCAB_FORMAT}\tshortlist={shortlist}\n")
-        fh.writelines(f"{token}\t{freq}\n" for token, freq in zip(vocab.tokens, vocab.frequencies))
+    fh.write(f"{_VOCAB_FORMAT}\tshortlist={shortlist}\n")
+    fh.writelines(f"{token}\t{freq}\n" for token, freq in zip(vocab.tokens, vocab.frequencies))
 
 
-def _is_count(raw: str) -> bool:
-    """True when `raw` is a count spelled as `str(n)` spells it: ASCII digits, no leading zero."""
-    return raw.isascii() and raw.isdecimal() and (raw[0] != "0" or raw == "0")
-
-
-# Non-blank body lines joined by "\n", each a token with no tab and a count as `_is_count` spells it.
-_ROWS = re.compile(r"(?:[^\t\n]+\t(?:0|[1-9][0-9]*)(?:\n[^\t\n]+\t(?:0|[1-9][0-9]*))*)?")
+# A count as `str(n)` spells it: ASCII digits, no leading zero. `_is_count` and `_ROWS` share it.
+_COUNT = r"(?:0|[1-9][0-9]*)"
+_is_count = re.compile(_COUNT).fullmatch
+# Non-blank body lines joined by "\n", each a token with no tab and a count.
+_ROWS = re.compile(rf"(?:[^\t\n]+\t{_COUNT}(?:\n[^\t\n]+\t{_COUNT})*)?")
 
 
 def load_vocab(path) -> Vocabulary:

@@ -2,12 +2,14 @@
 hand-computed values, clipping and Adam against worked arithmetic, loss
 descent, determinism, and bit-exact checkpoint persistence."""
 
+import errno
+import io
 import json
 import math
+import os
 import re
 import threading
 import weakref
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casreader import nn, reader, train
+from casreader import errors, nn, reader, train
 from casreader import tensor as T
 from casreader.errors import (
     ConfigurationError,
@@ -749,27 +751,60 @@ class TestCheckpoint:
         assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
         assert train.load_checkpoint(ckpt).vocab == loaded.vocab
 
-    def test_failed_write_leaves_the_manifest_and_no_temporary(self, tmp_path, monkeypatch):
-        """The manifest is written last: a save that fails while writing params.bin leaves
-        the earlier params.bin and manifest.txt and deletes its temporary."""
+    def resave_same_size(self, tmp_path):
+        """A checkpoint, its files' bytes, and a different vocabulary and parameters that fit
+        the same config, so only vocab.txt and params.bin tell the two saves apart."""
+        from casreader.vocab import build_vocab
+
         _, config, loaded = self.roundtrip(tmp_path)
-        ckpt = tmp_path / "ckpt"
-        files = {p.name: p.read_bytes() for p in ckpt.iterdir()}
-        other = reader.init_model_params(config, 14, np.random.default_rng(9))
-        real_replacing = train.replacing
+        files = {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()}
+        other_vocab = build_vocab(["c", "d", "d"], shortlist_size=2)
+        assert other_vocab.total_size == loaded.vocab.total_size and other_vocab != loaded.vocab
+        other = reader.init_model_params(config, other_vocab.total_size, np.random.default_rng(9))
+        return config, loaded, files, other, other_vocab
 
-        @contextmanager
-        def replacing(path, mode="w"):
-            with real_replacing(path, mode) as fh:
-                if path.name == "params.bin":
-                    fh.write(b"partial")
-                    raise OSError(28, "No space left on device")
-                yield fh
+    def test_failed_params_write_changes_nothing(self, tmp_path, monkeypatch):
+        """Every file is written and fsynced before any is renamed: a save that runs out of
+        space in params.bin leaves the earlier checkpoint byte-identical, its vocabulary
+        beside its weights, and no temporary. Renaming vocab.txt first would have loaded the
+        old weights under the new token ids without an error."""
+        config, loaded, files, other, other_vocab = self.resave_same_size(tmp_path)
 
-        monkeypatch.setattr(train, "replacing", replacing)
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_full(file, mode="r", **kwargs):
+            return FullDisk(file, "w") if Path(file).name == ".params.bin.tmp" else open(file, mode, **kwargs)
+
+        monkeypatch.setattr(errors, "open", open_full, raising=False)
         with pytest.raises(OSError, match="No space left"):
-            train.save_checkpoint(other, None, config, ckpt, vocab=loaded.vocab)
-        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+            train.save_checkpoint(other, None, config, tmp_path / "ckpt", vocab=other_vocab)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()} == files
+        assert train.load_checkpoint(tmp_path / "ckpt").vocab == loaded.vocab
+
+    def test_save_cut_between_renames_leaves_no_manifest(self, tmp_path, monkeypatch):
+        """The old manifest is removed before the first rename, so a save cut short after
+        vocab.txt is renamed but before params.bin is leaves a checkpoint that fails to
+        load, not the new vocabulary under the old manifest and weights."""
+        config, _, files, other, other_vocab = self.resave_same_size(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "params.bin":
+                raise OSError(errno.EIO, "Input/output error")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="Input/output error"):
+            train.save_checkpoint(other, None, config, ckpt, vocab=other_vocab)
+        monkeypatch.undo()
+        assert sorted(p.name for p in ckpt.iterdir()) == ["params.bin", "vocab.txt"]
+        assert (ckpt / "params.bin").read_bytes() == files["params.bin"]
+        with pytest.raises(CorruptionError, match="^no manifest.txt under "):
+            train.load_checkpoint(ckpt)
 
     def test_empty_params_is_truncated(self, tmp_path):
         """An empty file cannot be mapped; the size check names it first."""
