@@ -434,7 +434,7 @@ def save_checkpoint(
     lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)
     files = (out / "vocab.txt", "w"), (out / "params.bin", "wb"), (out / "manifest.txt", "w")
     with replacing(*files) as [vocab_fh, params_fh, manifest_fh]:
-        write_vocab(vocab, vocab_fh)  # first: it refuses an unsaveable vocabulary before writing
+        write_vocab(vocab, vocab_fh)  # first, so an unsaveable vocabulary is refused before params.bin is written
         for p in named.values():
             params_fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
         manifest_fh.write("\n".join(lines) + "\n")
