@@ -12,7 +12,7 @@ import json
 from typing import Sequence
 
 from .datagen import ClozeSample, validate_sample
-from .errors import ParseError, ValidationError, text_lines
+from .errors import ParseError, ValidationError, read_text, replacing
 
 
 def _record_to_sample(record: dict, line: int) -> ClozeSample:
@@ -55,7 +55,7 @@ def load_dataset(path) -> tuple[list[ClozeSample], list]:
     that no UTF-8 file can hold), raise ParseError.
     """
     samples: list[ClozeSample] = []
-    for lineno, line in text_lines(path):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):  # the "" after a final break is blank
         if not line.strip():
             continue
         try:
@@ -73,7 +73,9 @@ def load_dataset(path) -> tuple[list[ClozeSample], list]:
 
 
 def save_dataset(samples: Sequence[ClozeSample], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write `samples` to `path` by replace (`errors.replacing`), so a save that fails
+    partway leaves an earlier file as it was."""
+    with replacing((path, "w")) as [fh]:
         for s in samples:
             record = {"document": list(s.document), "query": list(s.query), "answer": s.answer}
             if s.candidates:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UsageError, ValidationError, text_lines
+from .errors import ParseError, UsageError, ValidationError, read_text
 from .vocab import PLACEHOLDER_TOKEN, fnv1a64
 
 DEFAULT_NOUN_TAGS = frozenset({"n", "NN", "NNS", "NOUN"})
@@ -116,17 +116,11 @@ def generate_samples(
     pairs are never reused. Returns fewer samples (possibly none) when the
     document runs out of eligible pairs.
     """
-    return _draw_samples(doc, candidate_answers(doc, noun_tags), rng, samples_per_doc)
-
-
-def _draw_samples(
-    doc: TaggedDocument, candidates: dict[str, list[tuple[int, int]]], rng: np.random.Generator, samples_per_doc: int
-) -> list[ClozeSample]:
     if samples_per_doc < 1:
         raise UsageError(f"samples_per_doc must be >= 1, got {samples_per_doc}")
     pool = {
         answer: eligible
-        for answer, occurrences in sorted(candidates.items())
+        for answer, occurrences in sorted(candidate_answers(doc, noun_tags).items())
         if (eligible := _eligible_occurrences(doc, answer, occurrences))
     }
     samples: list[ClozeSample] = []
@@ -177,12 +171,11 @@ def generate_corpus(
         doc_rng = np.random.default_rng(
             np.random.SeedSequence([seed, fnv1a64(doc.doc_id.encode("utf-8"))])
         )
-        candidates = candidate_answers(doc, noun_tags)
-        drawn = _draw_samples(doc, candidates, doc_rng, samples_per_doc)
+        drawn = generate_samples(doc, doc_rng, samples_per_doc, noun_tags)
         if drawn:
             samples.extend(drawn)
         else:
-            reason = "no-eligible-occurrence" if candidates else "no-candidates"
+            reason = "no-eligible-occurrence" if candidate_answers(doc, noun_tags) else "no-candidates"
             skips.append(SkipRecord(doc_id=doc.doc_id, reason=reason))
     return samples, skips
 
@@ -202,9 +195,8 @@ def parse_tagged_corpus(path) -> list[TaggedDocument]:
             docs.append(TaggedDocument(sentences=kept, doc_id=doc_id))
         sentences = [[]]
 
-    lineno = 0
-    for lineno, line in text_lines(path):
-        line = line.rstrip("\n")
+    lines = read_text(path).removesuffix("\n").split("\n")  # a final line break adds no line
+    for lineno, line in enumerate(lines, start=1):
         if line == "#doc" or line[:4] == "#doc" and line[4].isspace():
             close_doc(lineno)
             doc_id = line[4:].strip()

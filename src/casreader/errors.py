@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, and the file helpers the
-readers and writers share: `text_lines` and `read_text` read text inputs and
-type an undecodable byte, and `replacing` writes a file by replace.
+readers and writers share: `read_text` is the one reader of text files (the
+tagged corpus, JSONL datasets, `vocab.txt`, `manifest.txt` and the JSON
+config) and types an undecodable byte, and `replacing` writes a file by replace.
 
 Each class owns its CLI exit code and the `kind` the CLI prints beside it,
 so batch callers can tell usage mistakes (2), bad data (3), numeric
@@ -66,40 +67,22 @@ class CorruptionError(CasReaderError):
     kind = "io"
 
 
-def text_lines(path):
-    """Yield (line number, line) over a UTF-8 text file as text mode reads it.
-
-    Bytes that are not UTF-8 raise ParseError naming their line, which a
-    second, binary pass finds only once decoding has failed.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-            return
-        except UnicodeDecodeError:
-            pass
-    raise _undecodable(path)
-
-
 def read_text(path) -> str:
     """The whole of a UTF-8 text file as text mode reads it, so CRLF and a bare CR both
-    read as LF; bytes that are not UTF-8 raise `text_lines`' ParseError."""
+    read as LF. Bytes that are not UTF-8 raise ParseError naming their line, which a
+    second, binary pass finds only once decoding has failed."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError:
-        raise _undecodable(path) from None
-
-
-def _undecodable(path) -> ParseError:
-    """The ParseError for a file that failed to decode, naming its first undecodable line."""
+        pass
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):  # text mode's line breaks
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return ParseError("not valid UTF-8", line=lineno)
-    return ParseError("not valid UTF-8")
+                raise ParseError("not valid UTF-8", line=lineno) from None
+    raise ParseError("not valid UTF-8")
 
 
 @contextmanager

@@ -43,6 +43,7 @@ from .errors import (
     NumericError,
     ParseError,
     UsageError,
+    read_text,
     replacing,
 )
 from .reader import MERGE_MODES, ModelParams
@@ -498,7 +499,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read what `save_checkpoint` wrote, or a v1 checkpoint, whose `adam_t` line and `adam.bin` go unread.
     The config is the returned `params.config` and the vocabulary size is `vocab.txt`'s. Any manifest but
     the one `save_checkpoint` writes for them, an unparseable `vocab.txt`, a wrong-size `params.bin` or a
-    missing file is `CorruptionError`.
+    missing file is `CorruptionError`. `manifest.txt` and `vocab.txt` are read through `errors.read_text`,
+    as text mode reads them, so a checkpoint saved with CRLF line ends (as Windows writes them) loads too.
 
     The parameters are views of one copy-on-write mapping of params.bin, so loading costs what the caller
     touches, and writing into them changes only this process's copy. `save_checkpoint` replaces files and
@@ -508,13 +510,12 @@ def load_checkpoint(path) -> Checkpoint:
     page cut off by a truncation kills it with SIGBUS, with no Python error and no exit code 5. Copy a
     checkpoint under a temporary name and rename it into place instead."""
     src = Path(path)
-    manifest_path = src / "manifest.txt"
-    if not manifest_path.exists():
-        raise CorruptionError(f"no manifest.txt under {src}")
     try:
-        lines = manifest_path.read_bytes().decode("utf-8").split("\n")
-    except UnicodeDecodeError as err:
-        raise CorruptionError(f"manifest.txt is not valid UTF-8 at byte {err.start}") from None
+        lines = read_text(src / "manifest.txt").split("\n")
+    except FileNotFoundError:
+        raise CorruptionError(f"no manifest.txt under {src}") from None
+    except ParseError as bad:
+        raise CorruptionError(f"manifest.txt: {bad}") from None
     if lines[0] not in _READABLE_FORMATS:
         raise CorruptionError(f"unsupported checkpoint format: {lines[0][:80]!r}")
     body = lines[1:]

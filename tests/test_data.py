@@ -112,6 +112,36 @@ class TestLoadDataset:
         loaded, _ = data.load_dataset(path)
         assert loaded == samples
 
+    @pytest.mark.parametrize("final_break", [True, False])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path, end, final_break):
+        """CRLF and a bare CR end a line as LF does, and an error on the last line
+        names it whether or not a line break follows it."""
+        path = tmp_path / "d.jsonl"
+        good = record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a")
+        bad = record(["a", "b", "a"], ["b", "c"], "a")
+        tail = end if final_break else ""
+        path.write_bytes((good + end + good + tail).encode())
+        samples, _ = data.load_dataset(path)
+        write_lines(path, [good, good])
+        assert samples == data.load_dataset(path)[0]
+        path.write_bytes((good + end + end + bad + tail).encode())
+        with pytest.raises(ValidationError, match="^line 3: query must contain exactly one placeholder"):
+            data.load_dataset(path)
+
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path):
+        """A sample UTF-8 cannot encode fails the save partway; the file written
+        before stays byte-identical and no temporary is left beside it."""
+        path = tmp_path / "d.jsonl"
+        good = ClozeSample(document=["a", "b", "a"], query=[PLACEHOLDER_TOKEN, "b"], answer="a")
+        data.save_dataset([good, good], path)
+        before = path.read_bytes()
+        lone = ClozeSample(document=["a", "\udc80", "a"], query=[PLACEHOLDER_TOKEN, "b"], answer="a")
+        with pytest.raises(UnicodeEncodeError):
+            data.save_dataset([good, lone], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
 
 def _write_dataset(result, path):
     data.save_dataset(result[0], path)

@@ -218,6 +218,16 @@ class TestParseTaggedCorpus:
         assert [d.doc_id for d in docs] == ["d0", "d1"]
         assert docs[0].sentences == [[("river", "n"), ("#doctor", "NN")]]
 
+    @pytest.mark.parametrize("final_break", [True, False])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path, end, final_break):
+        """CRLF and a bare CR end a line as LF does."""
+        text = "#doc d0\nthe\tDT\nriver\tn\n\nsky\tn\n\n\n#doc d1\ntree\tn"
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes((text + "\n").encode())
+        other.write_bytes((text.replace("\n", end) + (end if final_break else "")).encode())
+        assert dg.parse_tagged_corpus(other) == dg.parse_tagged_corpus(lf)
+
     def test_undecodable_line_is_parse_error_naming_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
         path.write_bytes(b"#doc d0\nriver\tn\nsk\xffy\tn\n")
@@ -231,8 +241,11 @@ class TestParseTaggedCorpus:
             ("#doc d0\nx\tn\n#doc d1\n\n\n", "line 6: document 'd1' has no sentences"),
             ("#doc\nx\tn\n", "line 1: missing document id after '#doc'"),
             ("x\tn\n#doc d0\n", "line 1: token line before any '#doc' header"),
+            ("#doc d0\nx\tn\nnotab\n", "line 3: expected 'token<TAB>TAG', got 'notab'"),
+            ("#doc d0\nx\tn\nnotab", "line 3: expected 'token<TAB>TAG', got 'notab'"),
         ],
-        ids=["empty-before-header", "blank-only-at-eof", "header-without-id", "token-before-header"],
+        ids=["empty-before-header", "blank-only-at-eof", "header-without-id", "token-before-header",
+             "bad-last-line", "bad-last-line-without-final-break"],
     )
     def test_empty_document_rejected(self, tmp_path, text, message):
         path = tmp_path / "corpus.txt"

@@ -916,6 +916,29 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="not valid UTF-8"):
             train.load_checkpoint(tmp_path / "ckpt")
 
+    def test_crlf_checkpoint_loads_as_lf(self, tmp_path):
+        """CRLF line ends, as a save on Windows writes them, in both text files."""
+        params, config, lf = self.roundtrip(tmp_path)
+        crlf = tmp_path / "crlf"
+        crlf.mkdir()
+        for part in ("manifest.txt", "vocab.txt", "params.bin"):
+            blob = (tmp_path / "ckpt" / part).read_bytes()
+            (crlf / part).write_bytes(blob if part == "params.bin" else blob.replace(b"\n", b"\r\n"))
+        loaded = train.load_checkpoint(crlf)
+        assert loaded.params.config == config
+        assert loaded.vocab == lf.vocab
+        for k, p in params.named().items():
+            assert loaded.params.named()[k].data.tobytes() == p.data.tobytes()
+
+    def test_undecodable_manifest_names_its_line(self, tmp_path):
+        self.roundtrip(tmp_path)
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        lines = manifest.read_text().count("\n")
+        with open(manifest, "ab") as fh:
+            fh.write(b"\xff\n")
+        with pytest.raises(CorruptionError, match=f"^manifest.txt: line {lines + 1}: not valid UTF-8$"):
+            train.load_checkpoint(tmp_path / "ckpt")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptionError, match="manifest"):
             train.load_checkpoint(tmp_path / "nowhere")
