@@ -15,9 +15,9 @@ import click
 from . import data, datagen, synthetic
 from . import train as training
 from . import vocab as V
-from .errors import CasReaderError, ConfigurationError, CorruptionError, ParseError, UsageError, read_text
+from .errors import CasReaderError, ConfigurationError, CorruptionError, ParseError, UsageError, read_text, replacing
 from .evaluate import evaluate
-from .reader import EVAL_MODES
+from .reader import HEAD_MODES
 
 
 def _fail(kind: str, code: int, message: str) -> None:
@@ -44,7 +44,7 @@ def generate(input_path, output_path, seed, samples_per_doc, noun_tags, skip_log
     samples, skips = datagen.generate_corpus(docs, seed=seed, samples_per_doc=samples_per_doc, noun_tags=tags)
     data.save_dataset(samples, output_path)
     if skip_log:
-        with open(skip_log, "w", encoding="utf-8") as fh:
+        with replacing((skip_log, "w")) as [fh]:
             for skip in skips:
                 fh.write(json.dumps({"doc_id": skip.doc_id, "reason": skip.reason}) + "\n")
     click.echo(json.dumps({"documents": len(docs), "samples": len(samples), "skipped": len(skips)}))
@@ -105,8 +105,8 @@ def train_cmd(train_path, valid_path, vocab_path, config_path, out_dir):
 @cli.command("eval")
 @click.option("--checkpoint", "ckpt_dir", required=True, type=click.Path())
 @click.option("--data", "data_path", required=True, type=click.Path())
-@click.option("--mode", default=None, type=click.Choice(EVAL_MODES),
-              help="Merge mode; defaults to the checkpoint's training mode.")
+@click.option("--mode", default=None, type=click.Choice(HEAD_MODES),
+              help="Head to score with; defaults to the checkpoint's merge_mode.")
 @click.option("--restrict-candidates", is_flag=True, default=False)
 @click.option("--dump-attention", "dump_path", default=None, type=click.Path())
 @click.option("--records", is_flag=True, default=False, help="Include per-sample records.")

@@ -92,9 +92,11 @@ def replacing(*targets):
     Yields one open temporary per target, beside its path. On a clean exit every temporary
     is flushed and fsynced before any is renamed; then each is `os.replace`d onto its path,
     in order, and the directories are fsynced. An error in the body or while fsyncing the
-    temporaries deletes them and changes no path. With several targets the last is the commit point: it
-    is removed (and the removal made durable) before the first rename and renamed last, so
-    a write cut short between renames leaves no commit point, never new files beside an old one.
+    temporaries deletes them and changes no path; an OSError opening a temporary (a missing
+    directory, say) is raised under its target's path. With several targets the last is the
+    commit point: it is removed (and the removal made durable) before the first rename and
+    renamed last, so a write cut short between renames leaves no commit point, never new
+    files beside an old one.
 
     No path is rewritten in place, so a reader sees the old file or the new one, and a
     process that has the old file mapped keeps the old bytes.
@@ -103,8 +105,11 @@ def replacing(*targets):
     temps = [path.with_name(f".{path.name}.tmp") for path in paths]
     handles = []
     try:
-        for tmp, (_, mode) in zip(temps, targets):
-            handles.append(open(tmp, mode, encoding=None if "b" in mode else "utf-8"))
+        for tmp, path, (_, mode) in zip(temps, paths, targets):
+            try:
+                handles.append(open(tmp, mode, encoding=None if "b" in mode else "utf-8"))
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, str(path)) from None
         yield handles
         for fh in handles:
             fh.flush()

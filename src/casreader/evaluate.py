@@ -12,7 +12,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from . import reader
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, replacing
 from .reader import ModelParams
 from .vocab import EncodedSample, Vocabulary, encode_sample
 
@@ -70,7 +70,7 @@ def evaluate(
 
     correct = 0
     records: list[SampleRecordResult] = []
-    with open(dump_attention, "w", encoding="utf-8") if dump_attention else nullcontext() as dump_fh:
+    with replacing((dump_attention, "w")) if dump_attention else nullcontext([None]) as [dump_fh]:
         for group, output, predicted in reader.score(encoded, params, mode, restrict_candidates, batch_size):
             correct += int((predicted == [enc.answer_id for enc in group]).sum())
             if not (keep_records or dump_fh):

@@ -8,8 +8,8 @@ answer distribution. The single-attention `as-baseline` head skips the
 merge: it is `attention_per_step` over a one-step query, the summary [last
 forward state; first backward state] of the post-dropout states the other
 heads read (`query_summary`), and that one attention row is both its `alpha`
-and its merged attention. It reads a model trained through consensus
-attention, so it is not an attention-sum reader trained on its own.
+and its merged attention. `merge_mode` names any of the four heads, so this
+one trains as an attention-sum reader on its own.
 
 Each stage works over the trailing axes with explicit masks, `[B x L_d]`
 for documents and `[B x L_q]` for queries; without the batch axis the same
@@ -46,15 +46,15 @@ Array = np.ndarray
 
 MERGE_MODES = ("sum", "avg", "max")
 AS_BASELINE = "as-baseline"
-EVAL_MODES = MERGE_MODES + (AS_BASELINE,)
+HEAD_MODES = MERGE_MODES + (AS_BASELINE,)
 GRU_DIRECTIONS = ("doc_fwd", "doc_bwd", "query_fwd", "query_bwd")
 
 
 def head_mode(config: TrainConfig, mode: str | None) -> str:
-    """The head `mode` names, by default the merge the model was trained with."""
+    """The head `mode` names, by default the one the model was trained with."""
     mode = config.merge_mode if mode is None else mode
-    if mode not in EVAL_MODES:
-        raise UsageError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    if mode not in HEAD_MODES:
+        raise UsageError(f"mode must be one of {HEAD_MODES}, got {mode!r}")
     return mode
 
 

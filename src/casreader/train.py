@@ -46,7 +46,7 @@ from .errors import (
     read_text,
     replacing,
 )
-from .reader import MERGE_MODES, ModelParams
+from .reader import HEAD_MODES, ModelParams
 from .tensor import Tensor
 from .vocab import DEFAULT_SHORTLIST, EncodedSample, Vocabulary, load_vocab, write_vocab
 
@@ -95,8 +95,8 @@ class TrainConfig:
             raise ConfigurationError("embed_dim and hidden_dim must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.merge_mode not in MERGE_MODES:
-            raise ConfigurationError(f"merge_mode must be one of {MERGE_MODES}, got {self.merge_mode!r}")
+        if self.merge_mode not in HEAD_MODES:
+            raise ConfigurationError(f"merge_mode must be one of {HEAD_MODES}, got {self.merge_mode!r}")
         if min(self.batch_size, self.epochs) < 1:
             raise ConfigurationError("batch_size and epochs must be positive")
         for name in ("lr", "clip_threshold", "epsilon"):
@@ -329,7 +329,9 @@ def train(
 ) -> TrainResult:
     """Full training loop; keeps the checkpoint with the best validation
     accuracy (ties resolve to the earlier epoch). An earlier best epoch is
-    kept as a snapshot; a best last epoch hands over the trained tensors."""
+    kept as a snapshot; a best last epoch hands over the trained tensors.
+    `log_path` gets one JSON line per epoch, flushed as the epoch ends: it is streamed,
+    not written by replace, so a run cut short keeps the epochs it finished."""
     if not train_samples or not valid_samples:
         raise UsageError("train and validation sets must be non-empty")
     rng = np.random.default_rng(config.seed)
@@ -382,13 +384,7 @@ def train(
             aborted = True
     if best is None:
         raise NumericError("training diverged before completing the first epoch")
-    return TrainResult(
-        params=best,
-        best_epoch=best_epoch,
-        best_accuracy=best_accuracy,
-        history=history,
-        aborted=aborted,
-    )
+    return TrainResult(params=best, best_epoch=best_epoch, best_accuracy=best_accuracy, history=history, aborted=aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +398,7 @@ class Checkpoint:
 
 
 def save_checkpoint(
-    params: ModelParams,
-    unused_state: AdamState | None,
-    config: TrainConfig,
-    path,
-    vocab: Vocabulary,
+    params: ModelParams, unused_state: AdamState | None, config: TrainConfig, path, vocab: Vocabulary
 ) -> None:
     """Write vocab.txt, params.bin and manifest.txt, all or none.
 
@@ -422,14 +414,17 @@ def save_checkpoint(
     it is the slot where the optimizer state was passed when checkpoints held it,
     kept so that positional callers (the benchmark's `perfbench/inputs.py`) still fit.
     Parameters whose layout is not `reader.param_layout(config, vocab.total_size)`,
-    which `load_checkpoint` would reject, are a ConfigurationError and write nothing;
-    so is a vocabulary `vocab.write_vocab` refuses, a ValidationError.
+    which `load_checkpoint` would reject, are a ConfigurationError and write nothing, as
+    is a `config` other than `params.config` (its `merge_mode` is the head `eval` reads by
+    default); a vocabulary `vocab.write_vocab` refuses is a ValidationError and writes nothing.
     """
     named = params.named()
     layout = reader.param_layout(config, vocab.total_size)
     for got, want in zip_longest([(name, p.data.shape) for name, p in named.items()], layout):
         if got != want:
             raise ConfigurationError(f"parameter {got} does not fit the config and vocabulary, which need {want}")
+    if config != params.config:
+        raise ConfigurationError(f"config {config} is not the parameters' config {params.config}")
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     lines = [_MANIFEST_FORMAT] + _manifest_lines(config, vocab.total_size, layout)

@@ -43,12 +43,12 @@ def criterion(num, name):
 
 
 def test_criterion_1_gradient_fidelity():
-    with criterion(1, "gradient fidelity of the full forward + NLL, all merge modes"):
+    with criterion(1, "gradient fidelity of the full forward + NLL, all heads"):
         started = time.monotonic()
         rng = np.random.default_rng(1003)
         sample = Sample(rng.integers(0, 20, 12), rng.integers(0, 20, 5))
         answer = int(sample.doc_ids[0])
-        for mode in reader.MERGE_MODES:
+        for mode in reader.HEAD_MODES:
             params = generic_params(20, 8, 8, np.random.default_rng(2003), mode=mode)
             named = params.named()
 
@@ -205,6 +205,32 @@ def test_criterion_5_learning_smoke():
         assert test_acc >= 0.80, f"test accuracy {test_acc}"
         assert test_acc > baseline, f"model {test_acc} did not beat baseline {baseline}"
         assert elapsed < 300.0
+
+
+def test_attention_sum_reader_trains_on_its_own(tmp_path):
+    """The README recipe with `merge_mode="as-baseline"`: the attention-sum reader
+    (Kadlec et al., arXiv 1603.01547) trains through its own head, beats the
+    frequency baseline, and its checkpoint reads through that head by default."""
+    with criterion(5, "the attention-sum reader trained on its own beats the frequency baseline"):
+        splits = generate_synthetic_corpus(SyntheticConfig(seed=0))
+        vocab = build_vocab((t for s in splits["train"] for t in s.tokens()), shortlist_size=None)
+        enc = {k: [encode_sample(vocab, s) for s in v] for k, v in splits.items()}
+        config = tr.TrainConfig(
+            embed_dim=16, hidden_dim=16, epochs=30, seed=7, merge_mode="as-baseline", shortlist_size=None
+        )
+        result = tr.train(config, enc["train"], enc["valid"], vocab_size=vocab.total_size)
+        report = evaluate(result.params, vocab, enc["test"])
+        baseline = baseline_accuracy(splits["test"])
+        print(f"        test(as-baseline)={report.accuracy:.3f} baseline={baseline:.3f}")
+        assert report.mode == "as-baseline"
+        assert report.accuracy >= 0.80, f"test accuracy {report.accuracy}"
+        assert report.accuracy > baseline, f"model {report.accuracy} did not beat baseline {baseline}"
+
+        tr.save_checkpoint(result.params, None, config, tmp_path / "ckpt", vocab=vocab)
+        assert "merge_mode\tas-baseline" in (tmp_path / "ckpt" / "manifest.txt").read_text().split("\n")
+        loaded = tr.load_checkpoint(tmp_path / "ckpt")
+        assert loaded.params.config.merge_mode == "as-baseline"
+        assert evaluate(loaded.params, loaded.vocab, enc["test"]).as_dict() == report.as_dict()
 
 
 def _end_to_end(tmp_path: Path, tag: str) -> tuple[bytes, str]:

@@ -362,6 +362,21 @@ def assert_documented_exit(code, stderr):
         assert isinstance(error["message"], str)
 
 
+@pytest.mark.parametrize("command, source", [("generate", "tagged.txt"), ("build-vocab", "train.jsonl")])
+def test_output_in_a_missing_directory_is_an_io_error_naming_the_target(tmp_path, command, source):
+    """The file is written through a temporary beside it; the error names the
+    file asked for, not the temporary, and nothing is left behind."""
+    (tmp_path / "tagged.txt").write_text("#doc d0\nriver\tn\n\nriver\tn\n", encoding="utf-8")
+    (tmp_path / "train.jsonl").write_bytes(SAMPLE_LINE)
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / "nodir" / "out"
+    code, out, err = run_main(command, "--input", tmp_path / source, "--output", target)
+    assert (code, out) == (5, "")
+    message = json.loads(err)["message"]
+    assert repr(str(target)) in message and ".tmp" not in message
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
     """A tiny corpus, its vocabulary, a one-epoch config and the checkpoint it trains."""

@@ -375,6 +375,26 @@ class TestEvaluate:
             evaluate(tiny_model(vocab), vocab, samples, mode="bogus", dump_attention=dump)
         assert not dump.exists()
 
+    def test_failed_scoring_leaves_an_earlier_dump_as_it_was(self, tmp_path, monkeypatch):
+        """The dump is written by replace: an error after the first batch leaves the
+        earlier dump byte-identical and no temporary beside it."""
+        samples = small_dataset()
+        vocab = build_vocab([t for s in samples for t in s.document + s.query], shortlist_size=None)
+        dump = tmp_path / "attn.jsonl"
+        evaluate(tiny_model(vocab), vocab, samples, dump_attention=dump, batch_size=2)
+        before = dump.read_bytes()
+        score = reader.score
+
+        def first_batch_then_fail(*args, **kwargs):
+            yield next(score(*args, **kwargs))
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(reader, "score", first_batch_then_fail)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            evaluate(tiny_model(vocab, seed=1), vocab, samples, dump_attention=dump, batch_size=2)
+        assert dump.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["attn.jsonl"]
+
     def test_attention_dump_satisfies_invariants(self, tmp_path):
         samples = small_dataset()
         vocab = build_vocab(

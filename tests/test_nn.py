@@ -441,7 +441,7 @@ class TestTwoThreads:
         for a, b in zip(inline, threaded):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
     def test_reader_gradients_are_bit_identical(self, monkeypatch, mode):
         params = generic_params(15, 3, 3, np.random.default_rng(51))
         rng = np.random.default_rng(52)

@@ -440,7 +440,7 @@ def assert_relatively_close(got: dict, want: dict, rtol: float) -> None:
 
 
 class TestBatchedHead:
-    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
     def test_mixed_batch_matches_each_sample_alone(self, mode):
         rng = np.random.default_rng(40)
         params = generic_params(15, 3, 3, rng)
@@ -450,7 +450,7 @@ class TestBatchedHead:
             (alone,) = reader.forward([sample], params, mode=mode)
             assert_relatively_close(out.words.as_dict(), alone.words.as_dict(), 1e-12)
 
-    @pytest.mark.parametrize("mode", reader.EVAL_MODES)
+    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
     def test_matches_per_sample_head_oracle(self, mode):
         rng = np.random.default_rng(41)
         params = generic_params(15, 3, 3, rng)

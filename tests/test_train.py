@@ -390,7 +390,7 @@ class TestTrainConfig:
             ("embed_dim", 0, "embed_dim and hidden_dim must be positive"),
             ("hidden_dim", 0, "embed_dim and hidden_dim must be positive"),
             ("dropout_rate", 1.0, "dropout_rate must be in [0, 1), got 1.0"),
-            ("merge_mode", "mean", "merge_mode must be one of ('sum', 'avg', 'max'), got 'mean'"),
+            ("merge_mode", "mean", "merge_mode must be one of ('sum', 'avg', 'max', 'as-baseline'), got 'mean'"),
         ],
         ids=["embed_dim", "hidden_dim", "dropout_rate", "merge_mode"],
     )
@@ -696,6 +696,22 @@ class TestCheckpoint:
             with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
                 train.save_checkpoint(params, None, config, tmp_path / "ckpt", vocab=vocab)
             assert not (tmp_path / "ckpt").exists()
+
+    def test_save_refuses_a_config_other_than_the_parameters(self, tmp_path):
+        """A manifest's `merge_mode` picks the head `eval` reads by default, so a config
+        that is not the one the parameters carry would change it silently: saving writes nothing."""
+        import dataclasses
+
+        from casreader.vocab import build_vocab
+
+        config = train.TrainConfig(embed_dim=2, hidden_dim=2, merge_mode="avg")
+        params = reader.init_model_params(config, 14, np.random.default_rng(0))
+        other = dataclasses.replace(config, merge_mode="as-baseline")
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        with pytest.raises(ConfigurationError, match="merge_mode='as-baseline'"):
+            train.save_checkpoint(params, None, other, ckpt, vocab=build_vocab(["a", "b", "a"], shortlist_size=2))
+        assert list(ckpt.iterdir()) == []
 
     def test_save_refuses_an_unsaveable_vocabulary_before_writing(self, tmp_path):
         """A token `save_vocab` refuses used to leave a manifest and params.bin without
