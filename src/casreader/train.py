@@ -8,7 +8,9 @@ batch touched; clipping reads and scales only those rows, and Adam applies
 the full update to them plus a zero-gradient pass that decays the moments of
 the warm rows, those some earlier step touched. A cold row's moments are
 zero, so the dense formula leaves it as it is, and the result is the dense
-Adam update bit for bit.
+Adam update bit for bit. The moments live in private anonymous mappings
+that decline transparent huge pages, so a cold row's moments, never written,
+take no memory until a step warms the row.
 
 The answer distribution comes out of two stacked softmaxes, so every
 document word has strictly positive probability and the log-likelihood is
@@ -28,7 +30,7 @@ import math
 import mmap
 import os
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -171,9 +173,28 @@ def clip_gradients(grads: dict[str, Grad], threshold: float) -> tuple[dict[str, 
     }, norm
 
 
+def _moment_zeros(shape: tuple[int, ...]) -> Array:
+    """Zeros in a private anonymous mapping that declines huge pages (plain zeros where Linux's advice is missing)."""
+    nbytes = math.prod(shape) * 8
+    if not nbytes or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros(shape)
+    try:
+        buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except OSError as e:  # refused, as np.zeros would be
+        raise MemoryError(f"cannot map {nbytes} bytes for Adam moments: {e}") from e
+    with suppress(OSError):  # EINVAL from a kernel built without huge pages
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus the shared step counter."""
+    """First/second-moment accumulators plus the shared step counter.
+
+    Each moment is its own `_moment_zeros` mapping, so on Linux a row that no
+    step has written holds no memory; numpy's zeros would advise huge pages,
+    and one warm row would then make its whole 2 MB region resident.
+    """
 
     m: dict[str, Array]
     v: dict[str, Array]
@@ -187,8 +208,8 @@ class AdamState:
     @classmethod
     def init(cls, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, epsilon=1e-8):
         return cls(
-            m={name: np.zeros(p.data.shape) for name, p in params.items()},
-            v={name: np.zeros(p.data.shape) for name, p in params.items()},
+            m={name: _moment_zeros(p.data.shape) for name, p in params.items()},
+            v={name: _moment_zeros(p.data.shape) for name, p in params.items()},
             t=0,
             lr=lr,
             beta1=beta1,

@@ -322,6 +322,80 @@ class TestRowSparseOptimizer:
         assert grad.values.shape == (len(grad.rows), 6)
 
 
+needs_nohugepage = pytest.mark.skipif(
+    not hasattr(train.mmap, "MADV_NOHUGEPAGE"), reason="no MADV_NOHUGEPAGE on this platform"
+)
+
+
+def smaps_entries(array):
+    """[(perms, {field: kB})] of the /proc/self/smaps mappings that overlap `array`'s bytes."""
+    start = array.ctypes.data
+    end = start + array.nbytes
+    entries = []
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        head = line.split()
+        if ":" not in head[0]:  # a mapping's header: "lo-hi perms offset dev inode [path]"
+            lo, hi = (int(x, 16) for x in head[0].split("-"))
+            overlaps = lo < end and start < hi
+            if overlaps:
+                entries.append((head[1], {}))
+        elif overlaps and head[-1] == "kB":
+            entries[-1][1][head[0].rstrip(":")] = int(head[1])
+    return entries
+
+
+class TestAdamMoments:
+    def test_moments_look_like_numpy_zeros(self):
+        params = {"emb": Tensor(np.ones((300, 5)), requires_grad=True), "b": Tensor(np.ones(3), requires_grad=True)}
+        state = train.AdamState.init(params, lr=0.01)
+        for name, p in params.items():
+            m, v = state.m[name], state.v[name]
+            for moment in (m, v):
+                assert moment.shape == p.data.shape and moment.dtype == np.float64
+                assert moment.flags.c_contiguous and moment.flags.writeable
+                assert not moment.any()
+            assert not np.shares_memory(m, v)
+            assert not np.shares_memory(m, p.data) and not np.shares_memory(v, p.data)
+
+    def test_zero_size_parameter_gets_zero_size_zeros(self):
+        state = train.AdamState.init({"w": Tensor(np.zeros((0, 4)), requires_grad=True)}, lr=0.01)
+        for moment in (state.m["w"], state.v["w"]):
+            assert moment.shape == (0, 4) and moment.dtype == np.float64
+
+    @needs_nohugepage
+    def test_refused_mapping_is_a_memory_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(train.mmap, "mmap", refuse)
+        with pytest.raises(MemoryError):
+            train.AdamState.init({"w": Tensor(np.zeros((4, 4)), requires_grad=True)}, lr=0.01)
+
+    @needs_nohugepage
+    def test_kernel_without_huge_pages_still_gets_moments(self, monkeypatch):
+        class NoHugePages(train.mmap.mmap):
+            def madvise(self, *args):
+                raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(train.mmap, "mmap", NoHugePages)
+        state = train.AdamState.init({"w": Tensor(np.zeros((4, 4)), requires_grad=True)}, lr=0.01)
+        assert not state.m["w"].any() and not state.v["w"].any()
+
+    @needs_nohugepage
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="no /proc/self/smaps")
+    def test_untouched_rows_stay_unbacked(self):
+        shape = (32_768, 256)  # 64 MB per moment: 32 huge-page regions
+        params = {"emb": Tensor(np.zeros(shape), requires_grad=True)}
+        state = train.AdamState.init(params, lr=0.01)
+        rows = np.arange(8) * (shape[0] // 8) + 17  # one row in every eighth of the table
+        train.adam_step(params, {"emb": T.RowGrad(rows, np.ones((8, shape[1])), shape)}, state)
+        assert state.m["emb"][rows].all()
+        entries = smaps_entries(state.m["emb"])
+        assert entries and all(perms.endswith("p") for perms, _ in entries)
+        assert sum(sizes["AnonHugePages"] for _, sizes in entries) == 0
+        assert sum(sizes["Rss"] for _, sizes in entries) < 1024
+
+
 def one_training_step(params, samples, lr):
     named = params.named()
     for p in named.values():
