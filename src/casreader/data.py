@@ -15,34 +15,31 @@ from .datagen import ClozeSample, validate_sample
 from .errors import ParseError, ValidationError, read_text, replacing
 
 
-def _record_to_sample(record: dict, line: int) -> ClozeSample:
+def _record_to_sample(record: dict) -> ClozeSample:
     if not isinstance(record, dict):
-        raise ValidationError(f"line {line}: expected a JSON object")
+        raise ValidationError("expected a JSON object")
     for key in ("document", "query", "answer"):
         if key not in record:
-            raise ValidationError(f"line {line}: missing field {key!r}")
+            raise ValidationError(f"missing field {key!r}")
     document, query, answer = record["document"], record["query"], record["answer"]
     if not isinstance(document, list) or not all(isinstance(t, str) for t in document):
-        raise ValidationError(f"line {line}: 'document' must be a list of strings")
+        raise ValidationError("'document' must be a list of strings")
     if not isinstance(query, list) or not all(isinstance(t, str) for t in query):
-        raise ValidationError(f"line {line}: 'query' must be a list of strings")
+        raise ValidationError("'query' must be a list of strings")
     if not isinstance(answer, str):
-        raise ValidationError(f"line {line}: 'answer' must be a string")
+        raise ValidationError("'answer' must be a string")
     candidates = record.get("candidates")
     if candidates is not None and (
         not isinstance(candidates, list) or not all(isinstance(t, str) for t in candidates)
     ):
-        raise ValidationError(f"line {line}: 'candidates' must be a list of strings")
-    meta = record.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise ValidationError(f"line {line}: 'meta' must be an object")
+        raise ValidationError("'candidates' must be a list of strings")
+    meta = record.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValidationError("'meta' must be an object")
     sample = ClozeSample(
-        document=document, query=query, answer=answer, candidates=candidates, meta=meta
+        document=document, query=query, answer=answer, candidates=candidates, meta=meta or {}
     )
-    try:
-        validate_sample(sample)
-    except ValidationError as err:
-        raise ValidationError(f"line {line}: {err}") from None
+    validate_sample(sample)
     return sample
 
 
@@ -62,7 +59,10 @@ def load_dataset(path) -> tuple[list[ClozeSample], list]:
             record = json.loads(line)
         except (ValueError, RecursionError) as err:  # also nesting too deep, an integer too long
             raise ParseError(f"malformed JSON: {getattr(err, 'msg', err)}", line=lineno) from None
-        sample = _record_to_sample(record, lineno)
+        try:
+            sample = _record_to_sample(record)
+        except ValidationError as err:
+            raise ValidationError(str(err), line=lineno) from None
         if "\\" in line:  # decoded UTF-8 holds no surrogates; only an escape brings one in
             try:
                 json.dumps(record, ensure_ascii=False).encode("utf-8")

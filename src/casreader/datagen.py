@@ -85,24 +85,6 @@ def candidate_answers(
     return {tok: occ for tok, occ in positions.items() if len(occ) >= 2}
 
 
-def _eligible_occurrences(
-    doc: TaggedDocument, answer: str, occurrences: Sequence[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
-    """(occurrence index, sentence, token) of the occurrences whose sentence
-    contains the answer exactly once.
-
-    Blanking such an occurrence removes every trace of the answer from the
-    query, which the sample invariants require; the placeholder literal
-    must also be absent from the sentence.
-    """
-    keep = []
-    for index, (s_idx, t_idx) in enumerate(occurrences):
-        surface = [tok for tok, _ in doc.sentences[s_idx]]
-        if surface.count(answer) == 1 and PLACEHOLDER_TOKEN not in surface:
-            keep.append((index, s_idx, t_idx))
-    return keep
-
-
 def generate_samples(
     doc: TaggedDocument,
     rng: np.random.Generator,
@@ -111,17 +93,25 @@ def generate_samples(
 ) -> list[ClozeSample]:
     """Draw up to `samples_per_doc` triples from one document.
 
-    Answers are uniform over the remaining candidates, occurrences uniform
-    over that answer's remaining eligible positions; (answer, occurrence)
-    pairs are never reused. Returns fewer samples (possibly none) when the
-    document runs out of eligible pairs.
+    An occurrence of a candidate answer is eligible when its sentence holds
+    the answer exactly once and no placeholder literal, so blanking it
+    removes every trace of the answer from the query, as the sample
+    invariants require. Answers are uniform over the remaining candidates,
+    occurrences uniform over that answer's remaining eligible positions;
+    (answer, occurrence) pairs are never reused. Returns fewer samples
+    (possibly none) when the document runs out of eligible pairs.
     """
     if samples_per_doc < 1:
         raise UsageError(f"samples_per_doc must be >= 1, got {samples_per_doc}")
-    pool = {
+    surfaces = [[tok for tok, _ in sentence] for sentence in doc.sentences]
+    pool = {  # answer -> its eligible (occurrence index, sentence, token)
         answer: eligible
         for answer, occurrences in sorted(candidate_answers(doc, noun_tags).items())
-        if (eligible := _eligible_occurrences(doc, answer, occurrences))
+        if (eligible := [
+            (index, s_idx, t_idx)
+            for index, (s_idx, t_idx) in enumerate(occurrences)
+            if surfaces[s_idx].count(answer) == 1 and PLACEHOLDER_TOKEN not in surfaces[s_idx]
+        ])
     }
     samples: list[ClozeSample] = []
     while pool and len(samples) < samples_per_doc:
@@ -132,19 +122,15 @@ def generate_samples(
         occurrence_index, s_idx, t_idx = occurrences.pop(pick)
         if not occurrences:
             del pool[answer]
-        samples.append(_build_sample(doc, answer, s_idx, t_idx, occurrence_index))
+        query = surfaces[s_idx].copy()
+        query[t_idx] = PLACEHOLDER_TOKEN
+        samples.append(ClozeSample(
+            document=list(chain(*surfaces[:s_idx], query, *surfaces[s_idx + 1:])),
+            query=query,
+            answer=answer,
+            meta={"doc_id": doc.doc_id, "query_sentence": s_idx, "answer_occurrence": occurrence_index},
+        ))
     return samples
-
-
-def _build_sample(doc: TaggedDocument, answer: str, s_idx: int, t_idx: int, occurrence_index: int) -> ClozeSample:
-    surfaces = [[tok for tok, _ in sentence] for sentence in doc.sentences]
-    surfaces[s_idx][t_idx] = PLACEHOLDER_TOKEN
-    return ClozeSample(
-        document=list(chain.from_iterable(surfaces)),
-        query=surfaces[s_idx],
-        answer=answer,
-        meta={"doc_id": doc.doc_id, "query_sentence": s_idx, "answer_occurrence": occurrence_index},
-    )
 
 
 @dataclass

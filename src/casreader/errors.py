@@ -14,11 +14,17 @@ from pathlib import Path
 
 
 class CasReaderError(Exception):
-    """Base class for all errors raised by this package; a usage error
-    (exit 2) unless a subclass sets its own code."""
+    """Base class for all errors raised by this package; a usage error (exit 2) unless
+    a subclass sets its own code. `line`, of a file at fault, prefixes the message."""
 
     exit_code = 2
     kind = "usage"
+
+    def __init__(self, message: str, line: int | None = None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class UsageError(CasReaderError):
@@ -52,12 +58,6 @@ class ParseError(CasReaderError):
 
     exit_code = 3
     kind = "validation"
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class CorruptionError(CasReaderError):

@@ -68,13 +68,6 @@ class GruParams:
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
-def uniform_init(rows: int, cols: int, bound: float, rng: np.random.Generator) -> Array:
-    """Entries drawn uniformly from [-bound, bound]."""
-    if bound <= 0:
-        raise UsageError(f"uniform_init bound must be positive, got {bound}")
-    return rng.uniform(-bound, bound, size=(rows, cols))
-
-
 def orthogonal_init(rows: int, cols: int, rng: np.random.Generator) -> Array:
     """QR-based orthogonal matrix; square outputs satisfy M^T M = I."""
     flip = rows < cols

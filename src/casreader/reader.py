@@ -114,7 +114,7 @@ def init_model_params(config: TrainConfig, vocab_size: int, rng: np.random.Gener
             elif role == "b":
                 data = np.zeros(shape)
             else:
-                data = nn.uniform_init(*shape, 0.1, rng)
+                data = rng.uniform(-0.1, 0.1, shape)
             named[name] = Tensor(data, requires_grad=True)
     except (MemoryError, ValueError) as err:
         raise ConfigurationError(

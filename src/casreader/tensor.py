@@ -60,10 +60,6 @@ class Tensor:
         self._backward_fn: Callable[[Array], None] | None = None
         self._op = "leaf"
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, op={self._op!r}{flag})"

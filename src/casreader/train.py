@@ -483,16 +483,22 @@ def _parse_value(values: dict[str, str], name: str, kind: type, nullable: bool =
         raise CorruptionError(f"manifest field {name!r} has malformed value {text!r}") from None
 
 
+def _checkpoint_file(read, path: Path, *args):
+    """`read(path, *args)`, with a missing file, or a ParseError in it, raised as the
+    CorruptionError that names the file."""
+    try:
+        return read(path, *args)
+    except FileNotFoundError:
+        raise CorruptionError(f"no {path.name} under {path.parent}") from None
+    except ParseError as bad:
+        raise CorruptionError(f"{path.name}: {bad}") from None
+
+
 def _read_params(path: Path, layout: list[tuple[str, tuple[int, ...]]]) -> dict[str, Tensor]:
     """Map params.bin copy-on-write and hand out one view of the mapping per layout
     entry, in layout order: pages are read when first touched, and writing into an
-    array never reaches the file. Its size is checked before anything is mapped; a
-    missing file is corruption."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise CorruptionError(f"no {path.name} under {path.parent}") from None
-    with fh:
+    array never reaches the file. Its size is checked before anything is mapped."""
+    with _checkpoint_file(open, path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         want = 0
         for name, shape in layout:
@@ -526,23 +532,13 @@ def load_checkpoint(path) -> Checkpoint:
     page cut off by a truncation kills it with SIGBUS, with no Python error and no exit code 5. Copy a
     checkpoint under a temporary name and rename it into place instead."""
     src = Path(path)
-    try:
-        lines = read_text(src / "manifest.txt").split("\n")
-    except FileNotFoundError:
-        raise CorruptionError(f"no manifest.txt under {src}") from None
-    except ParseError as bad:
-        raise CorruptionError(f"manifest.txt: {bad}") from None
+    lines = _checkpoint_file(read_text, src / "manifest.txt").split("\n")
     if lines[0] not in _READABLE_FORMATS:
         raise CorruptionError(f"unsupported checkpoint format: {lines[0][:80]!r}")
     body = lines[1:]
     if lines[0] != _MANIFEST_FORMAT:
         body = [line for line in body if not line.startswith("adam_t\t")]
-    try:
-        vocab = load_vocab(src / "vocab.txt")
-    except FileNotFoundError:
-        raise CorruptionError(f"no vocab.txt under {src}") from None
-    except ParseError as bad:
-        raise CorruptionError(f"vocab.txt: {bad}") from None
+    vocab = _checkpoint_file(load_vocab, src / "vocab.txt")
     values = dict(line.split("\t") for line in body if line.count("\t") == 1)
     try:
         config = TrainConfig(**{

@@ -55,6 +55,34 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="line 2"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (record(["a", "b", "a"], ["b", "c"], "a"), "query must contain exactly one placeholder, found 0"),
+            (json.dumps({"document": ["a"], "query": [PLACEHOLDER_TOKEN]}), "missing field 'answer'"),
+        ],
+        ids=["invariant", "field"],
+    )
+    def test_validation_error_carries_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a"), "", bad])
+        with pytest.raises(ValidationError) as caught:
+            data.load_dataset(path)
+        assert caught.value.line == 3 and str(caught.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("meta", [[], 0, "", False], ids=["list", "zero", "empty-string", "false"])
+    def test_falsy_non_object_meta_is_rejected_naming_line(self, tmp_path, meta):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a", meta=meta)])
+        with pytest.raises(ValidationError, match="^line 1: 'meta' must be an object$"):
+            data.load_dataset(path)
+
+    def test_null_meta_loads_as_no_meta(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [record(["a", "b", "a"], [PLACEHOLDER_TOKEN, "b"], "a", meta=None)])
+        samples, _ = data.load_dataset(path)
+        assert samples[0].meta == {}
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_lines(path, [record(["a", "a"], [PLACEHOLDER_TOKEN], "a"), "{not json"])

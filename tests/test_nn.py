@@ -381,7 +381,7 @@ class TestGruScan:
 class TestBatchEncoding:
     def test_batch_rows_match_single_sequence_encodes(self):
         rng = np.random.default_rng(28)
-        emb = Tensor(nn.uniform_init(10, 3, 0.1, rng), requires_grad=True)
+        emb = Tensor(rng.uniform(-0.1, 0.1, (10, 3)), requires_grad=True)
         fwd, bwd = make_params(3, 4, seed=29), make_params(3, 4, seed=30)
         ids = np.array([[1, 2, 3, 0], [4, 5, 0, 0], [6, 7, 8, 9]])
         mask = np.array([[True, True, True, False], [True, True, False, False], [True] * 4])
@@ -539,19 +539,6 @@ class TestInitializers:
     def test_orthogonal_wide(self):
         m = nn.orthogonal_init(3, 6, np.random.default_rng(37))
         np.testing.assert_allclose(m @ m.T, np.eye(3), atol=1e-10)
-
-    def test_uniform_within_bound(self):
-        m = nn.uniform_init(100, 100, 0.1, np.random.default_rng(38))
-        assert np.all(m >= -0.1) and np.all(m <= 0.1)
-
-    def test_uniform_deterministic(self):
-        a = nn.uniform_init(4, 4, 0.1, np.random.default_rng(39))
-        b = nn.uniform_init(4, 4, 0.1, np.random.default_rng(39))
-        np.testing.assert_array_equal(a, b)
-
-    def test_uniform_mean_near_zero(self):
-        m = nn.uniform_init(100, 100, 0.1, np.random.default_rng(40))
-        assert abs(m.mean()) < 0.01
 
     def test_recurrent_matrices_initialized_orthogonal(self):
         p = make_params(3, 4, seed=41)

@@ -66,3 +66,10 @@ def test_spread_wider_than_the_bound_is_unresolved(bench_compare):
             *(bench_compare.untraced(rec, "paper-eval") for rec in (before, after)), "samples_per_s", "higher", 0.01
         )
         assert min(row["spreads"]) > 0.01 and row["unresolved"] is not resolved
+
+
+def test_compare_prints_both_records_src_lines(bench_compare, monkeypatch, capsys):
+    records = [str(ROOT / f"BENCH_{label}.json") for label in ("61ea309", "1b65f0d")]
+    monkeypatch.setattr("sys.argv", ["bench_compare.py", *records])
+    assert bench_compare.main() == 0
+    assert capsys.readouterr().out.splitlines()[1] == "src lines: 2771 -> 2792"

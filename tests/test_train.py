@@ -717,7 +717,7 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError, match="params.bin: trailing"):
             train.load_checkpoint(tmp_path / "ckpt")
 
-    @pytest.mark.parametrize("part", ["params.bin", "vocab.txt"])
+    @pytest.mark.parametrize("part", ["params.bin", "vocab.txt", "manifest.txt"])
     def test_missing_binary_is_corruption_naming_it(self, tmp_path, part):
         self.roundtrip(tmp_path)
         (tmp_path / "ckpt" / part).unlink()

@@ -21,9 +21,10 @@ runs by seed and prints:
   cannot be told from noise, unless every run of the change reads better
   than every run of the parent.
 
-It also prints, per workload, how many runs of each record were not
-`correct` or had a failed call. Medians and quartiles are those
-`bench_record.summarise` writes.
+It also prints both records' `src_lines`, the lines of code in `src/`, and,
+per workload, how many runs of each record were not `correct` or had a
+failed call. Medians and quartiles are those `bench_record.summarise`
+writes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def main() -> int:
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent, change = (json.loads(p.read_text(encoding="utf-8")) for p in (args.parent, args.change))
     print(f"parent {parent.get('label')} ({parent.get('commit')}), change {change.get('label')} ({change.get('commit')})")
+    print(f"src lines: {parent.get('src_lines')} -> {change.get('src_lines')}")
     for workload in (w["name"] for w in benchmark["workloads"]):
         parent_runs, change_runs = untraced(parent, workload), untraced(change, workload)
         bad = [sum(not ok(r) for r in rec["runs"] if r["workload"] == workload) for rec in (parent, change)]
