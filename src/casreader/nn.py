@@ -235,7 +235,8 @@ def bigru_scan(x: Tensor, mask, fwd: GruParams, bwd: GruParams) -> Tensor:
     each weight gradient is then a single matmul over all steps. When no
     input requires a gradient, no node is recorded and the z/r/h~ buffers
     BPTT would read shrink to one step of scratch. BPTT overwrites the saved
-    values, so a second backward through the node raises `UsageError`.
+    values; a second backward through the node raises `UsageError`, as
+    through any node `Tensor.backward` has consumed.
 
     When `_concurrent` holds, the reverse direction's scan and its BPTT each
     run on a worker thread while the forward direction runs on the caller's;
@@ -262,13 +263,8 @@ def bigru_scan(x: Tensor, mask, fwd: GruParams, bwd: GruParams) -> Tensor:
         lambda: _scan(x, keep, bwd, True, out[:, :, hidden:], needs_grad),
     )
     result = Tensor(out.reshape(steps * batch, 2 * hidden))
-    spent = False
 
     def backward(g: Array) -> None:
-        nonlocal spent
-        if spent:
-            raise UsageError("backward through a bigru_scan node runs once: it overwrites the saved gate values")
-        spent = True
         g = g.reshape(steps, batch, 2 * hidden)
         grads = _both(concurrent, lambda: fwd_bptt(g[:, :, :hidden]), lambda: bwd_bptt(g[:, :, hidden:]))
         for weights, (weight_grads, dx) in zip((fwd_weights, bwd_weights), grads):

@@ -7,8 +7,14 @@ would buy nothing. A layer whose graph would grow with sequence length
 records itself as one node with a hand-written backward instead (the GRU
 scan in `nn`, built on `_record` and `_accumulate`).
 `Tensor.backward` walks the recorded graph once in reverse topological
-order. `grad_check` is the independent oracle: central finite differences
-against the analytic gradients.
+order and consumes it: as each node's rule runs, the node drops its
+gradient, its parents and its closure (and with them the forward values the
+closure saved), so a step's memory falls as the sweep passes; a second
+backward through a consumed node raises `UsageError`. Leaves keep their
+gradients. A rule hands each gradient it computes to `_accumulate`, which
+owns it from then on: a fresh array becomes the first gradient as it is.
+`grad_check` is the independent oracle: central finite differences against
+the analytic gradients.
 
 A leaf table read through `gather_rows` (the embedding) gets a `RowGrad`:
 the sorted rows the batch touched and their summed gradients, so backward,
@@ -68,10 +74,15 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed=None) -> None:
-        """Propagate gradients from this tensor to every reachable leaf.
+        """Propagate gradients from this tensor to every reachable leaf,
+        consuming the graph on the way.
 
         `seed` defaults to ones for scalar outputs and must match this
-        tensor's shape otherwise.
+        tensor's shape otherwise; it is copied, so the caller's array stays
+        the caller's. Each interior node runs its rule once and then drops
+        its gradient, its parents and its closure (its `_op` stays), so only
+        leaves hold gradients afterwards, and a second backward through any
+        of its nodes, from this root or another, raises `UsageError`.
         """
         if not self.requires_grad:
             raise UsageError("backward called on a tensor with no recorded graph")
@@ -80,15 +91,26 @@ class Tensor:
                 raise UsageError("an explicit seed is required for non-scalar outputs")
             seed_arr = np.ones_like(self.data)
         else:
-            seed_arr = seed.data if isinstance(seed, Tensor) else np.asarray(seed, dtype=np.float64)
+            seed_arr = np.array(seed.data if isinstance(seed, Tensor) else seed, dtype=np.float64)
             if seed_arr.shape != self.data.shape:
                 raise DimensionError(
                     f"seed shape {seed_arr.shape} does not match output shape {self.data.shape}"
                 )
         _accumulate(self, seed_arr)
-        for node in reversed(_topo_order(self)):
-            if node._backward_fn is not None and node.grad is not None:
+        del seed_arr  # the root owns it now, and drops it once its rule has run
+        order = _topo_order(self)
+        while order:  # popping drops the list's hold on each node as the sweep passes it
+            node = order.pop()
+            if node._backward_fn is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+            node.grad, node._parents, node._backward_fn = None, (), _spent
+
+
+def _spent(g: Array) -> None:
+    """The rule of a node whose rule has already run."""
+    raise UsageError("backward runs once through a recorded graph: this node's rule has run and released what it saved")
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -121,6 +143,25 @@ def _dense_grad(t: Tensor) -> Array:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    """Add `g` into `t.grad`; `t` owns `g` from here on.
+
+    A first gradient that is a fresh float64 array laid out as `t.data` (it
+    owns its data, is writeable and has `t.data`'s shape and strides)
+    becomes `t.grad` as it is, with no zero-fill and no add; the caller must
+    not touch it again. Views, broadcasts and scalars are added into zeros,
+    so `t.grad` never aliases an array someone else holds.
+    """
+    if (
+        t.grad is None
+        and isinstance(g, np.ndarray)
+        and g.flags.owndata
+        and g.flags.writeable
+        and g.dtype == t.data.dtype
+        and g.shape == t.data.shape
+        and g.strides == t.data.strides
+    ):
+        t.grad = g
+        return
     grad = _dense_grad(t)
     grad += g
 

@@ -382,7 +382,7 @@ def train(
                         p.zero_grad()
                     losses.append(float(loss.data))
                     norms.append(norm)
-                    del output, loss, clipped  # so the next forward starts with no graph or gradient alive
+                    del output, loss, clipped  # backward freed the graph; these hold the head outputs and clipped gradients
                 accuracy = _validation_accuracy(params, valid_samples)
                 record = EpochRecord(
                     epoch=epoch,

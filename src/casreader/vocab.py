@@ -99,14 +99,11 @@ def build_vocab(tokens: Iterable[str], shortlist_size: int | None) -> Vocabulary
     if not counts:
         raise UsageError("build_vocab got an empty token stream")
     del counts[PLACEHOLDER_TOKEN], counts[PAD_TOKEN]  # a Counter ignores a missing key
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)  # stable, so ties stay lexicographic
     if shortlist_size is not None:
         ranked = ranked[:shortlist_size]
-    return Vocabulary(
-        tokens=[tok for tok, _ in ranked],
-        frequencies=[freq for _, freq in ranked],
-        shortlist_size=shortlist_size,
-    )
+    return Vocabulary(tokens=ranked, frequencies=[counts[tok] for tok in ranked], shortlist_size=shortlist_size)
 
 
 @dataclass

@@ -160,6 +160,69 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [expected], atol=1e-12)
 
 
+class TestConsumingBackward:
+    def test_second_backward_raises_from_the_same_root_and_from_one_sharing_a_node(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        shared = T.log(x)
+        first = T.reduce_sum(T.mul(shared, 3.0))
+        second = T.reduce_sum(T.mul(shared, shared))
+        first.backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 1.5])
+        with pytest.raises(UsageError, match="runs once"):
+            first.backward()
+        with pytest.raises(UsageError, match="runs once"):
+            second.backward()
+
+    @pytest.mark.parametrize("wrap", [np.asarray, T.Tensor])
+    def test_seed_is_copied_not_adopted(self, wrap):
+        """A leaf root adopts what `backward` hands `_accumulate`; the caller's seed must not be it."""
+        x = T.Tensor([0.0, 0.0], requires_grad=True)
+        seed = np.array([1.0, 2.0])
+        x.backward(wrap(seed))
+        x.backward(wrap(seed))
+        np.testing.assert_array_equal(seed, [1.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        assert not np.shares_memory(x.grad, seed)
+
+    def test_accumulate_adopts_only_a_fresh_array_laid_out_as_the_data(self):
+        fresh = np.ones((2, 3))
+        t = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+        T._accumulate(t, fresh)
+        assert t.grad is fresh
+        read_only = np.ones((2, 3))
+        read_only.flags.writeable = False
+        for g in (np.ones((3, 2)).T, np.ones((2, 3), order="F"), np.ones((2, 6))[:, :3], read_only,
+                  np.broadcast_to(1.0, (2, 3)), np.ones((2, 3), dtype=np.float32), 1.0):
+            t = T.Tensor(np.zeros((2, 3)), requires_grad=True)
+            T._accumulate(t, g)
+            assert t.grad is not g and t.grad.flags.c_contiguous and t.grad.dtype == np.float64
+            np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+
+    def test_backward_peak_does_not_grow_with_the_chain(self):
+        """Each node's gradient goes once its rule has run, so a chain of k
+        elementwise nodes over n floats peaks at about two gradients (the
+        node's and its parent's), not k + 1."""
+        import tracemalloc
+
+        n = 100_000
+
+        def peak_bytes(k):
+            x = T.Tensor(np.ones(n), requires_grad=True)
+            y = x
+            for _ in range(k):
+                y = T.mul(y, 1.5)
+            seed = np.ones(n)
+            tracemalloc.start()
+            try:
+                y.backward(seed)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for k in (2, 32):
+            assert peak_bytes(k) < 3 * n * 8
+
+
 class TestGatherScatter:
     def test_gather_rows_forward(self):
         w = T.Tensor(np.arange(12.0).reshape(4, 3))
@@ -206,7 +269,7 @@ class TestGatherScatter:
             np.add.at(expected, ids, g)
             expected += dense_g
         else:
-            T._accumulate(table, dense_g)
+            T._accumulate(table, dense_g.copy())  # _accumulate owns what it is given
             gathered._backward_fn(g)
             expected += dense_g
             np.add.at(expected, ids, g)
@@ -216,8 +279,10 @@ class TestGatherScatter:
     def test_computed_source_gets_dense_scatter(self):
         table = T.Tensor(np.ones((4, 2)), requires_grad=True)
         doubled = T.mul(table, 2.0)
-        T.reduce_sum(T.gather_rows(doubled, [3, 3])).backward()
+        T.gather_rows(doubled, [3, 3])._backward_fn(np.ones((2, 2)))
         assert isinstance(doubled.grad, np.ndarray)
+        np.testing.assert_array_equal(doubled.grad, [[0.0, 0.0]] * 3 + [[2.0, 2.0]])
+        doubled._backward_fn(doubled.grad)
         np.testing.assert_array_equal(table.grad, [[0.0, 0.0]] * 3 + [[4.0, 4.0]])
 
     def test_group_sum_left_to_right(self):
