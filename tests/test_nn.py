@@ -350,6 +350,31 @@ class TestGruScan:
         with pytest.raises(UsageError, match="runs once"):
             out.backward(np.ones((6, 6)))
 
+    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
+    def test_backward_consumes_the_reader_graph(self, mode):
+        """After backward no interior node keeps a gradient, parents or a
+        closure (its op name stays), every parameter keeps its gradient, and
+        a second backward raises."""
+        params = generic_params(15, 3, 3, np.random.default_rng(54))
+        rng = np.random.default_rng(55)
+        samples = []
+        for _ in range(4):
+            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
+            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        output = reader.forward(samples, params, training=True, rng=np.random.default_rng(56), mode=mode)
+        loss = train.nll_loss(output, [s.answer_id for s in samples])
+        nodes = T._topo_order(loss)
+        interior = [(node, node._op) for node in nodes if node._backward_fn is not None]
+        leaves = [node for node in nodes if node._backward_fn is None]
+        assert "bigru_scan" in {op for _, op in interior}
+        assert {id(t) for t in leaves} == {id(t) for t in params.named().values()}
+        loss.backward()
+        for node, op in interior:
+            assert node.grad is None and node._parents == () and node._backward_fn is T._spent and node._op == op
+        assert all(t.grad is not None for t in leaves)
+        with pytest.raises(UsageError, match="runs once"):
+            loss.backward()
+
     def test_no_grad_keeps_no_per_step_buffers(self):
         """Without a gradient the node's peak allocation drops by what BPTT
         reads: each direction's z/r/h~ arrays (3*hidden floats per step and
@@ -463,31 +488,6 @@ class TestTwoThreads:
         monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: True)
         for a, b in zip(inline, run()):
             np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
-    def test_backward_consumes_the_reader_graph(self, mode):
-        """After backward no interior node keeps a gradient, parents or a
-        closure (its op name stays), every parameter keeps its gradient, and
-        a second backward raises."""
-        params = generic_params(15, 3, 3, np.random.default_rng(54))
-        rng = np.random.default_rng(55)
-        samples = []
-        for _ in range(4):
-            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
-            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
-        output = reader.forward(samples, params, training=True, rng=np.random.default_rng(56), mode=mode)
-        loss = train.nll_loss(output, [s.answer_id for s in samples])
-        nodes = T._topo_order(loss)
-        interior = [(node, node._op) for node in nodes if node._backward_fn is not None]
-        leaves = [node for node in nodes if node._backward_fn is None]
-        assert "bigru_scan" in {op for _, op in interior}
-        assert {id(t) for t in leaves} == {id(t) for t in params.named().values()}
-        loss.backward()
-        for node, op in interior:
-            assert node.grad is None and node._parents == () and node._backward_fn is T._spent and node._op == op
-        assert all(t.grad is not None for t in leaves)
-        with pytest.raises(UsageError, match="runs once"):
-            loss.backward()
 
     def test_overflow_in_the_reverse_direction_raises_under_errstate(self, two_threads):
         """numpy's errstate is a context variable: the worker scans in a copy

@@ -73,3 +73,21 @@ def test_compare_prints_both_records_src_lines(bench_compare, monkeypatch, capsy
     monkeypatch.setattr("sys.argv", ["bench_compare.py", *records])
     assert bench_compare.main() == 0
     assert capsys.readouterr().out.splitlines()[1] == "src lines: 2771 -> 2792"
+
+
+def test_compare_prints_the_per_layer_medians(bench_compare, monkeypatch, capsys):
+    """Each traced metric both records hold is printed as `name: parent -> change`;
+    the untraced pr18/pr19 records hold none."""
+    labels = ("61ea309", "1b65f0d")
+    parent, change = (json.loads((ROOT / f"BENCH_{label}.json").read_text()) for label in labels)
+    layers = {name: (p, c) for name, p, c in bench_compare.layer_medians(parent, change, "paper-train")}
+    assert set(layers) == set(parent["layers"]["paper-train"])
+    assert [round(v, 4) for v in layers["tensor.backward_s"]] == [0.2896, 0.2779]
+    assert layers["tensor.graph_nodes"] == (60.0, 60.0)
+    untraced = (json.loads((ROOT / f"BENCH_{label}.json").read_text()) for label in ("pr18", "pr19"))
+    assert bench_compare.layer_medians(*untraced, "paper-train") == []
+    monkeypatch.setattr("sys.argv", ["bench_compare.py", *(str(ROOT / f"BENCH_{label}.json") for label in labels)])
+    assert bench_compare.main() == 0
+    out = capsys.readouterr().out
+    paper_train = out[out.index("\npaper-train:") : out.index("\npaper-eval:")]
+    assert "\n    tensor.backward_s: 0.289579 -> 0.277936\n" in paper_train

@@ -2,6 +2,7 @@
 hashed OOV buckets, sample encoding, and the exact save/load round trip."""
 
 import re
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -46,6 +47,20 @@ class TestBuildVocab:
         v = V.build_vocab([V.PLACEHOLDER_TOKEN, "a", V.PLACEHOLDER_TOKEN], shortlist_size=5)
         assert v.tokens == ["a"]
         assert V.build_vocab([V.PAD_TOKEN, V.PLACEHOLDER_TOKEN], shortlist_size=5).tokens == []
+
+    def test_ties_rank_by_spelling_within_every_frequency(self):
+        """Frequency ranks first and spelling breaks ties, in every frequency class and across a shortlist cut."""
+        stream = ["e"] * 3 + ["d", "c"] * 2 + ["z", "b", "a"] + ["f"] * 3
+        v = V.build_vocab(stream, shortlist_size=None)
+        assert v.tokens == ["e", "f", "c", "d", "a", "b", "z"]
+        assert v.frequencies == [3, 3, 2, 2, 1, 1, 1]
+        assert V.build_vocab(stream, shortlist_size=5).tokens == ["e", "f", "c", "d", "a"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "ab", "B", "é", "⟨x⟩"]), min_size=1, max_size=40))
+    def test_ranking_matches_the_frequency_then_spelling_key(self, stream):
+        counts = Counter(stream)
+        assert V.build_vocab(stream, None).tokens == sorted(counts, key=lambda tok: (-counts[tok], tok))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(0)

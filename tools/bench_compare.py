@@ -21,10 +21,11 @@ runs by seed and prints:
   cannot be told from noise, unless every run of the change reads better
   than every run of the parent.
 
-It also prints both records' `src_lines`, the lines of code in `src/`, and,
-per workload, how many runs of each record were not `correct` or had a
-failed call. Medians and quartiles are those `bench_record.summarise`
-writes.
+It also prints both records' `src_lines`, the lines of code in `src/`; per
+workload, how many runs of each record were not `correct` or had a failed
+call; and, after the end-to-end metrics, the median of every traced metric
+that both records hold under `layers`, as `name: parent -> change`.
+Medians and quartiles are those `bench_record.summarise` writes.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def compare_metric(parent_runs: list[dict], change_runs: list[dict], name: str, 
     }
 
 
+def layer_medians(parent: dict, change: dict, workload: str) -> list[tuple[str, float, float]]:
+    """(name, parent median, change median) of each traced metric both records hold for `workload`."""
+    before, after = (record.get("layers", {}).get(workload, {}) for record in (parent, change))
+    return [(name, before[name]["median"], after[name]["median"]) for name in before if name in after]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="the parent's BENCH_<LABEL>.json")
@@ -101,6 +108,11 @@ def main() -> int:
                   f"worse beyond bound: {'yes' if row['beyond_bound'] else 'no'}")
             print(f"    spread (IQR/median) parent {row['spreads'][0]:.0%}, change {row['spreads'][1]:.0%}; "
                   f"unresolved: {'yes' if row['unresolved'] else 'no'}")
+        layers = layer_medians(parent, change, workload)
+        if layers:
+            print("  per-layer medians of the traced runs")
+        for name, p, c in layers:
+            print(f"    {name}: {p:.6g} -> {c:.6g}")
     return 0
 
 
