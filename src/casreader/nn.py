@@ -1,5 +1,5 @@
-"""Neural building blocks: the fused two-direction GRU scan, the batch
-encoder that embeds and scans a padded batch, inverted dropout, and the
+"""Neural building blocks: the fused embedding lookup and two-direction GRU
+scan, the batch encoder built on it, inverted dropout, and the
 uniform and orthogonal initializers (`reader.init_model_params` decides
 which tensor gets which).
 
@@ -114,13 +114,15 @@ def _both(concurrent: bool, first: Callable[[], A], second: Callable[[], B]) -> 
         return first(), later.result()
 
 
-def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, needs_grad: bool):
-    """Scan one direction and write its masked states into `out`, a
-    `[len x batch x hidden]` block of the node's output. Returns the
-    direction's BPTT, or None when `needs_grad` is false. BPTT takes the
-    matching block of the output gradient and returns the nine weight
-    gradients and the input gradient (None when `x` needs none). It
-    overwrites the saved gate buffers, so it runs at most once."""
+def _scan(table: Tensor, idx: Array, keep: Array, params: GruParams, reverse: bool, out: Array, needs_grad: bool):
+    """Scan one direction over the rows `idx` of `table` (time-major: row
+    t*batch + b of the input is step t of sequence b) and write its masked
+    states into `out`, a `[len x batch x hidden]` block of the node's output.
+    Returns the direction's BPTT, or None when `needs_grad` is false. BPTT
+    takes the matching block of the output gradient and the gathered input,
+    and returns the nine weight gradients and the input gradient (None when
+    `table` needs none). It overwrites the saved gate buffers, so it runs at
+    most once."""
     steps, batch, hidden = out.shape
     w_z, w_r, w_h, u_z, u_r, u_h, b_z, b_r, b_h = (getattr(params, f.name).data for f in fields(GruParams))
     w = np.concatenate([w_z, w_r, w_h])  # [3H x E]
@@ -129,26 +131,33 @@ def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, 
     uz_t = np.multiply(u_z.T, 0.5, order="C")
     ur_t = np.multiply(u_r.T, 0.5, order="C")
     uh_t = np.array(u_h.T, order="C")
-    # Backward reads every step's gate values; without it one slot is scratch.
-    saved = steps if needs_grad else 1
-    zs, rs, cs = (np.empty((saved, batch, hidden)) for _ in range(3))
-    hist = np.zeros((steps + 1, batch, hidden))
-    # The state before step t and after it, both views of the one history.
-    prev, new = (hist[1:], hist[:-1]) if reverse else (hist[:-1], hist[1:])
+    if needs_grad:  # backward reads every step's gate values and states
+        zs, rs, cs = (np.empty((steps, batch, hidden)) for _ in range(3))
+        hist = np.zeros((steps + 1, batch, hidden))
+        # The state before step t and after it, both views of the one history.
+        prev, new = (hist[1:], hist[:-1]) if reverse else (hist[:-1], hist[1:])
+    else:  # one step's gates are scratch; the states before and after a step trade places each step
+        z, r, c, hn = (np.empty((batch, hidden)) for _ in range(4))
+        hp = np.zeros((batch, hidden))
     rh = np.empty((batch, hidden))
     chunk = min(steps, max(1, _PROJECTION_CHUNK // (batch * 3 * hidden)))
+    x_rows = np.empty((chunk * batch, w.shape[1]))
     proj_rows = np.empty((chunk * batch, 3 * hidden))
     starts = range(0, steps, chunk)
     for start in reversed(starts) if reverse else starts:
         stop = min(start + chunk, steps)
-        proj = np.matmul(x.data[start * batch : stop * batch], w.T, out=proj_rows[: (stop - start) * batch])
+        rows = (stop - start) * batch
+        # The indices are checked, so "clip" changes none; it lets take write into x_rows unbuffered.
+        x = np.take(table.data, idx[start * batch : stop * batch], axis=0, out=x_rows[:rows], mode="clip")
+        proj = np.matmul(x, w.T, out=proj_rows[:rows])
         proj += bias
         proj = proj.reshape(stop - start, batch, 3 * hidden)
         proj[:, :, : 2 * hidden] *= 0.5
         p_z, p_r, p_h = proj[:, :, :hidden], proj[:, :, hidden : 2 * hidden], proj[:, :, 2 * hidden :]
         for t in range(stop - 1, start - 1, -1) if reverse else range(start, stop):
-            s, i = t % saved, t - start
-            hp, hn, z, r, c = prev[t], new[t], zs[s], rs[s], cs[s]
+            i = t - start
+            if needs_grad:
+                hp, hn, z, r, c = prev[t], new[t], zs[t], rs[t], cs[t]
             for gate, u_t, p in ((z, uz_t, p_z), (r, ur_t, p_r)):
                 np.matmul(hp, u_t, out=gate)
                 gate += p[i]
@@ -163,11 +172,14 @@ def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, 
             hn *= z
             hn *= keep[t]
             hn += hp
-    np.multiply(new, keep, out=out)
+            if not needs_grad:
+                np.multiply(hn, keep[t], out=out[t])
+                hp, hn = hn, hp
     if not needs_grad:
         return None
+    np.multiply(new, keep, out=out)
 
-    def bptt(g: Array) -> tuple[list[Array], Array | None]:
+    def bptt(g: Array, x: Array) -> tuple[list[Array], Array | None]:
         # Pre-activation grads [z, r, h~], first as their factors off the recurrence.
         gates = np.empty((steps, batch, 3 * hidden))
         g_z, g_r, g_h = gates[:, :, :hidden], gates[:, :, hidden : 2 * hidden], gates[:, :, 2 * hidden :]
@@ -201,80 +213,98 @@ def _scan(x: Tensor, keep: Array, params: GruParams, reverse: bool, out: Array, 
         flat = gates.reshape(steps * batch, 3 * hidden)
         h_prev = prev.reshape(steps * batch, hidden)
         r_prev = np.multiply(rs, prev, out=rs).reshape(steps * batch, hidden)
-        dw = np.split(flat.T @ x.data, 3)
+        dw = np.split(flat.T @ x, 3)
         du = np.split(flat[:, : 2 * hidden].T @ h_prev, 2) + [flat[:, 2 * hidden :].T @ r_prev]
         db = np.split(flat.sum(axis=0), 3)
-        return [*dw, *du, *db], flat @ w if x.requires_grad else None
+        return [*dw, *du, *db], flat @ w if table.requires_grad else None
 
     return bptt
 
 
-def bigru_scan(x: Tensor, mask, fwd: GruParams, bwd: GruParams) -> Tensor:
-    """Scan both GRU directions over a padded batch as a single autodiff node.
+def bigru_scan(table: Tensor, ids, mask, fwd: GruParams, bwd: GruParams) -> Tensor:
+    """Look up and scan both GRU directions over a padded batch as a single
+    autodiff node.
 
-    `x` holds the inputs in time-major row order (row t*batch + b is step t
-    of sequence b) and `mask` is bool [batch x len]. The output has the
-    same row order with `2*hidden` columns, [fwd; bwd]. Masked steps carry
-    the state through untouched and emit all-zero rows, so left- and
-    right-padding agree on the unmasked rows. Backpropagation through time
-    runs inside the node, so the recorded graph does not grow with `len`.
+    Step t of sequence b reads row `ids[b, t]` of `table` (the embedding);
+    `ids` is int and `mask` bool, both [batch x len]. The output holds the
+    states in time-major row order (row t*batch + b is step t of sequence
+    b) with `2*hidden` columns, [fwd; bwd]. Masked steps carry the state
+    through untouched and emit all-zero rows, so left- and right-padding
+    agree on the unmasked rows. Backpropagation through time runs inside the
+    node, so the recorded graph does not grow with `len`; the input gradient
+    goes to `table` as `gather_rows` would send it (a `RowGrad` on a leaf).
 
-    Each direction projects its inputs with the z/r/h maps stacked, a chunk
-    of about `_PROJECTION_CHUNK` elements at a time; the loop over t only
-    does the recurrent products, each against a C-ordered copy of a
-    transposed recurrent matrix (the transposed views are F-ordered and BLAS
-    multiplies by them about half as fast), and writes into preallocated
-    buffers. The sigmoid is `0.5*tanh(a/2) + 0.5`, with the halving folded
-    into the z/r projections and recurrent copies (scaling by a power of two
-    is exact). Every state lives in one [len+1 x batch x hidden] history, so
-    the state before each step is a shifted view of it, not a copy.
+    Each direction gathers and projects its inputs with the z/r/h maps
+    stacked, a chunk of about `_PROJECTION_CHUNK` projected elements at a
+    time; the loop over t only does the recurrent products, each against a
+    C-ordered copy of a transposed recurrent matrix (the transposed views
+    are F-ordered and BLAS multiplies by them about half as fast), and
+    writes into preallocated buffers. The sigmoid is `0.5*tanh(a/2) + 0.5`,
+    with the halving folded into the z/r projections and recurrent copies
+    (scaling by a power of two is exact).
 
-    The backward pass computes the gate factors that do not depend on the
+    Memory: the node never holds the whole gathered `[len*batch x E]`
+    input in the forward pass, only a chunk of it per direction. With a
+    gradient, each direction keeps what BPTT reads: every step's z/r/h~
+    values and every state in one [len+1 x batch x hidden] history, so the
+    state before each step is a shifted view of it, not a copy; the masked
+    states are copied into the output after the scan. Without one, no node
+    is recorded, and each direction holds one step of gate scratch and two
+    contiguous [batch x hidden] state slots that trade places each step,
+    writing each step's masked state straight into its output block: beside
+    the output, only the ids and the mask take space per step.
+
+    The backward pass gathers the input once, for both directions' weight
+    gradients, and computes the gate factors that do not depend on the
     incoming state gradient as whole-array products first, so the BPTT loop
     only scales them and carries `dh` through the three recurrent products;
-    each weight gradient is then a single matmul over all steps. When no
-    input requires a gradient, no node is recorded and the z/r/h~ buffers
-    BPTT would read shrink to one step of scratch. BPTT overwrites the saved
-    values; a second backward through the node raises `UsageError`, as
-    through any node `Tensor.backward` has consumed.
+    each weight gradient is then a single matmul over all steps. BPTT
+    overwrites the saved values; a second backward through the node raises
+    `UsageError`, as through any node `Tensor.backward` has consumed.
 
     When `_concurrent` holds, the reverse direction's scan and its BPTT each
     run on a worker thread while the forward direction runs on the caller's;
-    the arithmetic of each direction is the same either way, so the results
-    are bit for bit those of the inline order.
+    the arithmetic of each direction is the same either way, and so is that
+    of the two paths, so the results are bit for bit those of the inline
+    order with or without a gradient.
     """
     mask = np.asarray(mask, dtype=bool)
+    ids = np.asarray(ids, dtype=np.int64)
     batch, steps = mask.shape
     hidden = fwd.hidden_dim
     dims = [(p.input_dim, p.hidden_dim) for p in (fwd, bwd)]
-    if dims[0] != dims[1] or x.data.shape != (steps * batch, fwd.input_dim):
+    if dims[0] != dims[1] or ids.shape != mask.shape or table.data.shape[1:] != (fwd.input_dim,):
         raise DimensionError(
-            f"bigru_scan got input {x.data.shape} for a {batch}x{steps} mask and directions of "
-            f"(input, hidden) {dims[0]} and {dims[1]}"
+            f"bigru_scan got ids {ids.shape} into a table {table.data.shape} for a {batch}x{steps} mask "
+            f"and directions of (input, hidden) {dims[0]} and {dims[1]}"
         )
+    idx, scatter = T._row_scatter(table, ids.T.reshape(-1))
     fwd_weights, bwd_weights = ([getattr(p, f.name) for f in fields(GruParams)] for p in (fwd, bwd))
-    needs_grad = x.requires_grad or any(p.requires_grad for p in fwd_weights + bwd_weights)
+    needs_grad = table.requires_grad or any(p.requires_grad for p in fwd_weights + bwd_weights)
     keep = mask.T[:, :, None].astype(np.float64)  # [len x batch x 1]
     out = np.empty((steps, batch, 2 * hidden))
     concurrent = _concurrent(batch, hidden)
     fwd_bptt, bwd_bptt = _both(
         concurrent,
-        lambda: _scan(x, keep, fwd, False, out[:, :, :hidden], needs_grad),
-        lambda: _scan(x, keep, bwd, True, out[:, :, hidden:], needs_grad),
+        lambda: _scan(table, idx, keep, fwd, False, out[:, :, :hidden], needs_grad),
+        lambda: _scan(table, idx, keep, bwd, True, out[:, :, hidden:], needs_grad),
     )
     result = Tensor(out.reshape(steps * batch, 2 * hidden))
 
     def backward(g: Array) -> None:
         g = g.reshape(steps, batch, 2 * hidden)
-        grads = _both(concurrent, lambda: fwd_bptt(g[:, :, :hidden]), lambda: bwd_bptt(g[:, :, hidden:]))
-        for weights, (weight_grads, dx) in zip((fwd_weights, bwd_weights), grads):
-            for param, grad in zip(weights, weight_grads):
-                if param.requires_grad:
-                    T._accumulate(param, grad)
-            if dx is not None:
-                T._accumulate(x, dx)
+        x = table.data[idx]
+        (fwd_grads, dx), (bwd_grads, bwd_dx) = _both(
+            concurrent, lambda: fwd_bptt(g[:, :, :hidden], x), lambda: bwd_bptt(g[:, :, hidden:], x)
+        )
+        for param, grad in zip(fwd_weights + bwd_weights, fwd_grads + bwd_grads):
+            if param.requires_grad:
+                T._accumulate(param, grad)
+        if table.requires_grad:
+            dx += bwd_dx
+            scatter(dx)
 
-    return T._record(result, (x, *fwd_weights, *bwd_weights), "bigru_scan", backward)
+    return T._record(result, (table, *fwd_weights, *bwd_weights), "bigru_scan", backward)
 
 
 def encode_batch(
@@ -289,7 +319,9 @@ def encode_batch(
     """Embed and bi-GRU encode a padded id batch into its states, `[batch x
     len x 2*hidden]` with [fwd; bwd] per position.
 
-    `mask` must be True exactly at real positions. Dropout at a positive
+    `mask` must be True exactly at real positions. The embedding lookup
+    happens inside `bigru_scan`, one projection chunk at a time, so no
+    `[len*batch x embed]` input is ever held whole. Dropout at a positive
     rate applies to the concatenated states; it draws its mask in time-major
     order, i.e. one [batch x 2*hidden] block per step, before the states
     turn batch-major.
@@ -299,8 +331,7 @@ def encode_batch(
     n = id_matrix.shape[1]
     if n < 1 or not mask.any(axis=1).all():
         raise UsageError("every sequence in the batch must have at least one unmasked position")
-    x = T.gather_rows(embedding, id_matrix.T.reshape(-1))
-    states = dropout(bigru_scan(x, mask, fwd, bwd), dropout_rate, rng)
+    states = dropout(bigru_scan(embedding, id_matrix, mask, fwd, bwd), dropout_rate, rng)
     return T.transpose(T.reshape(states, (n, len(mask), -1)), (1, 0, 2))
 
 

@@ -329,9 +329,10 @@ def score(
     output and its predicted token ids.
 
     The forward runs on a view of `params` that shares their arrays but
-    records no graph, so nothing is kept for a backward pass.
-    `restrict_candidates` limits each prediction to the sample's
-    `candidate_ids`.
+    records no graph, so nothing is kept for a backward pass: each encoder
+    holds its output states and no per-step history or gathered embedding
+    input (`nn.bigru_scan`'s no-grad path). `restrict_candidates` limits
+    each prediction to the sample's `candidate_ids`.
     """
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")

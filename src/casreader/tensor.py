@@ -5,7 +5,7 @@ output (parents + a backward closure), so each forward pass rebuilds the
 graph from scratch — sequences here are variable-length and a static graph
 would buy nothing. A layer whose graph would grow with sequence length
 records itself as one node with a hand-written backward instead (the GRU
-scan in `nn`, built on `_record` and `_accumulate`).
+scan in `nn`, built on `_record`, `_accumulate` and `_row_scatter`).
 `Tensor.backward` walks the recorded graph once in reverse topological
 order and consumes it: as each node's rule runs, the node drops its
 gradient, its parents and its closure (and with them the forward values the
@@ -16,8 +16,9 @@ owns it from then on: a fresh array becomes the first gradient as it is.
 `grad_check` is the independent oracle: central finite differences against
 the analytic gradients.
 
-A leaf table read through `gather_rows` (the embedding) gets a `RowGrad`:
-the sorted rows the batch touched and their summed gradients, so backward,
+A leaf table read by row (the embedding, through `gather_rows` or the GRU
+scan's own lookup, both built on `_row_scatter`) gets a `RowGrad`: the
+sorted rows the batch touched and their summed gradients, so backward,
 clipping and the optimizer's gradient work scale with the batch rather than
 with the vocabulary. A leaf that also receives a dense gradient densifies.
 
@@ -54,7 +55,7 @@ class RowGrad:
 
 class Tensor:
     """A dense float64 array plus an optional gradient buffer (an array, or
-    a `RowGrad` on a leaf read only through `gather_rows`)."""
+    a `RowGrad` on a leaf read only by row, through `_row_scatter`)."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_op")
 
@@ -256,20 +257,28 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows of `a`; the backward rule scatter-adds into those rows only.
+    """Select rows of `a`; the backward rule scatter-adds into those rows only
+    (`_row_scatter` owns the index check and the scatter)."""
+    idx, scatter = _row_scatter(a, indices)
+    return _record(Tensor(a.data[idx]), (a,), "gather_rows", scatter)
 
-    A leaf `a` accumulates a `RowGrad` over the rows gathered so far (each
+
+def _row_scatter(a: Tensor, indices) -> tuple[Array, Callable[[Array], None]]:
+    """The flat int64 row indices of `a` that `indices` names, and the rule
+    that scatter-adds a gradient of those rows, one row of it per index,
+    into `a`; an index outside `a`'s rows is a `DimensionError`.
+
+    A leaf `a` accumulates a `RowGrad` over the rows scattered so far (each
     row sums its contributions in call and index order, as a dense
     `np.add.at` would); a computed `a`, or a leaf already holding a dense
     gradient, gets the dense scatter.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise DimensionError("gather_rows expects a flat index sequence")
+        raise DimensionError("row indices must be a flat sequence")
     n = a.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise DimensionError(f"row index out of range for {n} rows: {idx[(idx < 0) | (idx >= n)][0]}")
-    out = Tensor(a.data[idx])
 
     def backward(g: Array) -> None:
         if a._parents or isinstance(a.grad, np.ndarray):
@@ -283,7 +292,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         np.add.at(values, inverse, all_g)
         a.grad = RowGrad(rows, values, a.data.shape)
 
-    return _record(out, (a,), "gather_rows", backward)
+    return idx, backward
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:

@@ -63,13 +63,20 @@ def frozen(p):
     return nn.GruParams(**{f.name: Tensor(getattr(p, f.name).data) for f in fields(nn.GruParams)})
 
 
-def scan_node(x, mask, p, reverse, other=None):
+def time_major_ids(mask):
+    """Ids that read step t of sequence b from table row t*batch + b: a table
+    of time-major input rows is then the scan's input as it is."""
+    batch, steps = np.shape(mask)
+    return np.arange(steps * batch).reshape(steps, batch).T
+
+
+def scan_node(table, ids, mask, p, reverse, other=None):
     """The two-direction node with `p` scanning in the named direction and
     `other` (by default a no-gradient copy of `p`) in the other one; returns
     the node and the column slice of `p`'s states."""
     other = frozen(p) if other is None else other
     hidden = p.hidden_dim
-    out = nn.bigru_scan(x, mask, *((other, p) if reverse else (p, other)))
+    out = nn.bigru_scan(table, ids, mask, *((other, p) if reverse else (p, other)))
     return out, slice(hidden, 2 * hidden) if reverse else slice(0, hidden)
 
 
@@ -113,7 +120,9 @@ def scan_oracle(x, mask, p, reverse):
 
 
 class TestEmbedLookup:
-    """The encoder's embedding lookup is `gather_rows` on the table."""
+    """The encoder's embedding lookup: `bigru_scan` reads the table's rows
+    itself and sends their gradient back as `gather_rows` does, through the
+    same `tensor._row_scatter`."""
 
     def test_selects_rows(self):
         w = Tensor(np.arange(8.0).reshape(4, 2))
@@ -136,6 +145,70 @@ class TestEmbedLookup:
         fwd, bwd = make_params(2, 3, seed=1), make_params(2, 3, seed=2)
         with pytest.raises(DimensionError, match="row index out of range for 4 rows: 4"):
             nn.encode_batch([[1, 4]], [[True, True]], Tensor(np.zeros((4, 2))), fwd, bwd)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_bad_id_raises_as_gather_rows_does(self, bad):
+        table, p = Tensor(np.zeros((4, 2)), requires_grad=True), make_params(2, 3, seed=1)
+        ids = np.array([[1, bad, 2]])
+        with pytest.raises(DimensionError) as gathered:
+            T.gather_rows(table, ids.T.reshape(-1))
+        with pytest.raises(DimensionError) as scanned:
+            nn.bigru_scan(table, ids, np.ones((1, 3), dtype=bool), p, p)
+        assert str(scanned.value) == str(gathered.value) == f"row index out of range for 4 rows: {bad}"
+
+    def test_gradients_match_finite_differences_with_repeated_and_masked_ids(self):
+        rng = np.random.default_rng(60)
+        mask = np.array([[True] * 4, [True, False, True, False], [False, True, True, True]])
+        ids = np.array([[0, 2, 2, 5], [5, 1, 0, 3], [4, 4, 0, 2]])  # row 1 is read only at a masked step
+        weights = rng.uniform(0.5, 1.5, (12, 6))
+        params = {"table": Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True),
+                  **random_params(2, 3, rng).named("fwd"), **random_params(2, 3, rng).named("bwd")}
+
+        def loss(p):
+            out = nn.bigru_scan(p["table"], ids, mask, gru_from(p, "fwd"), gru_from(p, "bwd"))
+            return T.reduce_sum(T.mul(out, Tensor(weights)))
+
+        assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("mode", reader.HEAD_MODES)
+    def test_reader_gradients_are_those_of_a_separate_gather(self, monkeypatch, mode):
+        """The reader's document and query encoders both read the embedding.
+        Its `RowGrad` holds the sorted, unique ids of both batches, and every
+        gradient is bit for bit what a `gather_rows` node in front of the
+        scan gives, whose backward scatters where the fused one does."""
+        params = generic_params(15, 3, 3, np.random.default_rng(62))
+        rng = np.random.default_rng(63)
+        samples = []
+        for _ in range(5):
+            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
+            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        named = params.named()
+
+        def grads():
+            for t in named.values():
+                t.zero_grad()
+            output = reader.forward(samples, params, training=True, rng=np.random.default_rng(64), mode=mode)
+            train.nll_loss(output, [s.answer_id for s in samples]).backward()
+            return {name: t.grad for name, t in named.items()}
+
+        fused = grads()
+        fused_scan = nn.bigru_scan
+
+        def gather_then_scan(table, ids, mask, fwd, bwd):
+            x = T.gather_rows(table, np.asarray(ids).T.reshape(-1))
+            return fused_scan(x, time_major_ids(mask), mask, fwd, bwd)
+
+        monkeypatch.setattr(nn, "bigru_scan", gather_then_scan)
+        separate = grads()
+        rows = fused["embedding"].rows
+        ids = np.concatenate([np.concatenate([s.doc_ids, s.query_ids]) for s in samples])
+        assert isinstance(fused["embedding"], T.RowGrad) and np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(rows, np.unique(ids))
+        np.testing.assert_array_equal(rows, separate["embedding"].rows)
+        np.testing.assert_array_equal(fused["embedding"].values, separate["embedding"].values)
+        for name in named:
+            if name != "embedding":
+                np.testing.assert_array_equal(fused[name], separate[name])
 
 
 class TestGruCell:
@@ -181,18 +254,21 @@ class TestGruCell:
         p = make_params(3, 4, seed=7)
         x = rng.uniform(-1, 1, (5, 2, 3))  # [len x batch x dim]
         mask = np.array([[True] * 5, [True, True, False, True, False]])
-        batched, cols = scan_node(Tensor(x.reshape(10, 3)), mask, p, reverse=True)
+        batched, cols = scan_node(Tensor(x.reshape(10, 3)), time_major_ids(mask), mask, p, reverse=True)
         batched = batched.data[:, cols].reshape(5, 2, 4)
         for b in range(2):
-            single, cols = scan_node(Tensor(x[:, b]), mask[b : b + 1], p, reverse=True)
+            single, cols = scan_node(Tensor(x[:, b]), time_major_ids(mask[b : b + 1]), mask[b : b + 1], p, reverse=True)
             np.testing.assert_allclose(batched[:, b], single.data[:, cols], atol=1e-13, rtol=0)
 
     def test_dimension_mismatch(self):
         p = make_params(3, 4, seed=8)
+        ids, mask = np.zeros((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool)
         with pytest.raises(DimensionError):
-            nn.bigru_scan(Tensor(np.zeros((4, 5))), np.ones((2, 2), dtype=bool), p, p)
+            nn.bigru_scan(Tensor(np.zeros((4, 5))), ids, mask, p, p)
         with pytest.raises(DimensionError, match=r"\(3, 4\) and \(3, 5\)"):
-            nn.bigru_scan(Tensor(np.zeros((4, 3))), np.ones((2, 2), dtype=bool), p, make_params(3, 5, seed=9))
+            nn.bigru_scan(Tensor(np.zeros((4, 3))), ids, mask, p, make_params(3, 5, seed=9))
+        with pytest.raises(DimensionError, match=r"ids \(2, 3\)"):
+            nn.bigru_scan(Tensor(np.zeros((4, 3))), np.zeros((2, 3), dtype=np.int64), mask, p, p)
 
 
 class TestBigruEncode:
@@ -278,7 +354,7 @@ class TestGruScan:
         other = frozen(random_params(2, 3, rng))
 
         def loss(p):
-            out, _ = scan_node(p["x"], mask, gru_from(p, "g"), reverse, other)
+            out, _ = scan_node(p["x"], time_major_ids(mask), mask, gru_from(p, "g"), reverse, other)
             return T.reduce_sum(T.mul(out, Tensor(weights)))
 
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
@@ -299,7 +375,8 @@ class TestGruScan:
         mask[3, 1:] = False  # a single real step
         x = rng.uniform(-2, 2, (steps, batch, dim))  # time-major, as the scan reads it
         p = random_params(dim, hidden, rng)  # entries ~1: gates far from the linear regime
-        out, cols = scan_node(Tensor(x.reshape(-1, dim)), mask, p, reverse, frozen(random_params(dim, hidden, rng)))
+        other = frozen(random_params(dim, hidden, rng))
+        out, cols = scan_node(Tensor(x.reshape(-1, dim)), time_major_ids(mask), mask, p, reverse, other)
         out = out.data[:, cols].reshape(steps, batch, hidden)
         for b in range(batch):
             expected = scan_oracle(x[:, b], mask[b], p, reverse)
@@ -309,43 +386,56 @@ class TestGruScan:
         """At zero pre-activation z is exactly 1/2: the first state is exactly tanh(b_h)/2."""
         p = zero_params(2, 4)
         p.b_h.data[:] = [0.3, -0.7, 1.1, 0.0]
-        out = nn.bigru_scan(Tensor(np.ones((3, 2))), np.ones((3, 1), dtype=bool), p, p)
+        out = nn.bigru_scan(Tensor(np.ones((3, 2))), np.arange(3)[:, None], np.ones((3, 1), dtype=bool), p, p)
         np.testing.assert_array_equal(out.data[0], np.tile(0.5 * np.tanh(p.b_h.data), 2))
 
     @pytest.mark.parametrize("hidden", [1, 4])  # at 1, u.T is itself C-ordered: a copy must still be made
     @pytest.mark.parametrize("reverse", [False, True])
     def test_inputs_are_bit_unchanged(self, reverse, hidden):
-        """The scan writes only its own buffers: never into x or a parameter,
-        whose arrays the other direction here shares."""
+        """The scan writes only its own buffers: never into the table or a
+        parameter, whose arrays the other direction here shares."""
         rng = np.random.default_rng(33)
         mask = np.array([[True] * 5, [True, False, False, True, False]])
+        ids = time_major_ids(mask)
         x = Tensor(rng.uniform(-1, 1, (10, 3)), requires_grad=True)
         p = random_params(3, hidden, rng)
         tensors = [x, *(getattr(p, f.name) for f in fields(nn.GruParams))]
         before = [t.data.copy() for t in tensors]
-        scan_node(x, mask, p, reverse)[0].backward(rng.uniform(-1, 1, (10, 2 * hidden)))
-        scan_node(Tensor(x.data), mask, frozen(p), reverse)
+        scan_node(x, ids, mask, p, reverse)[0].backward(rng.uniform(-1, 1, (10, 2 * hidden)))
+        scan_node(Tensor(x.data), ids, mask, frozen(p), reverse)
         for t, data in zip(tensors, before):
             np.testing.assert_array_equal(t.data, data)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_no_grad_output_is_bit_identical_and_records_no_node(self, reverse):
+    def test_no_grad_output_is_bit_identical_and_records_no_node(self, monkeypatch, reverse):
+        """The no-grad path scans in two state slots and writes each step's
+        masked state straight into the output; the grad path keeps the
+        history and copies it masked afterwards. Both give the same bits,
+        inline and on two threads."""
         rng = np.random.default_rng(27)
-        # Row 1 has an interior hole (steps 1-2 masked) and trailing padding.
-        mask = np.array([[True] * 5, [True, False, False, True, False], [True, True, False, False, False]])
-        x = Tensor(rng.uniform(-1, 1, (15, 3)), requires_grad=True)
+        mask = np.array([
+            [True] * 5,
+            [True, False, False, True, False],  # an interior hole (steps 1-2) and trailing padding
+            [True, True, False, False, False],  # right padding
+            [False, False, False, True, True],  # left padding
+        ])
+        ids = rng.integers(0, 7, mask.shape)  # repeated ids, some at masked steps
+        table = Tensor(rng.uniform(-1, 1, (7, 3)), requires_grad=True)
         params = random_params(3, 4, rng)
-        graded, _ = scan_node(x, mask, params, reverse)
-        plain, _ = scan_node(Tensor(x.data), mask, frozen(params), reverse)
-        assert graded._op == "bigru_scan"
-        np.testing.assert_array_equal(plain.data, graded.data)
-        assert not plain.requires_grad and plain._op == "leaf" and plain._parents == ()
+        for threads in (False, True):
+            monkeypatch.setattr(nn, "_concurrent", lambda batch, hidden: threads)
+            graded, _ = scan_node(table, ids, mask, params, reverse)
+            plain, _ = scan_node(Tensor(table.data), ids, mask, frozen(params), reverse)
+            assert graded._op == "bigru_scan"
+            np.testing.assert_array_equal(plain.data, graded.data)
+            assert not plain.requires_grad and plain._op == "leaf" and plain._parents == ()
 
     def test_second_backward_is_refused(self):
         """BPTT overwrites the saved gate values, so a second pass would be wrong: it raises instead."""
         rng = np.random.default_rng(34)
         x = Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True)
-        out = nn.bigru_scan(x, np.ones((2, 3), dtype=bool), random_params(2, 3, rng), random_params(2, 3, rng))
+        mask = np.ones((2, 3), dtype=bool)
+        out = nn.bigru_scan(x, time_major_ids(mask), mask, random_params(2, 3, rng), random_params(2, 3, rng))
         out.backward(np.ones((6, 6)))
         with pytest.raises(UsageError, match="runs once"):
             out.backward(np.ones((6, 6)))
@@ -375,32 +465,39 @@ class TestGruScan:
         with pytest.raises(UsageError, match="runs once"):
             loss.backward()
 
-    def test_no_grad_keeps_no_per_step_buffers(self):
+    def test_no_grad_keeps_no_per_step_buffers(self, monkeypatch):
         """Without a gradient the node's peak allocation drops by what BPTT
         reads: each direction's z/r/h~ arrays (3*hidden floats per step and
-        row), and the forward direction's state history, which BPTT keeps
-        alive while the reverse direction scans (hidden more): 7*hidden
-        floats per step and row. The shape is below the two-thread gate."""
+        row) and state history (hidden more), of which the forward
+        direction's stay alive while the reverse direction scans: at least
+        7*hidden floats per step and row. Beyond its output the no-grad node
+        then holds neither a [len x batch x hidden] history nor the
+        [len*batch x E] gathered input: with a small projection chunk, less
+        than half of either. The shape is below the two-thread gate."""
         import tracemalloc
 
-        batch, steps, hidden = 4, 200, 32
+        monkeypatch.setattr(nn, "_PROJECTION_CHUNK", 1 << 10)
+        batch, steps, dim, hidden = 4, 800, 32, 32  # long enough that the weight copies are small beside the rest
         rng = np.random.default_rng(31)
         mask = np.ones((batch, steps), dtype=bool)
-        x = rng.uniform(-1, 1, (steps * batch, 8))
-        params = random_params(8, hidden, rng), random_params(8, hidden, rng)
+        ids = rng.integers(0, 50, (batch, steps))
+        table = rng.uniform(-1, 1, (50, dim))
+        params = random_params(dim, hidden, rng), random_params(dim, hidden, rng)
         assert not nn._concurrent(batch, hidden)
 
-        def peak_bytes(x, fwd, bwd):
+        def peak_bytes(table, fwd, bwd):
             tracemalloc.start()
             try:
-                nn.bigru_scan(x, mask, fwd, bwd)
+                nn.bigru_scan(table, ids, mask, fwd, bwd)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        saved = steps * batch * 7 * hidden * 8
-        with_grad = peak_bytes(Tensor(x, requires_grad=True), *params)
-        assert with_grad - peak_bytes(Tensor(x), *map(frozen, params)) > 0.9 * saved
+        floats = steps * batch * 8  # bytes of one float per step and row
+        with_grad = peak_bytes(Tensor(table, requires_grad=True), *params)
+        no_grad = peak_bytes(Tensor(table), *map(frozen, params))
+        assert with_grad - no_grad > 0.9 * 7 * hidden * floats
+        assert no_grad - 2 * hidden * floats < 0.5 * min(hidden, dim) * floats
 
 
 class TestBatchEncoding:
@@ -515,8 +612,9 @@ class TestTwoThreads:
         monkeypatch.setattr(nn, "_scan", counted_scan)
         rng = np.random.default_rng(54)
         x = Tensor(rng.uniform(-1, 1, (12, 2)), requires_grad=True)
+        mask = np.ones((3, 4), dtype=bool)
         before = threading.active_count()
-        out = nn.bigru_scan(x, np.ones((3, 4), dtype=bool), random_params(2, 3, rng), random_params(2, 3, rng))
+        out = nn.bigru_scan(x, time_major_ids(mask), mask, random_params(2, 3, rng), random_params(2, 3, rng))
         out.backward(np.ones((12, 6)))
         assert running == [before + 1] * 2
         assert threading.active_count() == before

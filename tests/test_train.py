@@ -593,11 +593,11 @@ class TestTrainLoop:
             steps.append(1)
             return real_adam(*args)
 
-        def poisoned_scan(x, keep, params, reverse, out, needs_grad):
+        def poisoned_scan(table, idx, keep, params, reverse, out, needs_grad):
             if reverse and len(steps) == 4:  # the second step of epoch 2 (batch 8 over 24 samples)
                 overflowed_on.append(threading.current_thread())
                 np.multiply(np.float64(1e308), 10.0)
-            return real_scan(x, keep, params, reverse, out, needs_grad)
+            return real_scan(table, idx, keep, params, reverse, out, needs_grad)
 
         monkeypatch.setattr(train, "adam_step", counted_adam)
         monkeypatch.setattr(nn, "_scan", poisoned_scan)
@@ -671,12 +671,12 @@ def training_graph_size(doc_len, batch_size=4):
 
 def test_training_graph_size_does_not_grow_with_document_length():
     sizes = [training_graph_size(n) for n in (10, 20, 40)]
-    assert sizes == [60] * 3
+    assert sizes == [58] * 3
 
 
 def test_training_graph_size_does_not_grow_with_batch_size():
     sizes = [training_graph_size(20, batch_size=b) for b in (1, 4, 16)]
-    assert sizes == [60] * 3
+    assert sizes == [58] * 3
 
 
 class TestCheckpoint:
