@@ -107,6 +107,16 @@ def encode_rows_tensor(emb, mask, fwd, bwd, **kw):
     return nn.encode_batch(ids, np.asarray(mask, dtype=bool), emb, fwd, bwd, **kw)
 
 
+def reader_samples(seed, n):
+    """`n` samples over a 15-word vocabulary, of uneven lengths, each answered by its first word."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(n):
+        doc = rng.integers(0, 15, int(rng.integers(2, 13)))
+        samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+    return samples
+
+
 def scan_oracle(x, mask, p, reverse):
     """Scalar-loop scan of one direction: masked steps carry the state and emit zeros."""
     steps = x.shape[0]
@@ -146,7 +156,7 @@ class TestEmbedLookup:
         with pytest.raises(DimensionError, match="row index out of range for 4 rows: 4"):
             nn.encode_batch([[1, 4]], [[True, True]], Tensor(np.zeros((4, 2))), fwd, bwd)
 
-    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    @pytest.mark.parametrize("bad", [-1, 4])
     def test_bad_id_raises_as_gather_rows_does(self, bad):
         table, p = Tensor(np.zeros((4, 2)), requires_grad=True), make_params(2, 3, seed=1)
         ids = np.array([[1, bad, 2]])
@@ -156,20 +166,6 @@ class TestEmbedLookup:
             nn.bigru_scan(table, ids, np.ones((1, 3), dtype=bool), p, p)
         assert str(scanned.value) == str(gathered.value) == f"row index out of range for 4 rows: {bad}"
 
-    def test_gradients_match_finite_differences_with_repeated_and_masked_ids(self):
-        rng = np.random.default_rng(60)
-        mask = np.array([[True] * 4, [True, False, True, False], [False, True, True, True]])
-        ids = np.array([[0, 2, 2, 5], [5, 1, 0, 3], [4, 4, 0, 2]])  # row 1 is read only at a masked step
-        weights = rng.uniform(0.5, 1.5, (12, 6))
-        params = {"table": Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True),
-                  **random_params(2, 3, rng).named("fwd"), **random_params(2, 3, rng).named("bwd")}
-
-        def loss(p):
-            out = nn.bigru_scan(p["table"], ids, mask, gru_from(p, "fwd"), gru_from(p, "bwd"))
-            return T.reduce_sum(T.mul(out, Tensor(weights)))
-
-        assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
-
     @pytest.mark.parametrize("mode", reader.HEAD_MODES)
     def test_reader_gradients_are_those_of_a_separate_gather(self, monkeypatch, mode):
         """The reader's document and query encoders both read the embedding.
@@ -177,11 +173,7 @@ class TestEmbedLookup:
         gradient is bit for bit what a `gather_rows` node in front of the
         scan gives, whose backward scatters where the fused one does."""
         params = generic_params(15, 3, 3, np.random.default_rng(62))
-        rng = np.random.default_rng(63)
-        samples = []
-        for _ in range(5):
-            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
-            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        samples = reader_samples(63, 5)
         named = params.named()
 
         def grads():
@@ -348,13 +340,14 @@ class TestGruScan:
     def test_gradients_match_finite_differences(self, reverse):
         rng = np.random.default_rng(26)
         mask = np.array([[True] * 4, [True, True, True, False], [True, False, True, False]])
-        weights = rng.uniform(0.5, 1.5, (12, 6))  # both blocks: x's gradient sums both directions'
-        x = Tensor(rng.uniform(-1, 1, (12, 2)), requires_grad=True)
-        params = {"x": x, **random_params(2, 3, rng).named("g")}
+        ids = np.array([[0, 2, 2, 5], [5, 1, 0, 3], [4, 4, 0, 2]])  # repeats; row 3 is read only at a masked step
+        weights = rng.uniform(0.5, 1.5, (12, 6))  # both blocks: the table's gradient sums both directions'
+        table = Tensor(rng.uniform(-1, 1, (6, 2)), requires_grad=True)
+        params = {"table": table, **random_params(2, 3, rng).named("g")}
         other = frozen(random_params(2, 3, rng))
 
         def loss(p):
-            out, _ = scan_node(p["x"], time_major_ids(mask), mask, gru_from(p, "g"), reverse, other)
+            out, _ = scan_node(p["table"], ids, mask, gru_from(p, "g"), reverse, other)
             return T.reduce_sum(T.mul(out, Tensor(weights)))
 
         assert T.grad_check(loss, params, epsilon=1e-5) < 1e-4
@@ -446,11 +439,7 @@ class TestGruScan:
         closure (its op name stays), every parameter keeps its gradient, and
         a second backward raises."""
         params = generic_params(15, 3, 3, np.random.default_rng(54))
-        rng = np.random.default_rng(55)
-        samples = []
-        for _ in range(4):
-            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
-            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        samples = reader_samples(55, 4)
         output = reader.forward(samples, params, training=True, rng=np.random.default_rng(56), mode=mode)
         loss = train.nll_loss(output, [s.answer_id for s in samples])
         nodes = T._topo_order(loss)
@@ -566,11 +555,7 @@ class TestTwoThreads:
     @pytest.mark.parametrize("mode", reader.HEAD_MODES)
     def test_reader_gradients_are_bit_identical(self, monkeypatch, mode):
         params = generic_params(15, 3, 3, np.random.default_rng(51))
-        rng = np.random.default_rng(52)
-        samples = []
-        for _ in range(5):
-            doc = rng.integers(0, 15, int(rng.integers(2, 13)))
-            samples.append(Sample(doc, rng.integers(0, 15, int(rng.integers(1, 7))), int(doc[0])))
+        samples = reader_samples(52, 5)
         named = params.named()
 
         def run():

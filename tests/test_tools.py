@@ -91,3 +91,26 @@ def test_compare_prints_the_per_layer_medians(bench_compare, monkeypatch, capsys
     out = capsys.readouterr().out
     paper_train = out[out.index("\npaper-train:") : out.index("\npaper-eval:")]
     assert "\n    tensor.backward_s: 0.289579 -> 0.277936\n" in paper_train
+
+
+def test_compare_reads_the_no_grad_scan_records(bench_compare):
+    """The scan without a gradient keeps no state history and no gathered input:
+    paper-eval's peak falls by a claimable margin, a training step's graph loses
+    its two `gather_rows` nodes, and no end-to-end metric is worse beyond its bound."""
+    parent, change = (json.loads((ROOT / f"BENCH_{label}.json").read_text()) for label in ("3de651b", "7410c06"))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    peak = bench_compare.compare_metric(
+        *(bench_compare.untraced(rec, "paper-eval") for rec in (parent, change)), "peak_rss_mb", "lower", 0.1
+    )
+    assert (peak["wins"], peak["losses"]) == (10, 0) and peak["gain"]
+    assert round(peak["parent_median"], 1) == 343.0 and round(peak["change_median"], 1) == 306.2
+    for workload, nodes in [("desk-train", 58), ("paper-train", 60)]:
+        layers = {name: (p, c) for name, p, c in bench_compare.layer_medians(parent, change, workload)}
+        assert layers["tensor.graph_nodes"] == (nodes, nodes - 2)
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        for metric in benchmark["end_to_end"]:
+            row = bench_compare.compare_metric(
+                *(bench_compare.untraced(rec, workload) for rec in (parent, change)),
+                metric["name"], metric["better"], metric["bound"],
+            )
+            assert not row["beyond_bound"] and not row["unresolved"], (workload, metric["name"])
